@@ -5,11 +5,14 @@ Subcommands:
 * ``spectrum``: numeric and analytic eigenvalues of a built-in chain.
 * ``run``: execute one scenario manifest and check its targets.
 * ``trotter-scan``: split-step error against the exact propagator.
-* ``batch``: run every manifest in a directory (or all bundled ones).
+* ``batch``: run every manifest in a directory (or all bundled ones) in
+  order, one verdict per line. A manifest that cannot be read or run is
+  reported on its own line and the batch goes on.
 
 Exit codes: 0 on success, 1 when a target check fails, 2 for unusable
-configuration or arguments. Output carries no timestamps or machine
-details, so identical invocations produce identical bytes.
+configuration or arguments; ``batch`` exits with the worst code of its
+scenarios. Output carries no timestamps or machine details, so identical
+invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,17 +34,18 @@ from .pauli import expectation, schwinger_hamiltonian, single_z, observable_zbar
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
 from .trotter import trotter_error
-from .twirl import (
-    Backend,
-    PostSelectionError,
-    RoundRecord,
-    ZeroEnergyError,
-    run_protocol,
-)
+from .twirl import Backend, PostSelectionError, RoundRecord, run_protocol
 
 EXIT_OK = 0
 EXIT_TARGET = 1
 EXIT_CONFIG = 2
+
+# ManifestError and ZeroEnergyError are ValueErrors
+_FAILURES = (ValueError, PostSelectionError)
+
+
+def _error_text(exc: Exception) -> str:
+    return str(exc) if isinstance(exc, ManifestError) else f"config error: {exc}"
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -85,6 +88,31 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _csv(header: list[str], rows) -> str:
+    return _lines([",".join(header)] + [",".join(map(_csv_cell, row)) for row in rows])
+
+
+def _json(payload: dict) -> str:
+    payload = {**payload, "tool_version": __version__}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _render(args: argparse.Namespace, stem: str, *, text, csv, json) -> bool:
+    """Write the ``args.format`` rendering to stdout or into ``args.out``.
+
+    The renderers are called lazily, so only the chosen one runs. Returns
+    whether the text rendering went to stdout.
+    """
+    renderers = {"text": (text, "txt"), "csv": (csv, "csv"), "json": (json, "json")}
+    render, ext = renderers[args.format]
+    _emit(render(), args.out, f"{stem}.{ext}")
+    return args.out is None and args.format == "text"
+
+
 # ---------------------------------------------------------------- spectrum
 
 
@@ -117,7 +145,9 @@ def _spectrum_rows(n_qubits: int, coupling: float):
 def cmd_spectrum(args: argparse.Namespace) -> int:
     rows, obs_name, deviation = _spectrum_rows(args.qubits, args.j)
     title = f"schwinger-{args.qubits}q"
-    if args.format == "text":
+    columns = ["index", "energy", "closed_form", obs_name]
+
+    def text() -> str:
         lines = [f"spectrum {title}  J={args.j:g}"]
         lines.append(f"{'index':<6}{'energy':>14}{'closed_form':>14}{'<' + obs_name + '>':>12}")
         for row in rows:
@@ -126,33 +156,21 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
                 f"{_fmt(row['closed_form']):>14}{_fmt(row[obs_name]):>12}"
             )
         lines.append(f"max |energy - closed_form| = {deviation:.3e}")
-        text = "\n".join(lines) + "\n"
-        ext = "txt"
-    elif args.format == "csv":
-        lines = [f"index,energy,closed_form,{obs_name}"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["index"]),
-                        _csv_cell(row["energy"]),
-                        _csv_cell(row["closed_form"]),
-                        _csv_cell(row[obs_name]),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-        ext = "csv"
-    else:
-        payload = {
-            "hamiltonian": {"name": title, "J": args.j},
-            "levels": rows,
-            "max_deviation": deviation,
-            "tool_version": __version__,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        ext = "json"
-    _emit(text, args.out, f"spectrum-{title}-J{args.j:g}.{ext}")
+        return _lines(lines)
+
+    _render(
+        args,
+        f"spectrum-{title}-J{args.j:g}",
+        text=text,
+        csv=lambda: _csv(columns, ([row[c] for c in columns] for row in rows)),
+        json=lambda: _json(
+            {
+                "hamiltonian": {"name": title, "J": args.j},
+                "levels": rows,
+                "max_deviation": deviation,
+            }
+        ),
+    )
     return EXIT_OK
 
 
@@ -172,10 +190,6 @@ class TargetResult:
 @dataclass(frozen=True)
 class RunResult:
     manifest: Manifest
-    backend: Backend
-    shots: int | None
-    seed: int
-    prepare: AdiabaticSchedule | None
     records: list[RoundRecord]
     targets: list[TargetResult]
 
@@ -184,26 +198,18 @@ class RunResult:
         return all(t.ok for t in self.targets)
 
 
-def execute_manifest(
-    manifest: Manifest,
-    *,
-    backend: Backend | None = None,
-    shots: int | None | str = "keep",
-    seed: int | None = None,
-    prepare: AdiabaticSchedule | None | str = "keep",
-) -> RunResult:
-    """Run one scenario, applying optional overrides, and check targets."""
+def execute_manifest(manifest: Manifest) -> RunResult:
+    """Run one scenario and check its targets."""
     op = manifest.build_hamiltonian()
-    config = manifest.to_config(backend=backend, shots=shots, seed=seed)
-    schedule = manifest.prepare if prepare == "keep" else prepare
-    if schedule is None:
+    config = manifest.to_config()
+    if manifest.prepare is None:
         initial: StateVector | str = manifest.initial
     else:
         initial = adiabatic_prepare(
             manifest.initial,
             staggered_start(op.n_qubits),
             op,
-            schedule,
+            manifest.prepare,
             config.backend,
         )
     records = run_protocol(initial, op, config)
@@ -223,15 +229,7 @@ def execute_manifest(
                 ok=abs(actual - target.value) <= target.tol,
             )
         )
-    return RunResult(
-        manifest=manifest,
-        backend=config.backend,
-        shots=config.shots,
-        seed=config.seed,
-        prepare=schedule,
-        records=records,
-        targets=checks,
-    )
+    return RunResult(manifest=manifest, records=records, targets=checks)
 
 
 def _hamiltonian_label(manifest: Manifest) -> str:
@@ -247,12 +245,12 @@ def _run_text(result: RunResult, check: bool) -> str:
         lines.append(f"  {manifest.description}")
     lines.append(f"  hamiltonian: {_hamiltonian_label(manifest)}")
     lines.append(f"  initial: |{manifest.initial}>")
-    shots = "none" if result.shots is None else str(result.shots)
-    lines.append(f"  backend: {result.backend.label()}  shots: {shots}  seed: {result.seed}")
-    if result.prepare is not None:
+    shots = "none" if manifest.shots is None else str(manifest.shots)
+    lines.append(f"  backend: {manifest.backend.label()}  shots: {shots}  seed: {manifest.seed}")
+    if manifest.prepare is not None:
         lines.append(
-            f"  prepare: adiabatic ramp, total_time={result.prepare.total_time:g}, "
-            f"steps={result.prepare.steps}"
+            f"  prepare: adiabatic ramp, total_time={manifest.prepare.total_time:g}, "
+            f"steps={manifest.prepare.steps}"
         )
     modes = " ".join(
         f"{spec.mode.value}x{spec.ancillas}"
@@ -263,7 +261,7 @@ def _run_text(result: RunResult, check: bool) -> str:
     lines.append("")
     obs_names = list(manifest.observables)
     header = f"{'round':<6}{'energy_used':>13}{'tau':>11}{'p_round':>10}{'p_cum':>10}"
-    if result.shots is not None:
+    if manifest.shots is not None:
         header += f"{'active':>10}"
     for name in obs_names:
         header += f"{'<' + name + '>':>12}"
@@ -276,7 +274,7 @@ def _run_text(result: RunResult, check: bool) -> str:
             f"{record.p_round:>10.6f}"
             f"{record.p_cumulative:>10.6f}"
         )
-        if result.shots is not None:
+        if manifest.shots is not None:
             row += f"{record.active_count:>10}"
         for name in obs_names:
             row += f"{_fmt(record.expectations[name]):>12}"
@@ -293,24 +291,19 @@ def _run_text(result: RunResult, check: bool) -> str:
         lines.append("all targets satisfied" if bad == 0 else f"{bad} target(s) violated")
     if manifest.notes:
         lines.append(f"note: {manifest.notes}")
-    return "\n".join(lines) + "\n"
+    return _lines(lines)
 
 
 def _run_csv(result: RunResult) -> str:
     obs_names = list(result.manifest.observables)
-    lines = [",".join(["round", "E_used", "tau", "p_round", "p_cum", "active_count"] + obs_names)]
-    for record in result.records:
-        cells = [
-            str(record.round_index),
-            _csv_cell(record.energy_used),
-            _csv_cell(record.tau),
-            _csv_cell(record.p_round),
-            _csv_cell(record.p_cumulative),
-            _csv_cell(record.active_count),
-        ]
-        cells += [_csv_cell(record.expectations[name]) for name in obs_names]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return _csv(
+        ["round", "E_used", "tau", "p_round", "p_cum", "active_count"] + obs_names,
+        (
+            [r.round_index, r.energy_used, r.tau, r.p_round, r.p_cumulative, r.active_count]
+            + [r.expectations[name] for name in obs_names]
+            for r in result.records
+        ),
+    )
 
 
 def _run_json(result: RunResult, check: bool) -> str:
@@ -319,15 +312,15 @@ def _run_json(result: RunResult, check: bool) -> str:
         "name": manifest.name,
         "hamiltonian": manifest.hamiltonian,
         "initial": manifest.initial,
-        "backend": result.backend.label(),
-        "shots": result.shots,
-        "seed": result.seed,
+        "backend": manifest.backend.label(),
+        "shots": manifest.shots,
+        "seed": manifest.seed,
         "prepare": None
-        if result.prepare is None
+        if manifest.prepare is None
         else {
             "kind": "adiabatic",
-            "total_time": result.prepare.total_time,
-            "steps": result.prepare.steps,
+            "total_time": manifest.prepare.total_time,
+            "steps": manifest.prepare.steps,
         },
         "rounds": [
             {
@@ -347,7 +340,6 @@ def _run_json(result: RunResult, check: bool) -> str:
             }
             for record in result.records
         ],
-        "tool_version": __version__,
     }
     if manifest.notes:
         payload["notes"] = manifest.notes
@@ -364,7 +356,7 @@ def _run_json(result: RunResult, check: bool) -> str:
             for t in result.targets
         ]
         payload["ok"] = result.ok
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload)
 
 
 def _parse_prepare_flag(text: str) -> AdiabaticSchedule | None:
@@ -388,6 +380,15 @@ def _parse_prepare_flag(text: str) -> AdiabaticSchedule | None:
     raise ValueError('prepare must be "none", "adiabatic", or "adiabatic:T=..,steps=.."')
 
 
+def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--backend", help='"exact" or "trotter:<steps>"')
+    parser.add_argument("--shots", help='shot count, or "none" for exact expectations')
+    parser.add_argument("--seed", type=int, help="seed for shot-noise emulation")
+    parser.add_argument(
+        "--prepare", help='"none", "adiabatic", or "adiabatic:T=<time>,steps=<n>"'
+    )
+
+
 def _run_overrides(args: argparse.Namespace) -> dict:
     overrides: dict = {}
     if args.backend is not None:
@@ -402,27 +403,28 @@ def _run_overrides(args: argparse.Namespace) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    manifest = load_manifest(args.config)
-    result = execute_manifest(manifest, **_run_overrides(args))
+    manifest = replace(load_manifest(args.config), **_run_overrides(args))
+    result = execute_manifest(manifest)
     check = not args.no_check
-    if args.format == "text":
-        text, ext = _run_text(result, check), "txt"
-    elif args.format == "csv":
-        text, ext = _run_csv(result), "csv"
-    else:
-        text, ext = _run_json(result, check), "json"
-    _emit(text, args.out, f"{manifest.name}.{ext}")
-    if check and not result.ok:
-        if args.out is not None or args.format != "text":
-            for target in result.targets:
-                if not target.ok:
-                    sys.stderr.write(
-                        f"{manifest.name}: <{target.observable}> @ round "
-                        f"{target.round_index} = {target.actual:.6f}, wanted "
-                        f"{target.value:.6f} +/- {target.tol:g}\n"
-                    )
-        return EXIT_TARGET
-    return EXIT_OK
+    shown = _render(
+        args,
+        manifest.name,
+        text=lambda: _run_text(result, check),
+        csv=lambda: _run_csv(result),
+        json=lambda: _run_json(result, check),
+    )
+    if not check or result.ok:
+        return EXIT_OK
+    if not shown:
+        # the text verdict is not on stdout, so name the violations on stderr
+        for target in result.targets:
+            if not target.ok:
+                sys.stderr.write(
+                    f"{manifest.name}: <{target.observable}> @ round "
+                    f"{target.round_index} = {target.actual:.6f}, wanted "
+                    f"{target.value:.6f} +/- {target.tol:g}\n"
+                )
+    return EXIT_TARGET
 
 
 # ------------------------------------------------------------ trotter-scan
@@ -439,34 +441,30 @@ def cmd_trotter_scan(args: argparse.Namespace) -> int:
         slope, _ = np.polyfit(np.log(np.array(steps, float)), np.log(errors), 1)
         order = float(-slope)
     title = f"schwinger-{args.qubits}q"
-    if args.format == "text":
+
+    def text() -> str:
         lines = [f"split-step error scan {title}  J={args.j:g}  tau={args.tau:.6f}"]
         lines.append(f"{'steps':<8}{'error':>12}")
         for count, err in zip(steps, errors):
             lines.append(f"{count:<8}{err:>12.3e}")
         if order is not None:
             lines.append(f"estimated order: {order:.2f}")
-        text = "\n".join(lines) + "\n"
-        ext = "txt"
-    elif args.format == "csv":
-        lines = ["steps,error"]
-        for count, err in zip(steps, errors):
-            lines.append(f"{count},{_csv_cell(err)}")
-        text = "\n".join(lines) + "\n"
-        ext = "csv"
-    else:
-        payload = {
-            "hamiltonian": {"name": title, "J": args.j},
-            "tau": args.tau,
-            "points": [
-                {"steps": count, "error": err} for count, err in zip(steps, errors)
-            ],
-            "estimated_order": order,
-            "tool_version": __version__,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        ext = "json"
-    _emit(text, args.out, f"trotter-scan-{title}.{ext}")
+        return _lines(lines)
+
+    _render(
+        args,
+        f"trotter-scan-{title}",
+        text=text,
+        csv=lambda: _csv(["steps", "error"], zip(steps, errors)),
+        json=lambda: _json(
+            {
+                "hamiltonian": {"name": title, "J": args.j},
+                "tau": args.tau,
+                "points": [{"steps": count, "error": err} for count, err in zip(steps, errors)],
+                "estimated_order": order,
+            }
+        ),
+    )
     return EXIT_OK
 
 
@@ -489,32 +487,27 @@ def cmd_batch(args: argparse.Namespace) -> int:
         if not sources:
             raise ManifestError(f"config error: no manifests found in {args.config_dir!r}")
     overrides = _run_overrides(args)
+    codes = []
+    for source in sources:
+        line, code = _batch_verdict(source, overrides, args.out)
+        sys.stdout.write(f"{line}\n")
+        codes.append(code)
+    sys.stdout.write(f"{codes.count(EXIT_OK)}/{len(codes)} scenario(s) passed\n")
+    return max(codes)
 
-    def one(source: str) -> tuple[str, str, int]:
-        try:
-            manifest = load_manifest(source)
-            result = execute_manifest(manifest, **overrides)
-        except ManifestError as exc:
-            return source, str(exc), EXIT_CONFIG
-        except (ZeroEnergyError, PostSelectionError, ValueError) as exc:
-            return source, f"config error: {exc}", EXIT_CONFIG
-        if args.out is not None:
-            _emit(_run_json(result, True), args.out, f"{manifest.name}.json")
-        bad = sum(not t.ok for t in result.targets)
-        if bad:
-            return manifest.name, f"{bad} target(s) violated", EXIT_TARGET
-        return manifest.name, f"ok ({len(result.targets)} target(s))", EXIT_OK
 
-    jobs = max(1, min(args.jobs, len(sources)))
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(one, sources))
-    worst = EXIT_OK
-    for name, message, code in outcomes:
-        sys.stdout.write(f"{name}: {message}\n")
-        worst = max(worst, code)
-    good = sum(1 for _, _, code in outcomes if code == EXIT_OK)
-    sys.stdout.write(f"{good}/{len(outcomes)} scenario(s) passed\n")
-    return worst
+def _batch_verdict(source: str, overrides: dict, out_dir: str | None) -> tuple[str, int]:
+    try:
+        result = execute_manifest(replace(load_manifest(source), **overrides))
+    except _FAILURES as exc:
+        return f"{source}: {_error_text(exc)}", EXIT_CONFIG
+    name = result.manifest.name
+    if out_dir is not None:
+        _emit(_run_json(result, True), out_dir, f"{name}.json")
+    bad = sum(not t.ok for t in result.targets)
+    if bad:
+        return f"{name}: {bad} target(s) violated", EXIT_TARGET
+    return f"{name}: ok ({len(result.targets)} target(s))", EXIT_OK
 
 
 # -------------------------------------------------------------- entrypoint
@@ -537,12 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one scenario manifest")
     run.add_argument("--config", required=True, help="manifest path or bundled name")
-    run.add_argument("--backend", help='"exact" or "trotter:<steps>"')
-    run.add_argument("--shots", help='shot count, or "none" for exact expectations')
-    run.add_argument("--seed", type=int, help="seed for shot-noise emulation")
-    run.add_argument(
-        "--prepare", help='"none", "adiabatic", or "adiabatic:T=<time>,steps=<n>"'
-    )
+    _add_override_flags(run)
     run.add_argument("--format", choices=("text", "csv", "json"), default="text")
     run.add_argument("--out", help="directory to write the output file into")
     run.add_argument(
@@ -559,16 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", help="directory to write the output file into")
     scan.set_defaults(func=cmd_trotter_scan)
 
-    batch = sub.add_parser("batch", help="run every manifest in a directory")
+    batch = sub.add_parser("batch", help="run every manifest in a directory, in order")
     batch.add_argument("--config-dir", help="directory of manifest JSON files")
     batch.add_argument(
         "--bundled", action="store_true", help="run the bundled scenarios instead"
     )
-    batch.add_argument("--backend", help='"exact" or "trotter:<steps>"')
-    batch.add_argument("--shots", help='shot count, or "none" for exact expectations')
-    batch.add_argument("--seed", type=int, help="seed for shot-noise emulation")
-    batch.add_argument("--prepare", help="prepare override applied to every scenario")
-    batch.add_argument("--jobs", type=int, default=4, help="parallel workers")
+    _add_override_flags(batch)
     batch.add_argument("--out", help="directory to write per-scenario JSON into")
     batch.set_defaults(func=cmd_batch)
     return parser
@@ -579,14 +563,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ManifestError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return EXIT_CONFIG
-    except (ZeroEnergyError, PostSelectionError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return EXIT_CONFIG
-    except ValueError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+    except _FAILURES as exc:
+        sys.stderr.write(f"{_error_text(exc)}\n")
         return EXIT_CONFIG
 
 

@@ -52,7 +52,7 @@ SCHEMA = {
     "required": ["name", "hamiltonian", "initial", "rounds"],
     "additionalProperties": False,
     "properties": {
-        "name": {"type": "string", "minLength": 1},
+        "name": {"type": "string", "pattern": "^[A-Za-z0-9][A-Za-z0-9._-]*$"},
         "description": {"type": "string"},
         "hamiltonian": {
             "oneOf": [
@@ -158,19 +158,12 @@ class Manifest:
             )
         return PauliSum.from_dict(self.hamiltonian)
 
-    def to_config(
-        self,
-        *,
-        backend: Backend | None = None,
-        shots: int | None | str = "keep",
-        seed: int | None = None,
-    ) -> TwirlConfig:
-        """Protocol config, optionally overriding backend, shots, or seed."""
+    def to_config(self) -> TwirlConfig:
         return TwirlConfig(
             rounds=self.rounds,
-            backend=self.backend if backend is None else backend,
-            shots=self.shots if shots == "keep" else shots,
-            seed=self.seed if seed is None else seed,
+            backend=self.backend,
+            shots=self.shots,
+            seed=self.seed,
             observables=self.observables,
             noisy_energy=self.noisy_energy,
         )
@@ -290,7 +283,7 @@ def load_manifest(source: str | os.PathLike) -> Manifest:
         try:
             with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (OSError, ValueError) as exc:
             raise ManifestError(f"config error in {path}: {exc}") from None
     else:
         name = path[: -len(".json")] if path.endswith(".json") else path

@@ -268,9 +268,9 @@ def test_criterion_09_split_step_order():
 def test_criterion_10_ramp_then_filter():
     with criterion("10 ramp-then-filter"):
         result = execute_manifest(load_manifest("table-13"))
-        assert result.prepare is not None
-        assert result.prepare.total_time == 20.0
-        assert result.prepare.steps == 400
+        assert result.manifest.prepare is not None
+        assert result.manifest.prepare.total_time == 20.0
+        assert result.manifest.prepare.steps == 400
         prepared = result.records[0].expectations["H"]
         assert abs(prepared + 2.73169) <= 0.005
         final = result.records[-1].expectations["H"]

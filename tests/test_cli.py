@@ -222,6 +222,22 @@ def test_batch_directory_with_mixed_results(tmp_path, capsys):
     assert "1/3 scenario(s) passed" in out
 
 
+def test_batch_reports_unreadable_manifest_and_goes_on(tmp_path, capsys):
+    _write(tmp_path, "a-fine.json", dict(VIOLATING, name="fine", expected=[]))
+    (tmp_path / "sub.json").mkdir()
+    assert main(["batch", "--config-dir", str(tmp_path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fine: ok (0 target(s))"
+    assert lines[1].startswith(f"{tmp_path / 'sub.json'}: config error")
+    assert lines[2] == "1/2 scenario(s) passed"
+
+
+def test_run_directory_config_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "sub.json").mkdir()
+    assert main(["run", "--config", str(tmp_path / "sub.json")]) == 2
+    assert "config error in" in capsys.readouterr().err
+
+
 def test_batch_needs_a_source(capsys):
     assert main(["batch"]) == 2
     assert "batch needs" in capsys.readouterr().err

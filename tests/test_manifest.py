@@ -1,6 +1,7 @@
 """Tests for manifest loading, validation, and conversion."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -115,6 +116,9 @@ def test_valid_data_passes_silently():
         ({"observables": []}, "/observables"),
         ({"expected": [{"observable": "H", "value": 1.0, "tol": 0.0}]}, "/expected/0/tol"),
         ({"prepare": {"kind": "sudden"}}, "/prepare/kind"),
+        # the name is the output file stem under --out
+        ({"name": "../escaped"}, "/name"),
+        ({"name": "nested/x"}, "/name"),
     ],
 )
 def test_schema_errors_name_the_pointer(mutation, pointer):
@@ -245,7 +249,7 @@ def test_to_config_keeps_and_overrides():
     manifest = parse_manifest(_base(shots=100, seed=9))
     kept = manifest.to_config()
     assert kept.shots == 100 and kept.seed == 9
-    swapped = manifest.to_config(shots=None, seed=1, backend=Backend("trotter", 8))
+    swapped = replace(manifest, shots=None, seed=1, backend=Backend("trotter", 8)).to_config()
     assert swapped.shots is None
     assert swapped.seed == 1
     assert swapped.backend == Backend("trotter", 8)
