@@ -194,3 +194,31 @@ def test_arithmetic_preserves_order():
     assert [t.coeff for t in total.terms] == [0.25, 0.25, 0.5, 1.0]
     with pytest.raises(ValueError, match="different registers"):
         a + single_z(1, 0)
+
+
+_ORACLE_FACTORS = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+
+
+def _oracle(axes):
+    return kron(*(_ORACLE_FACTORS[c] for c in axes))
+
+
+def test_pauli_kernel_matches_kron_oracle():
+    rng = np.random.default_rng(20231)
+    for n in range(1, 7):
+        pool = ["I" * n] + ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(5)]
+        for _ in range(60):
+            picks = rng.integers(len(pool), size=rng.integers(1, 6))
+            terms = tuple(PauliTerm(float(rng.normal()), pool[k]) for k in picks)
+            expected = np.zeros((2**n, 2**n), dtype=complex)
+            for term in terms:
+                expected += term.coeff * _oracle(term.axes)
+            assert np.array_equal(dense_matrix(PauliSum(n, terms)), expected)
+        for axes in pool:
+            vec = rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)
+            assert np.array_equal(apply_axes(vec, axes), _oracle(axes) @ vec)
+
+
+def test_apply_axes_rejects_wrong_length():
+    with pytest.raises(ValueError):
+        apply_axes(np.ones(4, dtype=complex), "XYZ")
