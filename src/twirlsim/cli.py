@@ -40,7 +40,7 @@ EXIT_OK = 0
 EXIT_TARGET = 1
 EXIT_CONFIG = 2
 
-# ManifestError and ZeroEnergyError are ValueErrors
+# ManifestError, ZeroEnergyError and unwritable --out targets are ValueErrors
 _FAILURES = (ValueError, PostSelectionError)
 
 
@@ -66,8 +66,11 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
     if out_dir is None:
         sys.stdout.write(text)
         return
-    os.makedirs(out_dir, exist_ok=True)
-    _write_atomic(os.path.join(out_dir, filename), text)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_atomic(os.path.join(out_dir, filename), text)
+    except OSError as exc:
+        raise ValueError(f"cannot write into {out_dir!r}: {exc.strerror or exc}") from exc
 
 
 def _fmt(value: float | None, precision: int = 6) -> str:
@@ -437,7 +440,8 @@ def cmd_trotter_scan(args: argparse.Namespace) -> int:
         raise ValueError("step counts must be positive")
     errors = [trotter_error(op, args.tau, s) for s in steps]
     order = None
-    if len(steps) >= 2 and all(e > 0 for e in errors):
+    # errors at rounding level (zero in exact arithmetic) carry no order to fit
+    if len(steps) >= 2 and all(e > 1e-12 for e in errors):
         slope, _ = np.polyfit(np.log(np.array(steps, float)), np.log(errors), 1)
         order = float(-slope)
     title = f"schwinger-{args.qubits}q"
@@ -499,11 +503,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
 def _batch_verdict(source: str, overrides: dict, out_dir: str | None) -> tuple[str, int]:
     try:
         result = execute_manifest(replace(load_manifest(source), **overrides))
+        if out_dir is not None:
+            _emit(_run_json(result, True), out_dir, f"{result.manifest.name}.json")
     except _FAILURES as exc:
         return f"{source}: {_error_text(exc)}", EXIT_CONFIG
     name = result.manifest.name
-    if out_dir is not None:
-        _emit(_run_json(result, True), out_dir, f"{name}.json")
     bad = sum(not t.ok for t in result.targets)
     if bad:
         return f"{name}: {bad} target(s) violated", EXIT_TARGET

@@ -194,6 +194,17 @@ def test_trotter_scan_csv(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("qubits", ["1", "2"])
+def test_trotter_scan_fits_no_order_to_rounding_noise(qubits, capsys):
+    # at J=0 these chains split into commuting terms, so every error is rounding
+    assert main(["trotter-scan", "--qubits", qubits, "--j", "0"]) == 0
+    assert "estimated order" not in capsys.readouterr().out
+    assert main(["trotter-scan", "--qubits", qubits, "--j", "0", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert max(p["error"] for p in payload["points"]) < 1e-12
+    assert payload["estimated_order"] is None
+
+
 def test_trotter_scan_rejects_bad_steps(capsys):
     assert main(["trotter-scan", "--qubits", "1", "--j", "1", "--steps", "0,8"]) == 2
     assert "config error" in capsys.readouterr().err
@@ -230,6 +241,27 @@ def test_batch_reports_unreadable_manifest_and_goes_on(tmp_path, capsys):
     assert lines[0] == "fine: ok (0 target(s))"
     assert lines[1].startswith(f"{tmp_path / 'sub.json'}: config error")
     assert lines[2] == "1/2 scenario(s) passed"
+
+
+def test_batch_out_naming_a_file_is_a_config_error_per_scenario(tmp_path, capsys):
+    _write(tmp_path, "a-fine.json", dict(VIOLATING, name="fine", expected=[]))
+    _write(tmp_path, "b-doomed.json", VIOLATING)
+    target = tmp_path / "taken"
+    target.write_text("", encoding="utf-8")
+    assert main(["batch", "--config-dir", str(tmp_path), "--out", str(target)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert all(": config error: cannot write into" in line for line in lines[:2])
+    assert lines[2] == "0/2 scenario(s) passed"
+
+
+def test_run_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("", encoding="utf-8")
+    assert main(["run", "--config", "table-01-ket0", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write into")
+    assert len(err.splitlines()) == 1
 
 
 def test_run_directory_config_is_a_config_error(tmp_path, capsys):
