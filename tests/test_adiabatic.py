@@ -5,8 +5,11 @@ import pytest
 
 from twirlsim import (
     AdiabaticSchedule,
+    PauliSum,
+    PauliTerm,
     adiabatic_prepare,
     eigendecompose,
+    evolve_exact,
     expectation,
     schwinger_hamiltonian,
     staggered_start,
@@ -65,3 +68,44 @@ def test_register_mismatches():
         adiabatic_prepare("10", staggered_start(2), schwinger_hamiltonian(3, 1.0))
     with pytest.raises(ValueError, match="different registers"):
         adiabatic_prepare("101", staggered_start(2), schwinger_hamiltonian(2, 1.0))
+
+
+def _oracle_ramp(initial, start_op, target_op, schedule):
+    """The ramp as a loop of frozen Pauli sums, each through ``evolve_exact``."""
+    state = StateVector.basis(initial) if isinstance(initial, str) else initial
+    dt = schedule.total_time / schedule.steps
+    for k in range(schedule.steps):
+        s = (k + 0.5) / schedule.steps
+        state = evolve_exact(state, (1.0 - s) * start_op + s * target_op, dt)
+    return state
+
+
+def _random_op(rng, n_qubits):
+    terms = []
+    for _ in range(int(rng.integers(1, 5))):
+        axes = "".join(rng.choice(list("IXYZ"), n_qubits))
+        coeff = float(rng.choice([0.5, 1.0, -1.0])) if rng.random() < 0.5 else float(rng.normal())
+        terms.append(PauliTerm(coeff, axes))
+    return PauliSum(n_qubits, tuple(terms))
+
+
+@pytest.mark.parametrize("steps", [1, 7, 50])
+def test_ramp_matches_frozen_operator_oracle(steps):
+    rng = np.random.default_rng(steps)
+    for _ in range(40):
+        n_qubits = int(rng.integers(1, 5))
+        start, target = _random_op(rng, n_qubits), _random_op(rng, n_qubits)
+        raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+        initial = StateVector.from_amplitudes(raw)
+        schedule = AdiabaticSchedule(total_time=float(rng.uniform(0.1, 10.0)), steps=steps)
+        expected = _oracle_ramp(initial, start, target, schedule)
+        prepared = adiabatic_prepare(initial, start, target, schedule)
+        assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
+    for n_qubits in (1, 2, 3):
+        for coupling in (0.0, 0.5, 1.0, 2.0):
+            start, target = staggered_start(n_qubits), schwinger_hamiltonian(n_qubits, coupling)
+            label = staggered_start_label(n_qubits)
+            schedule = AdiabaticSchedule(total_time=20.0, steps=steps)
+            expected = _oracle_ramp(label, start, target, schedule)
+            prepared = adiabatic_prepare(label, start, target, schedule)
+            assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 
 from twirlsim import (
+    PauliSum,
+    PauliTerm,
     SpectralDecomposition,
     StateVector,
     closed_form_spectrum,
@@ -144,6 +146,56 @@ def test_numeric_matches_closed_form_projectors():
                     closed.eigenvectors, block
                 )
                 assert float(np.max(np.abs(delta))) < 1e-8
+
+
+def _oracle_first_support(column):
+    hits = np.flatnonzero(np.abs(column) > 1e-8)
+    return int(hits[0]) if hits.size else 0
+
+
+def _oracle_canonical(values, vectors, tol=1e-8):
+    """The canonical order and phase fix as a per-column loop over ``eigh`` output."""
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    vectors = vectors[:, order]
+    perm = []
+    for block in _group_slices(values, tol):
+        members = range(block.start, block.stop)
+        perm.extend(sorted(members, key=lambda i: _oracle_first_support(vectors[:, i])))
+    values, vectors = values[perm], vectors[:, perm]
+    fixed = vectors.copy()
+    for i in range(fixed.shape[1]):
+        lead = fixed[_oracle_first_support(fixed[:, i]), i]
+        if abs(lead) > 0:
+            fixed[:, i] *= lead.conjugate() / abs(lead)
+    return values, fixed
+
+
+def _random_pauli_sum(rng, n_qubits):
+    # coefficients from {0.5, +-1} half of the time, so degenerate levels occur
+    terms = []
+    for _ in range(int(rng.integers(1, 7))):
+        axes = "".join(rng.choice(list("IXYZ"), n_qubits))
+        if rng.random() < 0.5:
+            coeff = float(rng.choice([0.5, 1.0, -1.0]))
+        else:
+            coeff = float(rng.normal())
+        terms.append(PauliTerm(coeff, axes))
+    return PauliSum(n_qubits, tuple(terms))
+
+
+def test_canonical_eigenbasis_matches_loop_oracle():
+    rng = np.random.default_rng(2024)
+    degenerate = 0
+    for _ in range(3000):
+        op = _random_pauli_sum(rng, int(rng.integers(1, 6)))
+        values, vectors = _oracle_canonical(*np.linalg.eigh(dense_matrix(op)))
+        dec = eigendecompose(op)
+        assert dec.eigenvalues.tobytes() == values.tobytes()
+        assert dec.eigenvectors.tobytes() == vectors.tobytes()
+        assert dec.eigenvectors.flags.c_contiguous
+        degenerate += len(_group_slices(values)) < values.size
+    assert degenerate > 1000
 
 
 def test_cache_returns_same_object():
