@@ -2,9 +2,14 @@
 
 The ramp freezes the interpolated operator on each of ``steps`` equal
 slices of the total time, evaluating the mix at the slice midpoint, and
-evolves exactly (or with the chosen backend) under that frozen operator.
-Slow ramps from the ground state of the start operator land close to
-the ground state of the target.
+evolves under that frozen operator. Slow ramps from the ground state of
+the start operator land close to the ground state of the target.
+
+On the exact backend each slice's matrix is scattered straight from the
+compiled terms and diagonalized without the eigensystem cache: every
+slice is a distinct operator, used once, and caching it would only
+evict reusable entries. The split-step backend evolves the frozen
+``PauliSum`` of each slice.
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .pauli import PauliSum, PauliTerm
+from .pauli import PauliSum, PauliTerm, _compiled, _scatter
+from .spectral import _canonical_eigh, _propagate
 from .state import StateVector
 from .twirl import Backend
 
@@ -59,8 +65,17 @@ def adiabatic_prepare(
     if state.n_qubits != start_op.n_qubits:
         raise ValueError("initial state and operators act on different registers")
     dt = schedule.total_time / schedule.steps
-    for k in range(schedule.steps):
-        s = (k + 0.5) / schedule.steps
-        frozen = (1.0 - s) * start_op + s * target_op
-        state = backend.evolve(state, frozen, dt)
-    return state
+    midpoints = [(k + 0.5) / schedule.steps for k in range(schedule.steps)]
+    if backend.kind != "exact":
+        for s in midpoints:
+            state = backend.evolve(state, (1.0 - s) * start_op + s * target_op, dt)
+        return state
+    start = [(term.coeff, _compiled(term.axes)) for term in start_op.terms]
+    target = [(term.coeff, _compiled(term.axes)) for term in target_op.terms]
+    amplitudes = state.amplitudes
+    for s in midpoints:
+        # the terms, order and coefficients of dense_matrix((1 - s) * start_op + s * target_op)
+        weighted = [((1.0 - s) * c, p) for c, p in start] + [(s * c, p) for c, p in target]
+        matrix = _scatter(state.n_qubits, weighted)
+        amplitudes = _propagate(amplitudes, *_canonical_eigh(matrix), dt)
+    return StateVector(state.n_qubits, amplitudes)

@@ -10,9 +10,11 @@ Subcommands:
   reported on its own line and the batch goes on.
 
 Exit codes: 0 on success, 1 when a target check fails, 2 for unusable
-configuration or arguments; ``batch`` exits with the worst code of its
-scenarios. Output carries no timestamps or machine details, so identical
-invocations produce identical bytes.
+configuration or arguments, 3 when a run aborts (post-selection left no
+support or no active runs, or an energy estimate was zero), and 4 when
+one ``batch`` scenario hits an internal error; ``batch`` exits with the
+worst code of its scenarios. Output carries no timestamps or machine
+details, so identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,18 +37,25 @@ from .pauli import expectation, schwinger_hamiltonian, single_z, observable_zbar
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
 from .trotter import trotter_error
-from .twirl import Backend, PostSelectionError, RoundRecord, run_protocol
+from .twirl import Backend, PostSelectionError, RoundRecord, ZeroEnergyError, run_protocol
 
 EXIT_OK = 0
 EXIT_TARGET = 1
 EXIT_CONFIG = 2
+EXIT_ABORT = 3
+EXIT_INTERNAL = 4
 
 # ManifestError, ZeroEnergyError and unwritable --out targets are ValueErrors
 _FAILURES = (ValueError, PostSelectionError)
 
 
-def _error_text(exc: Exception) -> str:
-    return str(exc) if isinstance(exc, ManifestError) else f"config error: {exc}"
+def _failure(exc: Exception) -> tuple[str, int]:
+    """Message and exit code for one of the ``_FAILURES``."""
+    if isinstance(exc, (PostSelectionError, ZeroEnergyError)):
+        return f"runtime abort: {exc}", EXIT_ABORT
+    if isinstance(exc, ManifestError):
+        return str(exc), EXIT_CONFIG
+    return f"config error: {exc}", EXIT_CONFIG
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -506,7 +516,12 @@ def _batch_verdict(source: str, overrides: dict, out_dir: str | None) -> tuple[s
         if out_dir is not None:
             _emit(_run_json(result, True), out_dir, f"{result.manifest.name}.json")
     except _FAILURES as exc:
-        return f"{source}: {_error_text(exc)}", EXIT_CONFIG
+        text, code = _failure(exc)
+        return f"{source}: {text}", code
+    except Exception as exc:
+        # one broken scenario must not end the batch; keep its traceback on stderr
+        sys.stderr.write(traceback.format_exc())
+        return f"{source}: internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
     name = result.manifest.name
     bad = sum(not t.ok for t in result.targets)
     if bad:
@@ -568,8 +583,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _FAILURES as exc:
-        sys.stderr.write(f"{_error_text(exc)}\n")
-        return EXIT_CONFIG
+        text, code = _failure(exc)
+        sys.stderr.write(f"{text}\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -162,21 +163,27 @@ def apply_operator(amplitudes: np.ndarray, op: PauliSum) -> np.ndarray:
     return acc
 
 
-def dense_matrix(op: PauliSum) -> np.ndarray:
-    """Dense matrix of a Pauli sum, qubit 0 as the most significant index bit."""
+def _scatter(
+    n_qubits: int, weighted: Iterable[tuple[float, tuple[np.ndarray, np.ndarray]]]
+) -> np.ndarray:
+    """Dense sum of ``coeff * P`` over ``(coeff, _compiled(P))`` pairs, in order."""
     limit = dense_limit()
-    if op.n_qubits > limit:
+    if n_qubits > limit:
         raise ValueError(
-            f"dense matrix for {op.n_qubits} qubits exceeds the {limit}-qubit cap; "
+            f"dense matrix for {n_qubits} qubits exceeds the {limit}-qubit cap; "
             f"raise {DENSE_LIMIT_ENV} to override"
         )
-    dim = 2**op.n_qubits
-    rows = np.arange(dim)
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for term in op.terms:
-        source, phase = _compiled(term.axes)
-        matrix[rows, source] += term.coeff * phase
-    return matrix
+    dim = 2**n_qubits
+    row_starts = np.arange(0, dim * dim, dim)
+    matrix = np.zeros(dim * dim, dtype=complex)
+    for coeff, (source, phase) in weighted:
+        matrix[row_starts + source] += coeff * phase
+    return matrix.reshape(dim, dim)
+
+
+def dense_matrix(op: PauliSum) -> np.ndarray:
+    """Dense matrix of a Pauli sum, qubit 0 as the most significant index bit."""
+    return _scatter(op.n_qubits, ((term.coeff, _compiled(term.axes)) for term in op.terms))
 
 
 def expectation(state: StateVector, op: PauliSum) -> float:

@@ -89,39 +89,37 @@ class OverlapDecomposition:
         return int(np.argmax(self.weights))
 
 
-def _first_support(column: np.ndarray) -> int:
-    hits = np.flatnonzero(np.abs(column) > SUPPORT_TOL)
-    return int(hits[0]) if hits.size else 0
-
-
-def _canonical_order(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_basis(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs in the canonical order, each column's leading amplitude positive real."""
+    first = np.argmax(np.abs(vectors) > SUPPORT_TOL, axis=0)
     order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = vectors[:, order]
-    perm: list[int] = []
-    start = 0
-    for k in range(1, values.size + 1):
-        if k == values.size or values[k] - values[k - 1] > DEGENERACY_TOL:
-            group = sorted(range(start, k), key=lambda i: _first_support(vectors[:, i]))
-            perm.extend(group)
-            start = k
-    return values[perm], vectors[:, perm]
+    ascending = values[order]
+    group = np.cumsum(np.concatenate(([False], ascending[1:] - ascending[:-1] > DEGENERACY_TOL)))
+    order = order[np.lexsort((first[order], group))]
+    fixed = vectors[:, order].copy()
+    leads = fixed[first[order], np.arange(order.size)]
+    # np.hypot rounds as the scalar abs(lead) does; np.abs on a complex array may not
+    fixed *= leads.conj() / np.hypot(leads.real, leads.imag)
+    return values[order], fixed
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    fixed = vectors.copy()
-    for i in range(fixed.shape[1]):
-        lead = fixed[_first_support(fixed[:, i]), i]
-        if abs(lead) > 0:
-            fixed[:, i] *= lead.conjugate() / abs(lead)
-    return fixed
+def _canonical_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical eigensystem of a Hermitian matrix, uncached."""
+    return _canonical_basis(*np.linalg.eigh(matrix))
+
+
+def _propagate(
+    amplitudes: np.ndarray, values: np.ndarray, vectors: np.ndarray, tau: float
+) -> np.ndarray:
+    """Amplitudes after exp(-i tau H) for H with the given eigensystem."""
+    coords = vectors.conj().T @ amplitudes
+    coords *= np.exp(-1.0j * tau * values)
+    return vectors @ coords
 
 
 @lru_cache(maxsize=256)
 def _eigensystem(op: PauliSum) -> SpectralDecomposition:
-    values, vectors = np.linalg.eigh(dense_matrix(op))
-    values, vectors = _canonical_order(values, vectors)
-    return SpectralDecomposition(values, _fix_phases(vectors))
+    return SpectralDecomposition(*_canonical_eigh(dense_matrix(op)))
 
 
 def eigendecompose(op: PauliSum) -> SpectralDecomposition:
@@ -134,8 +132,7 @@ def _assemble(pairs: list[tuple[float, np.ndarray]], dim: int) -> SpectralDecomp
     vectors = np.zeros((dim, len(pairs)), dtype=complex)
     for i, (_, vec) in enumerate(pairs):
         vectors[:, i] = vec / np.linalg.norm(vec)
-    values, vectors = _canonical_order(values, vectors)
-    return SpectralDecomposition(values, _fix_phases(vectors))
+    return SpectralDecomposition(*_canonical_basis(values, vectors))
 
 
 def closed_form_spectrum(n_qubits: int, coupling: float) -> SpectralDecomposition:
@@ -215,9 +212,9 @@ def evolve_exact(state: StateVector, op: PauliSum, tau: float) -> StateVector:
     if not math.isfinite(tau):
         raise ValueError(f"evolution time {tau!r} must be finite")
     dec = _eigensystem(op)
-    coords = dec.eigenvectors.conj().T @ state.amplitudes
-    coords *= np.exp(-1.0j * tau * dec.eigenvalues)
-    return StateVector(state.n_qubits, dec.eigenvectors @ coords)
+    return StateVector(
+        state.n_qubits, _propagate(state.amplitudes, dec.eigenvalues, dec.eigenvectors, tau)
+    )
 
 
 def overlap_decomposition(state: StateVector, dec: SpectralDecomposition) -> OverlapDecomposition:

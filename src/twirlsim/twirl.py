@@ -337,9 +337,9 @@ def run_protocol(
             energy = expectation(state, op)
         try:
             tau, prefactor = choose_tau(energy, spec.mode)
-        except ZeroEnergyError as exc:
-            raise ZeroEnergyError(f"round {index}: {exc}") from None
-        state, p_round = twirl_round(state, op, tau, prefactor, spec.ancillas, config.backend)
+            state, p_round = twirl_round(state, op, tau, prefactor, spec.ancillas, config.backend)
+        except (ZeroEnergyError, PostSelectionError) as exc:
+            raise type(exc)(f"round {index}: {exc}") from None
         p_cumulative *= p_round
         if config.shots is not None:
             active = int(_stream(config.seed, index, 0).binomial(config.shots, p_cumulative))

@@ -5,6 +5,7 @@ import pytest
 
 from twirlsim import (
     AdiabaticSchedule,
+    Backend,
     PauliSum,
     PauliTerm,
     adiabatic_prepare,
@@ -15,6 +16,9 @@ from twirlsim import (
     staggered_start,
     staggered_start_label,
 )
+from twirlsim import spectral
+from twirlsim.cli import execute_manifest
+from twirlsim.manifest import load_manifest
 from twirlsim.state import StateVector
 
 
@@ -63,6 +67,14 @@ def test_slower_ramp_is_better():
     assert slow > quick
 
 
+def test_split_step_ramp_tracks_the_exact_ramp():
+    target = schwinger_hamiltonian(3, 1.0)
+    schedule = AdiabaticSchedule(total_time=5.0, steps=50)
+    exact = adiabatic_prepare("101", staggered_start(3), target, schedule)
+    split = adiabatic_prepare("101", staggered_start(3), target, schedule, Backend("trotter", 4))
+    assert 1.0 - 1e-6 < exact.fidelity(split) < 1.0 - 1e-12
+
+
 def test_register_mismatches():
     with pytest.raises(ValueError, match="different registers"):
         adiabatic_prepare("10", staggered_start(2), schwinger_hamiltonian(3, 1.0))
@@ -109,3 +121,11 @@ def test_ramp_matches_frozen_operator_oracle(steps):
             expected = _oracle_ramp(label, start, target, schedule)
             prepared = adiabatic_prepare(label, start, target, schedule)
             assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+def test_ramp_scenario_leaves_the_eigensystem_cache_alone():
+    shared = eigendecompose(schwinger_hamiltonian(3, 1.0))
+    misses = spectral._eigensystem.cache_info().misses
+    execute_manifest(load_manifest("table-13"))
+    assert spectral._eigensystem.cache_info().misses - misses <= 4
+    assert eigendecompose(schwinger_hamiltonian(3, 1.0)) is shared

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from twirlsim import __version__
+from twirlsim import __version__, cli
 from twirlsim.cli import main
 
 VIOLATING = {
@@ -167,8 +167,37 @@ def test_run_zero_energy_scenario(tmp_path, capsys):
         "rounds": [{"mode": "quarter"}],
     }
     path = _write(tmp_path, "stuck.json", payload)
-    assert main(["run", "--config", path]) == 2
-    assert "round 1: energy estimate is zero" in capsys.readouterr().err
+    assert main(["run", "--config", path]) == 3
+    assert "runtime abort: round 1: energy estimate is zero" in capsys.readouterr().err
+
+
+def _noisy_one_qubit(seed):
+    # four shots with sampled energy feedback: seed 2 samples <H> = 0 in
+    # round 1, seed 7 loses every run in round 2
+    return {
+        "name": f"noisy-{seed}",
+        "hamiltonian": {"name": "schwinger-1q", "J": 1.0},
+        "initial": "0",
+        "rounds": [{"mode": "quarter"}] * 3,
+        "shots": 4,
+        "seed": seed,
+        "noisy_energy": True,
+    }
+
+
+@pytest.mark.parametrize(
+    "seed, reason",
+    [
+        (2, "runtime abort: round 1: energy estimate is zero within tolerance"),
+        (7, "runtime abort: no active runs left in round 2"),
+    ],
+)
+def test_run_runtime_abort_exits_three(seed, reason, tmp_path, capsys):
+    path = _write(tmp_path, "noisy.json", _noisy_one_qubit(seed))
+    assert main(["run", "--config", path, "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(reason)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +270,44 @@ def test_batch_reports_unreadable_manifest_and_goes_on(tmp_path, capsys):
     assert lines[0] == "fine: ok (0 target(s))"
     assert lines[1].startswith(f"{tmp_path / 'sub.json'}: config error")
     assert lines[2] == "1/2 scenario(s) passed"
+
+
+def test_batch_reports_runtime_aborts_per_scenario(tmp_path, capsys):
+    _write(tmp_path, "a-fine.json", dict(VIOLATING, name="fine", expected=[]))
+    _write(tmp_path, "b-zero.json", _noisy_one_qubit(2))
+    _write(tmp_path, "c-starved.json", _noisy_one_qubit(7))
+    (tmp_path / "d-broken.json").write_text("{oops", encoding="utf-8")
+    assert main(["batch", "--config-dir", str(tmp_path)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fine: ok (0 target(s))"
+    assert lines[1].startswith(f"{tmp_path / 'b-zero.json'}: runtime abort: round 1: energy")
+    starved = f"{tmp_path / 'c-starved.json'}: runtime abort: no active runs left in round 2"
+    assert lines[2] == starved
+    assert lines[3].startswith(f"{tmp_path / 'd-broken.json'}: config error")
+    assert lines[4] == "1/4 scenario(s) passed"
+
+
+def test_batch_internal_error_is_one_scenario_line(tmp_path, capsys, monkeypatch):
+    real = cli.execute_manifest
+
+    def flaky(manifest):
+        if manifest.name == "doomed":
+            raise RuntimeError("boom")
+        return real(manifest)
+
+    monkeypatch.setattr(cli, "execute_manifest", flaky)
+    _write(tmp_path, "a-doomed.json", VIOLATING)
+    _write(tmp_path, "b-fine.json", dict(VIOLATING, name="fine", expected=[]))
+    assert main(["batch", "--config-dir", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("Traceback")
+    assert captured.err.endswith("RuntimeError: boom\n")
+    lines = captured.out.splitlines()
+    assert lines == [
+        f"{tmp_path / 'a-doomed.json'}: internal error: RuntimeError: boom",
+        "fine: ok (0 target(s))",
+        "1/2 scenario(s) passed",
+    ]
 
 
 def test_batch_out_naming_a_file_is_a_config_error_per_scenario(tmp_path, capsys):

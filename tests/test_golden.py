@@ -9,6 +9,9 @@ error paths that do not depend on a temporary directory.
 Regenerate it only for a deliberate change of output:
 
     PYTHONPATH=src python tests/test_golden.py
+
+The regenerator prints the argv of every entry it adds, changes or
+drops, so the scope of a re-pin is visible.
 """
 
 import json
@@ -82,4 +85,8 @@ if __name__ == "__main__":
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         pinned[" ".join(argv)] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    previous = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for key in sorted(pinned.keys() | previous.keys()):
+        if pinned.get(key) != previous.get(key):
+            print(f"re-pinned: {key}")
     GOLDEN.write_text(json.dumps(pinned, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -239,6 +239,14 @@ def test_zero_energy_estimate_names_the_round():
         run_protocol("010", op, config)
 
 
+def test_extinction_in_a_protocol_names_the_round():
+    # E=2 gives tau = pi on the J=0 chain, which sends |0> to minus itself
+    op = schwinger_hamiltonian(1, 0.0)
+    config = TwirlConfig(rounds=(RoundSpec(TauMode.FULL, energy_override=2.0),))
+    with pytest.raises(PostSelectionError, match="^round 1: post-selection probability collapsed"):
+        run_protocol("0", op, config)
+
+
 def test_trotter_backend_tracks_exact_at_high_steps():
     op = schwinger_hamiltonian(1, 1.0)
     rounds = (RoundSpec(TauMode.QUARTER),) * 2
