@@ -1,7 +1,10 @@
 """Tests for manifest loading, validation, and conversion."""
 
+import copy
 import json
+import random
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 
@@ -148,6 +151,224 @@ def test_multiple_errors_are_all_reported():
     with pytest.raises(ManifestError) as info:
         validate_manifest(data)
     assert str(info.value).count("config error") == 2
+
+
+# ---------------------------------------------------------------------------
+# differential check against a JSON Schema validator
+
+_NAMED_HAMILTONIAN = {
+    "type": "object",
+    "required": ["name"],
+    "additionalProperties": False,
+    "properties": {
+        "name": {"enum": ["schwinger-1q", "schwinger-2q", "schwinger-3q"]},
+        "J": {"type": "number", "minimum": 0},
+    },
+}
+
+_INLINE_HAMILTONIAN = {
+    "type": "object",
+    "required": ["n_qubits", "terms"],
+    "additionalProperties": False,
+    "properties": {
+        "n_qubits": {"type": "integer", "minimum": 1},
+        "terms": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["coeff", "axes"],
+                "additionalProperties": False,
+                "properties": {
+                    "coeff": {"type": "number"},
+                    "axes": {"type": "string", "pattern": "^[IXYZ]+$"},
+                },
+            },
+        },
+    },
+}
+
+# The manifest rules as a draft 2020-12 schema: the oracle for validate_manifest.
+ORACLE_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "required": ["name", "hamiltonian", "initial", "rounds"],
+    "additionalProperties": False,
+    "properties": {
+        "name": {"type": "string", "pattern": "^[A-Za-z0-9][A-Za-z0-9._-]*$"},
+        "description": {"type": "string"},
+        "hamiltonian": {"oneOf": [_NAMED_HAMILTONIAN, _INLINE_HAMILTONIAN]},
+        "initial": {"type": "string", "pattern": "^[01]+$"},
+        "rounds": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["mode"],
+                "additionalProperties": False,
+                "properties": {
+                    "mode": {"enum": ["quarter", "full"]},
+                    "energy_override": {"type": "number"},
+                    "ancillas": {"type": "integer", "minimum": 1},
+                },
+            },
+        },
+        "backend": {"type": "string", "pattern": "^(exact|trotter:[1-9][0-9]*)$"},
+        "shots": {"type": ["integer", "null"], "minimum": 1},
+        "seed": {"type": "integer", "minimum": 0},
+        "observables": {
+            "type": "array",
+            "minItems": 1,
+            "items": {"type": "string", "minLength": 1},
+        },
+        "noisy_energy": {"type": "boolean"},
+        "prepare": {
+            "type": "object",
+            "required": ["kind"],
+            "additionalProperties": False,
+            "properties": {
+                "kind": {"enum": ["adiabatic"]},
+                "total_time": {"type": "number", "exclusiveMinimum": 0},
+                "steps": {"type": "integer", "minimum": 1},
+            },
+        },
+        "expected": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["observable", "value", "tol"],
+                "additionalProperties": False,
+                "properties": {
+                    "observable": {"type": "string", "minLength": 1},
+                    "value": {"type": "number"},
+                    "tol": {"type": "number", "exclusiveMinimum": 0},
+                    "round": {"type": "integer", "minimum": 0},
+                },
+            },
+        },
+        "notes": {"type": "string"},
+    },
+}
+
+# Replacement values: wrong types, out-of-bounds numbers and strings that miss
+# the patterns, next to some valid ones. Integer-valued floats and non-finite
+# numbers are left out: the schema's integer type takes 2.0 and its number
+# type takes NaN, where validate_manifest rejects both on purpose.
+_VALUES = [
+    "", "x", "abc", "01x", "0", "101", "IXQ", "XZ", "../x", "trotter:0", "trotter:8",
+    "exact", "half", "quarter", "adiabatic", "schwinger-2q", "schwinger-4q",
+    -3, -1, 0, 1, 5, -0.5, 0.25, 1.5, True, False, None,
+    [], ["x"], [""], [1], {}, {"k": 1}, {"mode": "full"},
+]
+_KEYS = [
+    "name", "description", "hamiltonian", "initial", "rounds", "backend", "shots",
+    "seed", "observables", "noisy_energy", "prepare", "expected", "notes", "J",
+    "n_qubits", "terms", "coeff", "axes", "mode", "energy_override", "ancillas",
+    "kind", "total_time", "steps", "observable", "value", "tol", "round", "surprise",
+]
+
+
+def _nodes(node, path=()):
+    """Every (path, value) pair of a JSON document, the root first."""
+    yield path, node
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        return
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(rng, data):
+    """Apply one random edit to a manifest in place."""
+    nodes = list(_nodes(data))
+    objects = [node for _, node in nodes if isinstance(node, dict)]
+    arrays = [node for _, node in nodes if isinstance(node, list)]
+    kind = rng.choice(["drop", "add", "replace", "replace", "empty", "inline"])
+    if kind == "inline":
+        n_qubits = rng.randint(1, 3)
+        terms = [
+            {"coeff": rng.choice([0.5, -1, 2.25]), "axes": "".join(rng.choices("IXYZ", k=n_qubits))}
+            for _ in range(rng.randint(1, 3))
+        ]
+        data["hamiltonian"] = {"n_qubits": n_qubits, "terms": terms}
+    elif kind == "drop":
+        node = rng.choice(objects)
+        if node:
+            del node[rng.choice(sorted(node))]
+    elif kind == "add":
+        rng.choice(objects)[rng.choice(_KEYS)] = copy.deepcopy(rng.choice(_VALUES))
+    elif kind == "empty" and arrays:
+        rng.choice(arrays).clear()
+    else:
+        path, _ = rng.choice(nodes[1:])
+        parent = data
+        for part in path[:-1]:
+            parent = parent[part]
+        parent[path[-1]] = copy.deepcopy(rng.choice(_VALUES))
+
+
+def _under_hamiltonian(pointers):
+    return {p for p in pointers if p == "/hamiltonian" or p.startswith("/hamiltonian/")}
+
+
+def _reported_pointers(data):
+    try:
+        validate_manifest(data)
+    except ManifestError as exc:
+        prefix = "config error at "
+        lines = str(exc).splitlines()
+        return {line[len(prefix) :].split(": ", 1)[0] for line in lines if line.startswith(prefix)}
+    return set()
+
+
+@pytest.mark.parametrize("name", EXPECTED_BUNDLED)
+def test_validation_matches_json_schema_oracle(name):
+    import jsonschema
+
+    oracle = jsonschema.Draft202012Validator(ORACLE_SCHEMA)
+
+    def pointer(path):
+        return "/" + "/".join(str(p) for p in path)
+
+    text = (resources.files("twirlsim") / "manifests" / f"{name}.json").read_text(encoding="utf-8")
+    rng = random.Random(EXPECTED_BUNDLED.index(name))
+    verdicts = set()
+    for _ in range(100):
+        data = json.loads(text)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, data)
+        expected, branch, branch_pointers = set(), None, set()
+        for error in oracle.iter_errors(data):
+            leaf = jsonschema.exceptions.best_match([error])
+            expected.add(pointer(leaf.absolute_path))
+            if leaf is not error:
+                # only /hamiltonian has a oneOf; its best match took one branch
+                branch = leaf.relative_schema_path[0]
+                branch_pointers = {
+                    pointer(e.absolute_path)
+                    for e in error.context
+                    if e.relative_schema_path[0] == branch
+                }
+        got = _reported_pointers(data)
+        context = f"{json.dumps(data)}: got {sorted(got)}, oracle {sorted(expected)}"
+        verdicts.add(bool(got))
+        assert bool(got) == bool(expected), context
+        assert got - _under_hamiltonian(got) == expected - _under_hamiltonian(expected), context
+        got_h, expected_h = _under_hamiltonian(got), _under_hamiltonian(expected)
+        hamiltonian = data.get("hamiltonian")
+        # validation picks the /hamiltonian branch by the presence of "name"
+        chosen = int("name" not in hamiltonian) if isinstance(hamiltonian, dict) else None
+        if branch != chosen:
+            assert bool(got_h) == bool(expected_h), context
+        elif branch is None:
+            assert got_h == expected_h, context
+        else:
+            # the oracle names one error of the branch: the best match
+            assert expected_h <= got_h <= branch_pointers, context
+    assert verdicts == {False, True}
 
 
 # ---------------------------------------------------------------------------
