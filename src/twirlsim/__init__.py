@@ -28,7 +28,6 @@ from .manifest import (
 from .pauli import (
     PauliSum,
     PauliTerm,
-    commutes,
     dense_matrix,
     expectation,
     hamiltonian_by_name,
@@ -46,7 +45,7 @@ from .spectral import (
     overlap_decomposition,
 )
 from .state import StateVector
-from .trotter import TrotterPlan, evolve_trotter, trotter_error
+from .trotter import evolve_trotter, trotter_error
 from .twirl import (
     Backend,
     PhaseProfile,
@@ -80,14 +79,12 @@ __all__ = [
     "StateVector",
     "TargetSpec",
     "TauMode",
-    "TrotterPlan",
     "TwirlConfig",
     "ZeroEnergyError",
     "adiabatic_prepare",
     "bundled_names",
     "choose_tau",
     "closed_form_spectrum",
-    "commutes",
     "dense_matrix",
     "eigendecompose",
     "evolve_exact",

@@ -409,6 +409,8 @@ def _run_overrides(args: argparse.Namespace) -> dict:
     if args.shots is not None:
         overrides["shots"] = None if args.shots == "none" else int(args.shots)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         overrides["seed"] = args.seed
     if args.prepare is not None:
         overrides["prepare"] = _parse_prepare_flag(args.prepare)

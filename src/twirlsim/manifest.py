@@ -9,11 +9,11 @@ package and can be addressed by bare name from the command line.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
 
 from .adiabatic import AdiabaticSchedule
 from .pauli import PauliSum, hamiltonian_by_name, named_observable
@@ -24,104 +24,76 @@ class ManifestError(ValueError):
     """Raised for unreadable, invalid, or inconsistent manifests."""
 
 
-_INLINE_HAMILTONIAN = {
-    "type": "object",
-    "required": ["n_qubits", "terms"],
-    "additionalProperties": False,
-    "properties": {
-        "n_qubits": {"type": "integer", "minimum": 1},
-        "terms": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["coeff", "axes"],
-                "additionalProperties": False,
-                "properties": {
-                    "coeff": {"type": "number"},
-                    "axes": {"type": "string", "pattern": "^[IXYZ]+$"},
-                },
-            },
-        },
-    },
-}
+def _object(required: tuple[str, ...], **fields: dict) -> dict:
+    return {"type": "object", "required": required, "fields": fields}
 
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["name", "hamiltonian", "initial", "rounds"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "pattern": "^[A-Za-z0-9][A-Za-z0-9._-]*$"},
-        "description": {"type": "string"},
-        "hamiltonian": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "required": ["name"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "name": {
-                            "enum": ["schwinger-1q", "schwinger-2q", "schwinger-3q"]
-                        },
-                        "J": {"type": "number", "minimum": 0},
-                    },
-                },
-                _INLINE_HAMILTONIAN,
-            ]
-        },
-        "initial": {"type": "string", "pattern": "^[01]+$"},
-        "rounds": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["mode"],
-                "additionalProperties": False,
-                "properties": {
-                    "mode": {"enum": ["quarter", "full"]},
-                    "energy_override": {"type": "number"},
-                    "ancillas": {"type": "integer", "minimum": 1},
-                },
-            },
-        },
-        "backend": {"type": "string", "pattern": "^(exact|trotter:[1-9][0-9]*)$"},
-        "shots": {"type": ["integer", "null"], "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "observables": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"type": "string", "minLength": 1},
-        },
-        "noisy_energy": {"type": "boolean"},
-        "prepare": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["adiabatic"]},
-                "total_time": {"type": "number", "exclusiveMinimum": 0},
-                "steps": {"type": "integer", "minimum": 1},
-            },
-        },
-        "expected": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["observable", "value", "tol"],
-                "additionalProperties": False,
-                "properties": {
-                    "observable": {"type": "string", "minLength": 1},
-                    "value": {"type": "number"},
-                    "tol": {"type": "number", "exclusiveMinimum": 0},
-                    "round": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "notes": {"type": "string"},
-    },
-}
 
+def _array(items: dict, nonempty: bool = True) -> dict:
+    return {"type": "array", "nonempty": nonempty, "items": items}
+
+
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "above": 0}
+_COUNT = {"type": "integer", "min": 1}
+_TEXT = {"type": "string"}
+_LABEL = {"type": "string", "nonempty": True}
+
+# The manifest rules. A rule may give a "type" (a key of _TYPES), "null"
+# (None is allowed too), "enum" (the allowed values), "pattern" (to match
+# in full), a lower bound "min" (inclusive) or "above" (exclusive),
+# "nonempty", the rule of each array item, and the "fields" of an object
+# with the "required" ones (any other key is an error). The hamiltonian is
+# "named" when it has a "name" key and "inline" otherwise, the same choice
+# Manifest.build_hamiltonian makes.
+RULES = _object(
+    ("name", "hamiltonian", "initial", "rounds"),
+    name={"type": "string", "pattern": "[A-Za-z0-9][A-Za-z0-9._-]*"},
+    description=_TEXT,
+    hamiltonian={
+        "type": "object",
+        "named": _object(
+            ("name",),
+            name={"enum": ("schwinger-1q", "schwinger-2q", "schwinger-3q")},
+            J={"type": "number", "min": 0},
+        ),
+        "inline": _object(
+            ("n_qubits", "terms"),
+            n_qubits=_COUNT,
+            terms=_array(
+                _object(
+                    ("coeff", "axes"),
+                    coeff=_NUMBER,
+                    axes={"type": "string", "pattern": "[IXYZ]+"},
+                )
+            ),
+        ),
+    },
+    initial={"type": "string", "pattern": "[01]+"},
+    rounds=_array(
+        _object(
+            ("mode",), mode={"enum": ("quarter", "full")}, energy_override=_NUMBER, ancillas=_COUNT
+        )
+    ),
+    backend={"type": "string", "pattern": "exact|trotter:[1-9][0-9]*"},
+    shots={"type": "integer", "null": True, "min": 1},
+    seed={"type": "integer", "min": 0},
+    observables=_array(_LABEL),
+    noisy_energy={"type": "boolean"},
+    prepare=_object(
+        ("kind",), kind={"enum": ("adiabatic",)}, total_time=_POSITIVE, steps=_COUNT
+    ),
+    expected=_array(
+        _object(
+            ("observable", "value", "tol"),
+            observable=_LABEL,
+            value=_NUMBER,
+            tol=_POSITIVE,
+            round={"type": "integer", "min": 0},
+        ),
+        nonempty=False,
+    ),
+    notes=_TEXT,
+)
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -174,17 +146,59 @@ def _pointer(path) -> str:
     return "/" + parts if parts else "/"
 
 
+# JSON type -> Python types; a boolean is no integer and a number is finite
+_TYPES = {
+    "object": dict, "array": list, "string": str, "boolean": bool, "integer": int, "number": (int, float)
+}
+
+
+def _check(value: object, rule: dict, path: tuple, errors: list) -> None:
+    """Append a (path, message) pair to ``errors`` for each broken rule."""
+
+    def fail(expected: str) -> None:
+        errors.append((path, f"expected {expected}, got {value!r}"))
+
+    if value is None and rule.get("null"):
+        return
+    kind = rule.get("type")
+    if kind is not None and not (
+        isinstance(value, _TYPES[kind])
+        and isinstance(value, bool) == (kind == "boolean")
+        and (kind != "number" or math.isfinite(value))
+    ):
+        fail("a finite number" if kind == "number" else f"a JSON {kind}")
+        return
+    if "enum" in rule and value not in rule["enum"]:
+        fail(f"one of {list(rule['enum'])}")
+    if "pattern" in rule and not re.fullmatch(rule["pattern"], value):
+        fail(f"a match for {rule['pattern']!r}")
+    if "min" in rule and value < rule["min"]:
+        fail(f"at least {rule['min']}")
+    if "above" in rule and value <= rule["above"]:
+        fail(f"more than {rule['above']}")
+    if rule.get("nonempty") and not value:
+        fail("a non-empty value")
+    for index, item in enumerate(value if "items" in rule else ()):
+        _check(item, rule["items"], path + (index,), errors)
+    if "named" in rule:
+        rule = rule["named"] if "name" in value else rule["inline"]
+    for key in rule.get("required", ()):
+        if key not in value:
+            errors.append((path, f"missing required property {key!r}"))
+    for key, item in value.items() if "fields" in rule else ():
+        if key in rule["fields"]:
+            _check(item, rule["fields"][key], path + (key,), errors)
+        else:
+            errors.append((path, f"unexpected property {key!r}"))
+
+
 def validate_manifest(data: object) -> None:
-    """Schema-check raw manifest data, naming the offending JSON pointer."""
-    validator = jsonschema.Draft202012Validator(SCHEMA)
-    errors = sorted(
-        validator.iter_errors(data), key=lambda e: (list(map(str, e.absolute_path)), e.message)
-    )
+    """Check raw manifest data against RULES, naming the offending JSON pointer."""
+    errors: list = []
+    _check(data, RULES, (), errors)
     if errors:
-        lines = []
-        for error in errors:
-            leaf = jsonschema.exceptions.best_match([error])
-            lines.append(f"config error at {_pointer(leaf.absolute_path)}: {leaf.message}")
+        errors.sort(key=lambda e: (list(map(str, e[0])), e[1]))
+        lines = [f"config error at {_pointer(path)}: {message}" for path, message in errors]
         raise ManifestError("\n".join(dict.fromkeys(lines)))
 
 

@@ -37,7 +37,6 @@ DENSE_LIMIT_ENV = "TWIRL_DENSE_LIMIT"
 DENSE_LIMIT_DEFAULT = 12
 
 IMAG_RESIDUE_TOL = 1e-10
-COMMUTATOR_TOL = 1e-12
 
 
 def dense_limit() -> int:
@@ -196,14 +195,6 @@ def expectation(state: StateVector, op: PauliSum) -> float:
     if abs(value.imag) > IMAG_RESIDUE_TOL:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
-
-
-def commutes(a: PauliSum, b: PauliSum) -> bool:
-    """Whether two operators commute, checked on dense matrices."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError("commutator needs operators on the same register")
-    ma, mb = dense_matrix(a), dense_matrix(b)
-    return float(np.max(np.abs(ma @ mb - mb @ ma))) < COMMUTATOR_TOL
 
 
 def schwinger_hamiltonian(n_qubits: int, coupling: float) -> PauliSum:

@@ -9,7 +9,6 @@ full-interval error O(tau^2 / steps^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -18,15 +17,9 @@ from .pauli import PauliSum, PauliTerm, apply_axes, dense_matrix
 from .state import StateVector
 
 
-@dataclass(frozen=True)
-class TrotterPlan:
-    """Step count for a split-step evolution."""
-
-    steps: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.steps, int) or self.steps < 1:
-            raise ValueError(f"step count must be a positive integer, got {self.steps!r}")
+def _check_steps(steps: int) -> None:
+    if not isinstance(steps, int) or steps < 1:
+        raise ValueError(f"step count must be a positive integer, got {steps!r}")
 
 
 def _rotate(amplitudes: np.ndarray, term: PauliTerm, angle: float) -> np.ndarray:
@@ -36,7 +29,7 @@ def _rotate(amplitudes: np.ndarray, term: PauliTerm, angle: float) -> np.ndarray
 
 def evolve_trotter(state: StateVector, op: PauliSum, tau: float, steps: int) -> StateVector:
     """Approximate exp(-i tau op) with ``steps`` symmetric sweeps."""
-    TrotterPlan(steps)
+    _check_steps(steps)
     if state.n_qubits != op.n_qubits:
         raise ValueError("state and operator act on different registers")
     if not math.isfinite(tau):
@@ -53,7 +46,7 @@ def evolve_trotter(state: StateVector, op: PauliSum, tau: float, steps: int) -> 
 
 def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
     """Operator-norm distance between the split-step and exact propagators."""
-    TrotterPlan(steps)
+    _check_steps(steps)
     if not math.isfinite(tau):
         raise ValueError(f"evolution time {tau!r} must be finite")
     matrix = dense_matrix(op)

@@ -136,6 +136,21 @@ def test_run_with_shot_noise(capsys):
     assert "all targets satisfied" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--config", "table-01-ket0"],
+        ["run", "--config", "table-01-ket0", "--shots", "100"],
+        ["batch", "--bundled"],
+    ],
+)
+def test_negative_seed_is_rejected(argv, capsys):
+    assert main([*argv, "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --seed must be a non-negative integer, got -1\n"
+
+
 def test_run_prepare_none_breaks_ramp_scenario(capsys):
     # dropping the ramp leaves round 0 far from the prepared energy
     assert main(["run", "--config", "table-13", "--prepare", "none"]) == 1
@@ -355,6 +370,11 @@ def test_argparse_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["spectrum"])
     assert info.value.code == 2
+
+
+def test_cli_import_leaves_jsonschema_out():
+    code = "import sys, twirlsim.cli; sys.exit('jsonschema' in sys.modules)"
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_module_entry_point_reports_version():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import random
 from dataclasses import replace
 from importlib import resources
@@ -122,6 +123,30 @@ def test_valid_data_passes_silently():
         # the name is the output file stem under --out
         ({"name": "../escaped"}, "/name"),
         ({"name": "nested/x"}, "/name"),
+        # integers are JSON integers: not 2.0, 1e3 or a boolean
+        ({"seed": 2.0}, "/seed"),
+        ({"seed": True}, "/seed"),
+        ({"shots": 1e3}, "/shots"),
+        ({"rounds": [{"mode": "quarter", "ancillas": 2.0}]}, "/rounds/0/ancillas"),
+        ({"prepare": {"kind": "adiabatic", "steps": 1e3}}, "/prepare/steps"),
+        (
+            {"expected": [{"observable": "H", "value": 1.0, "tol": 0.1, "round": 1.0}]},
+            "/expected/0/round",
+        ),
+        (
+            {"hamiltonian": {"n_qubits": 1.0, "terms": [{"coeff": 1.0, "axes": "Z"}]}},
+            "/hamiltonian/n_qubits",
+        ),
+        # numbers are finite: json.load reads NaN and Infinity literals
+        ({"expected": [{"observable": "H", "value": 1.0, "tol": math.nan}]}, "/expected/0/tol"),
+        ({"expected": [{"observable": "H", "value": -math.inf, "tol": 0.1}]}, "/expected/0/value"),
+        ({"rounds": [{"mode": "full", "energy_override": math.inf}]}, "/rounds/0/energy_override"),
+        ({"prepare": {"kind": "adiabatic", "total_time": math.inf}}, "/prepare/total_time"),
+        ({"hamiltonian": {"name": "schwinger-1q", "J": math.inf}}, "/hamiltonian/J"),
+        (
+            {"hamiltonian": {"n_qubits": 1, "terms": [{"coeff": math.nan, "axes": "Z"}]}},
+            "/hamiltonian/terms/0/coeff",
+        ),
     ],
 )
 def test_schema_errors_name_the_pointer(mutation, pointer):

@@ -10,7 +10,6 @@ from twirlsim import (
     PauliSum,
     PauliTerm,
     StateVector,
-    commutes,
     dense_matrix,
     expectation,
     hamiltonian_by_name,
@@ -138,16 +137,6 @@ def test_identity_string_application_copies():
     assert np.allclose(out, vec)
     out[0] = 0.0
     assert vec[0] == 0.6
-
-
-def test_commutes():
-    h = schwinger_hamiltonian(3, 1.0)
-    assert commutes(h, h)
-    assert not commutes(h, observable_zbar())
-    assert not commutes(schwinger_hamiltonian(1, 1.0), single_z(1, 0))
-    assert commutes(single_z(3, 0), single_z(3, 2))
-    with pytest.raises(ValueError, match="same register"):
-        commutes(single_z(1, 0), single_z(2, 0))
 
 
 def test_dense_limit_env(monkeypatch):

@@ -7,7 +7,6 @@ from twirlsim import (
     PauliSum,
     PauliTerm,
     StateVector,
-    TrotterPlan,
     evolve_exact,
     evolve_trotter,
     schwinger_hamiltonian,
@@ -66,8 +65,6 @@ def test_norm_is_preserved():
 def test_plan_and_argument_validation():
     op = schwinger_hamiltonian(1, 1.0)
     state = StateVector.basis("0")
-    with pytest.raises(ValueError, match="positive integer"):
-        TrotterPlan(0)
     with pytest.raises(ValueError, match="positive integer"):
         evolve_trotter(state, op, 1.0, -2)
     with pytest.raises(ValueError, match="positive integer"):
