@@ -61,9 +61,7 @@ RULES = _object(
             n_qubits=_COUNT,
             terms=_array(
                 _object(
-                    ("coeff", "axes"),
-                    coeff=_NUMBER,
-                    axes={"type": "string", "pattern": "[IXYZ]+"},
+                    ("coeff", "axes"), coeff=_NUMBER, axes={"type": "string", "pattern": "[IXYZ]+"}
                 )
             ),
         ),
@@ -79,9 +77,7 @@ RULES = _object(
     seed={"type": "integer", "min": 0},
     observables=_array(_LABEL),
     noisy_energy={"type": "boolean"},
-    prepare=_object(
-        ("kind",), kind={"enum": ("adiabatic",)}, total_time=_POSITIVE, steps=_COUNT
-    ),
+    prepare=_object(("kind",), kind={"enum": ("adiabatic",)}, total_time=_POSITIVE, steps=_COUNT),
     expected=_array(
         _object(
             ("observable", "value", "tol"),
@@ -94,6 +90,7 @@ RULES = _object(
     ),
     notes=_TEXT,
 )
+
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -141,19 +138,19 @@ class Manifest:
         )
 
 
-def _pointer(path) -> str:
-    parts = "/".join(str(p) for p in path)
-    return "/" + parts if parts else "/"
-
-
 # JSON type -> Python types; a boolean is no integer and a number is finite
 _TYPES = {
-    "object": dict, "array": list, "string": str, "boolean": bool, "integer": int, "number": (int, float)
+    "object": dict,
+    "array": list,
+    "string": str,
+    "boolean": bool,
+    "integer": int,
+    "number": (int, float),
 }
 
 
-def _check(value: object, rule: dict, path: tuple, errors: list) -> None:
-    """Append a (path, message) pair to ``errors`` for each broken rule."""
+def _check(value: object, rule: dict, path: str, errors: list) -> None:
+    """Append a (JSON pointer, message) pair to ``errors`` for each broken rule."""
 
     def fail(expected: str) -> None:
         errors.append((path, f"expected {expected}, got {value!r}"))
@@ -179,7 +176,7 @@ def _check(value: object, rule: dict, path: tuple, errors: list) -> None:
     if rule.get("nonempty") and not value:
         fail("a non-empty value")
     for index, item in enumerate(value if "items" in rule else ()):
-        _check(item, rule["items"], path + (index,), errors)
+        _check(item, rule["items"], f"{path}/{index}", errors)
     if "named" in rule:
         rule = rule["named"] if "name" in value else rule["inline"]
     for key in rule.get("required", ()):
@@ -187,7 +184,7 @@ def _check(value: object, rule: dict, path: tuple, errors: list) -> None:
             errors.append((path, f"missing required property {key!r}"))
     for key, item in value.items() if "fields" in rule else ():
         if key in rule["fields"]:
-            _check(item, rule["fields"][key], path + (key,), errors)
+            _check(item, rule["fields"][key], f"{path}/{key}", errors)
         else:
             errors.append((path, f"unexpected property {key!r}"))
 
@@ -195,10 +192,10 @@ def _check(value: object, rule: dict, path: tuple, errors: list) -> None:
 def validate_manifest(data: object) -> None:
     """Check raw manifest data against RULES, naming the offending JSON pointer."""
     errors: list = []
-    _check(data, RULES, (), errors)
+    _check(data, RULES, "", errors)
     if errors:
-        errors.sort(key=lambda e: (list(map(str, e[0])), e[1]))
-        lines = [f"config error at {_pointer(path)}: {message}" for path, message in errors]
+        errors.sort(key=lambda e: (e[0].split("/"), e[1]))
+        lines = [f"config error at {path or '/'}: {message}" for path, message in errors]
         raise ManifestError("\n".join(dict.fromkeys(lines)))
 
 
