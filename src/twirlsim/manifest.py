@@ -41,10 +41,10 @@ _LABEL = {"type": "string", "nonempty": True}
 # The manifest rules. A rule may give a "type" (a key of _TYPES), "null"
 # (None is allowed too), "enum" (the allowed values), "pattern" (to match
 # in full), a lower bound "min" (inclusive) or "above" (exclusive),
-# "nonempty", the rule of each array item, and the "fields" of an object
-# with the "required" ones (any other key is an error). The hamiltonian is
-# "named" when it has a "name" key and "inline" otherwise, the same choice
-# Manifest.build_hamiltonian makes.
+# "nonempty", the rule of each array element ("items"), and the "fields"
+# of an object with the "required" ones (any other key is an error). The
+# hamiltonian is "named" when it has a "name" key and "inline" otherwise,
+# the same choice Manifest.build_hamiltonian makes.
 RULES = _object(
     ("name", "hamiltonian", "initial", "rounds"),
     name={"type": "string", "pattern": "[A-Za-z0-9][A-Za-z0-9._-]*"},
