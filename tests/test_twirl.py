@@ -6,21 +6,29 @@ import numpy as np
 import pytest
 
 from twirlsim import (
+    AdiabaticSchedule,
     Backend,
+    PauliSum,
+    PauliTerm,
     PhaseProfile,
     PostSelectionError,
     RoundSpec,
     TauMode,
     TwirlConfig,
     ZeroEnergyError,
+    adiabatic_prepare,
     choose_tau,
     eigendecompose,
     expectation,
     phase_profile,
     run_protocol,
     schwinger_hamiltonian,
+    staggered_start,
+    staggered_start_label,
     twirl_round,
 )
+from twirlsim import spectral
+from twirlsim.pauli import apply_axes
 from twirlsim.state import StateVector
 
 ROOT2 = math.sqrt(2.0)
@@ -130,6 +138,107 @@ def test_round_argument_validation():
         twirl_round(state, op, 1.0, 0.5j)
     with pytest.raises(ValueError, match="positive"):
         twirl_round(state, op, 1.0, 1.0j, ancillas=0)
+
+
+# ---------------------------------------------------------------------------
+# loop oracle: a validated state around every evolution, one per ancilla
+
+
+def _oracle_sweep(amplitudes, op, tau, steps):
+    """The symmetric split-step sweep, term by term."""
+    dt = tau / steps
+    amps = np.array(amplitudes, dtype=complex)
+    for _ in range(steps):
+        for term in op.terms + op.terms[::-1]:
+            angle = term.coeff * dt / 2.0
+            amps = math.cos(angle) * amps - 1.0j * math.sin(angle) * apply_axes(amps, term.axes)
+    return amps
+
+
+def _oracle_evolve(state, op, tau, steps):
+    if steps is None:
+        dec = spectral._eigensystem(op)
+        amps = spectral._propagate(state.amplitudes, dec.eigenvalues, dec.eigenvectors, tau)
+    else:
+        amps = _oracle_sweep(state.amplitudes, op, tau, steps)
+    return StateVector(state.n_qubits, amps)
+
+
+def _oracle_round(state, op, tau, prefactor, ancillas, steps):
+    current, probability = state, 1.0
+    for _ in range(ancillas):
+        evolved = _oracle_evolve(current, op, tau, steps)
+        mixed = 0.5 * (current.amplitudes + prefactor * evolved.amplitudes)
+        kept = float(np.vdot(mixed, mixed).real)
+        current = StateVector(state.n_qubits, mixed / math.sqrt(kept))
+        probability *= kept
+    return current, probability
+
+
+def _random_op(rng, n_qubits):
+    terms = []
+    for _ in range(int(rng.integers(1, 6))):
+        axes = "".join(rng.choice(list("IXYZ"), n_qubits))
+        coeff = float(rng.choice([0.5, 1.0, -1.0])) if rng.random() < 0.5 else float(rng.normal())
+        terms.append(PauliTerm(coeff, axes))
+    return PauliSum(n_qubits, tuple(terms))
+
+
+def _random_state(rng, n_qubits):
+    raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    return StateVector.from_amplitudes(raw)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_rounds_match_state_per_ancilla_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        n_qubits = int(rng.integers(1, 6))
+        op = _random_op(rng, n_qubits)
+        state = _random_state(rng, n_qubits)
+        tau = float(rng.uniform(-4.0, 4.0))
+        prefactor = 1.0j if rng.random() < 0.5 else 1.0 + 0.0j
+        ancillas = int(rng.integers(1, 6))
+        steps = None if rng.random() < 0.5 else int(rng.integers(1, 9))
+        backend = Backend() if steps is None else Backend("trotter", steps)
+        expected, p_expected = _oracle_round(state, op, tau, prefactor, ancillas, steps)
+        posterior, p = twirl_round(state, op, tau, prefactor, ancillas, backend)
+        assert posterior.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        assert np.float64(p).tobytes() == np.float64(p_expected).tobytes()
+    for n_qubits in (1, 2, 3):
+        op = schwinger_hamiltonian(n_qubits, 1.0)
+        state = StateVector.basis(staggered_start_label(n_qubits))
+        for steps in (None, 16):
+            backend = Backend() if steps is None else Backend("trotter", steps)
+            for prefactor, tau in ((1.0j, -0.75), (1.0 + 0.0j, 2.5)):
+                expected, p_expected = _oracle_round(state, op, tau, prefactor, 4, steps)
+                posterior, p = twirl_round(state, op, tau, prefactor, 4, backend)
+                assert posterior.amplitudes.tobytes() == expected.amplitudes.tobytes()
+                assert np.float64(p).tobytes() == np.float64(p_expected).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_split_step_ramp_matches_state_per_slice_oracle(seed):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(20):
+        n_qubits = int(rng.integers(1, 6))
+        start, target = _random_op(rng, n_qubits), _random_op(rng, n_qubits)
+        cases.append((_random_state(rng, n_qubits), start, target))
+    for n_qubits in (1, 2, 3):
+        label = staggered_start_label(n_qubits)
+        cases.append((label, staggered_start(n_qubits), schwinger_hamiltonian(n_qubits, 1.0)))
+    for initial, start, target in cases:
+        steps = int(rng.integers(1, 5))
+        schedule = AdiabaticSchedule(float(rng.uniform(0.1, 10.0)), int(rng.integers(1, 30)))
+        expected = StateVector.basis(initial) if isinstance(initial, str) else initial
+        dt = schedule.total_time / schedule.steps
+        for k in range(schedule.steps):
+            s = (k + 0.5) / schedule.steps
+            amps = _oracle_sweep(expected.amplitudes, (1.0 - s) * start + s * target, dt, steps)
+            expected = StateVector(expected.n_qubits, amps)
+        prepared = adiabatic_prepare(initial, start, target, schedule, Backend("trotter", steps))
+        assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
 # ---------------------------------------------------------------------------
