@@ -66,13 +66,13 @@ def adiabatic_prepare(
         raise ValueError("initial state and operators act on different registers")
     dt = schedule.total_time / schedule.steps
     midpoints = [(k + 0.5) / schedule.steps for k in range(schedule.steps)]
+    amplitudes = state.amplitudes
     if backend.kind != "exact":
         for s in midpoints:
-            state = backend.evolve(state, (1.0 - s) * start_op + s * target_op, dt)
-        return state
+            amplitudes = backend.evolve(amplitudes, (1.0 - s) * start_op + s * target_op, dt)
+        return StateVector(state.n_qubits, amplitudes)
     start = [(term.coeff, _compiled(term.axes)) for term in start_op.terms]
     target = [(term.coeff, _compiled(term.axes)) for term in target_op.terms]
-    amplitudes = state.amplitudes
     for s in midpoints:
         # the terms, order and coefficients of dense_matrix((1 - s) * start_op + s * target_op)
         weighted = [((1.0 - s) * c, p) for c, p in start] + [(s * c, p) for c, p in target]

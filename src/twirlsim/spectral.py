@@ -205,16 +205,14 @@ def closed_form_spectrum(n_qubits: int, coupling: float) -> SpectralDecompositio
     return _assemble(pairs, 8)
 
 
-def evolve_exact(state: StateVector, op: PauliSum, tau: float) -> StateVector:
-    """Apply exp(-i tau op) through the cached eigensystem."""
-    if state.n_qubits != op.n_qubits:
-        raise ValueError("state and operator act on different registers")
+def evolve_exact(amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray:
+    """Amplitudes after exp(-i tau op), through the cached eigensystem."""
+    if np.shape(amplitudes) != (2**op.n_qubits,):
+        raise ValueError("amplitudes and operator act on different registers")
     if not math.isfinite(tau):
         raise ValueError(f"evolution time {tau!r} must be finite")
     dec = _eigensystem(op)
-    return StateVector(
-        state.n_qubits, _propagate(state.amplitudes, dec.eigenvalues, dec.eigenvectors, tau)
-    )
+    return _propagate(amplitudes, dec.eigenvalues, dec.eigenvectors, tau)
 
 
 def overlap_decomposition(state: StateVector, dec: SpectralDecomposition) -> OverlapDecomposition:

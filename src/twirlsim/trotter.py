@@ -14,7 +14,6 @@ from functools import reduce
 import numpy as np
 
 from .pauli import PauliSum, PauliTerm, apply_axes, dense_matrix
-from .state import StateVector
 
 
 def _check_steps(steps: int) -> None:
@@ -22,26 +21,22 @@ def _check_steps(steps: int) -> None:
         raise ValueError(f"step count must be a positive integer, got {steps!r}")
 
 
-def _rotate(amplitudes: np.ndarray, term: PauliTerm, angle: float) -> np.ndarray:
-    # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
-    return math.cos(angle) * amplitudes - 1.0j * math.sin(angle) * apply_axes(amplitudes, term.axes)
-
-
-def evolve_trotter(state: StateVector, op: PauliSum, tau: float, steps: int) -> StateVector:
-    """Approximate exp(-i tau op) with ``steps`` symmetric sweeps."""
+def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int) -> np.ndarray:
+    """Amplitudes after ``steps`` symmetric sweeps approximating exp(-i tau op)."""
     _check_steps(steps)
-    if state.n_qubits != op.n_qubits:
-        raise ValueError("state and operator act on different registers")
+    if np.shape(amplitudes) != (2**op.n_qubits,):
+        raise ValueError("amplitudes and operator act on different registers")
     if not math.isfinite(tau):
         raise ValueError(f"evolution time {tau!r} must be finite")
     dt = tau / steps
-    amps = np.array(state.amplitudes, dtype=complex)
+    amps = np.asarray(amplitudes, dtype=complex)
+    sweep = op.terms + op.terms[::-1]
     for _ in range(steps):
-        for term in op.terms:
-            amps = _rotate(amps, term, term.coeff * dt / 2.0)
-        for term in reversed(op.terms):
-            amps = _rotate(amps, term, term.coeff * dt / 2.0)
-    return StateVector(state.n_qubits, amps)
+        for term in sweep:
+            # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
+            angle = term.coeff * dt / 2.0
+            amps = math.cos(angle) * amps - 1.0j * math.sin(angle) * apply_axes(amps, term.axes)
+    return amps
 
 
 def trotter_error(op: PauliSum, tau: float, steps: int) -> float:

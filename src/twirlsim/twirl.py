@@ -112,10 +112,10 @@ class Backend:
     def label(self) -> str:
         return "exact" if self.kind == "exact" else f"trotter:{self.steps}"
 
-    def evolve(self, state: StateVector, op: PauliSum, tau: float) -> StateVector:
+    def evolve(self, amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray:
         if self.kind == "exact":
-            return evolve_exact(state, op, tau)
-        return evolve_trotter(state, op, tau, self.steps)
+            return evolve_exact(amplitudes, op, tau)
+        return evolve_trotter(amplitudes, op, tau, self.steps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,20 +168,19 @@ def twirl_round(
         raise ValueError(f"prefactor {prefactor!r} must have unit modulus")
     if ancillas < 1:
         raise ValueError(f"ancilla count must be positive, got {ancillas}")
-    current = state
+    current = state.amplitudes
     probability = 1.0
     for _ in range(ancillas):
-        evolved = backend.evolve(current, op, tau)
-        mixed = 0.5 * (current.amplitudes + prefactor * evolved.amplitudes)
+        mixed = 0.5 * (current + prefactor * backend.evolve(current, op, tau))
         kept = float(np.vdot(mixed, mixed).real)
         if kept < EXTINCTION_TOL:
             raise PostSelectionError(
                 f"post-selection probability collapsed to {kept:.3e}; "
                 "the filter left no support"
             )
-        current = StateVector(state.n_qubits, mixed / math.sqrt(kept))
+        current = mixed / math.sqrt(kept)
         probability *= kept
-    return current, probability
+    return StateVector(state.n_qubits, current), probability
 
 
 @dataclass(frozen=True)

@@ -85,11 +85,12 @@ def test_register_mismatches():
 def _oracle_ramp(initial, start_op, target_op, schedule):
     """The ramp as a loop of frozen Pauli sums, each through ``evolve_exact``."""
     state = StateVector.basis(initial) if isinstance(initial, str) else initial
+    amplitudes = state.amplitudes
     dt = schedule.total_time / schedule.steps
     for k in range(schedule.steps):
         s = (k + 0.5) / schedule.steps
-        state = evolve_exact(state, (1.0 - s) * start_op + s * target_op, dt)
-    return state
+        amplitudes = evolve_exact(amplitudes, (1.0 - s) * start_op + s * target_op, dt)
+    return StateVector(state.n_qubits, amplitudes)
 
 
 def _random_op(rng, n_qubits):

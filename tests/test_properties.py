@@ -86,14 +86,14 @@ def run_spectral_cases(cases, seed=0):
         state = _random_state(rng, n)
         tau_a = float(rng.uniform(-3.0, 3.0))
         tau_b = float(rng.uniform(-3.0, 3.0))
-        stepwise = evolve_exact(evolve_exact(state, op, tau_a), op, tau_b)
-        combined = evolve_exact(state, op, tau_a + tau_b)
-        np.testing.assert_allclose(stepwise.amplitudes, combined.amplitudes, atol=1e-9)
-        assert abs(np.linalg.norm(combined.amplitudes) - 1.0) < 1e-10
+        stepwise = evolve_exact(evolve_exact(state.amplitudes, op, tau_a), op, tau_b)
+        combined = evolve_exact(state.amplitudes, op, tau_a + tau_b)
+        np.testing.assert_allclose(stepwise, combined, atol=1e-9)
+        assert abs(np.linalg.norm(combined) - 1.0) < 1e-10
         if index % 5 == 0:
             propagator = scipy.linalg.expm(-1j * tau_a * matrix)
             np.testing.assert_allclose(
-                evolve_exact(state, op, tau_a).amplitudes,
+                evolve_exact(state.amplitudes, op, tau_a),
                 propagator @ state.amplitudes,
                 atol=1e-8,
             )
