@@ -117,7 +117,8 @@ def _propagate(
     return vectors @ coords
 
 
-@lru_cache(maxsize=256)
+# A protocol reuses one operator; at the 12-qubit dense cap an entry holds 268 MB.
+@lru_cache(maxsize=4)
 def _eigensystem(op: PauliSum) -> SpectralDecomposition:
     return SpectralDecomposition(*_canonical_eigh(dense_matrix(op)))
 
@@ -216,12 +217,8 @@ def evolve_exact(amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray
 
 
 def overlap_decomposition(state: StateVector, dec: SpectralDecomposition) -> OverlapDecomposition:
-    """Resolve a state against an eigenbasis; weights sum to one."""
+    """Resolve a state against an eigenbasis; weights sum to the squared norm."""
     if state.n_qubits != dec.n_qubits:
         raise ValueError("state and decomposition act on different registers")
     amps = dec.eigenvectors.conj().T @ state.amplitudes
-    weights = np.abs(amps) ** 2
-    total = float(np.sum(weights))
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"overlap weights sum to {total!r}, expected 1")
-    return OverlapDecomposition(dec, amps, weights)
+    return OverlapDecomposition(dec, amps, np.abs(amps) ** 2)

@@ -186,6 +186,28 @@ def test_run_zero_energy_scenario(tmp_path, capsys):
     assert "runtime abort: round 1: energy estimate is zero" in capsys.readouterr().err
 
 
+def test_run_large_coefficients_leave_rounding_in_the_expectation(tmp_path, capsys):
+    # <H> picks up an imaginary part of -4.7e-10 from rounding alone
+    terms = [
+        (3455841.9, "ZZI"),
+        (-13031572.3, "IIX"),
+        (4463745.7, "XZX"),
+        (3645724.0, "XII"),
+        (284222.4, "ZYZ"),
+    ]
+    payload = {
+        "name": "large",
+        "hamiltonian": {"n_qubits": 3, "terms": [{"coeff": c, "axes": a} for c, a in terms]},
+        "initial": "101",
+        "rounds": [{"mode": "quarter", "ancillas": 2}] * 3,
+    }
+    path = _write(tmp_path, "large.json", payload)
+    assert main(["run", "--config", path, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [r["round"] for r in json.loads(captured.out)["rounds"]] == [0, 1, 2, 3]
+
+
 def _noisy_one_qubit(seed):
     # four shots with sampled energy feedback: seed 2 samples <H> = 0 in
     # round 1, seed 7 loses every run in round 2

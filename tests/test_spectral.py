@@ -16,7 +16,9 @@ from twirlsim import (
     evolve_exact,
     overlap_decomposition,
     schwinger_hamiltonian,
+    spectral,
 )
+from twirlsim.cli import main
 from twirlsim.pauli import dense_matrix
 
 
@@ -204,6 +206,19 @@ def test_cache_returns_same_object():
     assert first is second
 
 
+def test_cache_keeps_a_few_operators():
+    for step in range(10):
+        eigendecompose(schwinger_hamiltonian(3, 0.1 * step))
+    assert spectral._eigensystem.cache_info().currsize <= 4
+
+
+def test_bundled_batch_builds_each_operator_once(capsys):
+    spectral._eigensystem.cache_clear()
+    assert main(["batch", "--bundled"]) == 0
+    capsys.readouterr()
+    assert spectral._eigensystem.cache_info().misses == 3
+
+
 # ---------------------------------------------------------------------------
 # exact evolution
 
@@ -256,6 +271,15 @@ def test_overlap_weights_for_basis_101():
     assert abs(result.weights[5] - w_upper) < 1e-10
     assert abs(float(np.sum(result.weights)) - 1.0) < 1e-9
     assert result.dominant_index() == 0
+
+
+def test_overlap_accepts_every_state_within_the_norm_tolerance():
+    # a norm off by 8e-10 passes StateVector; its weights sum to 1 + 1.6e-9
+    amplitudes = np.zeros(8, dtype=complex)
+    amplitudes[5] = 1.0 + 8e-10
+    state = StateVector(3, amplitudes)
+    result = overlap_decomposition(state, eigendecompose(schwinger_hamiltonian(3, 1.0)))
+    assert float(np.sum(result.weights)) == pytest.approx(1.0 + 1.6e-9, abs=1e-12)
 
 
 def test_overlap_register_mismatch():
