@@ -372,6 +372,18 @@ def _run_json(result: RunResult, check: bool) -> str:
     return _json(payload)
 
 
+def _positive(flag: str, raw: str, kind: type) -> int | float:
+    """``raw`` as a positive finite int or float, or an error that names ``flag``."""
+    try:
+        value = kind(raw)
+    except ValueError:
+        value = 0
+    if not 0 < value < math.inf:
+        noun = "integer" if kind is int else "number"
+        raise ValueError(f"{flag} must be a positive {noun}, got {raw!r}")
+    return value
+
+
 def _parse_prepare_flag(text: str) -> AdiabaticSchedule | None:
     if text == "none":
         return None
@@ -384,9 +396,9 @@ def _parse_prepare_flag(text: str) -> AdiabaticSchedule | None:
                 raise ValueError(f"malformed prepare option {part!r}")
             key, raw = part.split("=", 1)
             if key == "T":
-                schedule["total_time"] = float(raw)
+                schedule["total_time"] = _positive("--prepare T", raw, float)
             elif key == "steps":
-                schedule["steps"] = int(raw)
+                schedule["steps"] = _positive("--prepare steps", raw, int)
             else:
                 raise ValueError(f"unknown prepare option {key!r}")
         return AdiabaticSchedule(**schedule)
@@ -407,7 +419,7 @@ def _run_overrides(args: argparse.Namespace) -> dict:
     if args.backend is not None:
         overrides["backend"] = Backend.parse(args.backend)
     if args.shots is not None:
-        overrides["shots"] = None if args.shots == "none" else int(args.shots)
+        overrides["shots"] = None if args.shots == "none" else _positive("--shots", args.shots, int)
     if args.seed is not None:
         if args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")

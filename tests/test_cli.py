@@ -151,6 +151,26 @@ def test_negative_seed_is_rejected(argv, capsys):
     assert captured.err == "config error: --seed must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--shots", "1.5", "--shots must be a positive integer, got '1.5'"),
+        ("--shots", "abc", "--shots must be a positive integer, got 'abc'"),
+        ("--shots", "0", "--shots must be a positive integer, got '0'"),
+        ("--prepare", "adiabatic:T=x", "--prepare T must be a positive number, got 'x'"),
+        ("--prepare", "adiabatic:T=inf", "--prepare T must be a positive number, got 'inf'"),
+        ("--prepare", "adiabatic:steps=2.5",
+         "--prepare steps must be a positive integer, got '2.5'"),
+    ],
+    ids=["shots=1.5", "shots=abc", "shots=0", "T=x", "T=inf", "steps=2.5"],
+)
+def test_bad_override_values_name_their_flag(flag, value, message, capsys):
+    assert main(["run", "--config", "table-13", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {message}\n"
+
+
 def test_run_prepare_none_breaks_ramp_scenario(capsys):
     # dropping the ramp leaves round 0 far from the prepared energy
     assert main(["run", "--config", "table-13", "--prepare", "none"]) == 1
