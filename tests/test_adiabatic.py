@@ -16,7 +16,7 @@ from twirlsim import (
     staggered_start,
     staggered_start_label,
 )
-from twirlsim import spectral
+from twirlsim import adiabatic, spectral
 from twirlsim.cli import execute_manifest
 from twirlsim.manifest import load_manifest
 from twirlsim.state import StateVector
@@ -121,6 +121,24 @@ def test_ramp_matches_frozen_operator_oracle(steps):
             schedule = AdiabaticSchedule(total_time=20.0, steps=steps)
             expected = _oracle_ramp(label, start, target, schedule)
             prepared = adiabatic_prepare(label, start, target, schedule)
+            assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5])
+def test_chunked_ramp_matches_frozen_operator_oracle(chunk, monkeypatch):
+    # step counts of 1, a chunk and one either side of it, and a non-multiple
+    rng = np.random.default_rng(100 + chunk)
+    for steps in sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 2} - {0}):
+        for n_qubits in (1, 2, 3, 4):
+            monkeypatch.setattr(
+                adiabatic, "RAMP_STACK_BYTES", chunk * 16 * 4**n_qubits, raising=False
+            )
+            start, target = _random_op(rng, n_qubits), _random_op(rng, n_qubits)
+            raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+            initial = StateVector.from_amplitudes(raw)
+            schedule = AdiabaticSchedule(total_time=float(rng.uniform(0.1, 10.0)), steps=steps)
+            expected = _oracle_ramp(initial, start, target, schedule)
+            prepared = adiabatic_prepare(initial, start, target, schedule)
             assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 

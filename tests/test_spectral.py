@@ -200,6 +200,26 @@ def test_canonical_eigenbasis_matches_loop_oracle():
     assert degenerate > 1000
 
 
+def test_canonical_basis_on_a_stack_matches_each_slice():
+    rng = np.random.default_rng(2025)
+    degenerate = 0
+    for n_qubits in range(1, 6):
+        matrices = np.stack([dense_matrix(_random_pauli_sum(rng, n_qubits)) for _ in range(60)])
+        outputs = [np.linalg.eigh(matrix) for matrix in matrices]
+        values = np.stack([v for v, _ in outputs])
+        vectors = np.stack([w for _, w in outputs])
+        # one stacked eigh returns the bytes of the per-slice calls
+        stacked_values, stacked_vectors = np.linalg.eigh(matrices)
+        assert stacked_values.tobytes() == values.tobytes()
+        assert stacked_vectors.tobytes() == vectors.tobytes()
+        for slice_values, slice_vectors in outputs:
+            expected_values, expected_vectors = spectral._canonical_basis(
+                slice_values, slice_vectors
+            )
+            degenerate += len(_group_slices(expected_values)) < expected_values.size
+    assert degenerate > 100
+
+
 def test_cache_returns_same_object():
     first = eigendecompose(schwinger_hamiltonian(2, 1.0))
     second = eigendecompose(schwinger_hamiltonian(2, 1.0))
