@@ -5,11 +5,15 @@ slices of the total time, evaluating the mix at the slice midpoint, and
 evolves under that frozen operator. Slow ramps from the ground state of
 the start operator land close to the ground state of the target.
 
-On the exact backend each slice's matrix is scattered straight from the
-compiled terms and diagonalized without the eigensystem cache: every
-slice is a distinct operator, used once, and caching it would only
-evict reusable entries. The split-step backend evolves the frozen
-``PauliSum`` of each slice.
+On the exact backend the slice matrices do not depend on the state, so
+they are built in chunks: each chunk's slices are scattered straight
+from the compiled terms into one ``(k, d, d)`` stack of at most
+``RAMP_STACK_BYTES``, diagonalized by one stacked ``eigh`` and put into
+the canonical eigenbasis in one stack-aware pass, the same one the
+eigensystem cache uses. Only the propagation through the slices is
+sequential. Nothing enters the cache: every slice is a distinct
+operator, used once, and caching it would only evict reusable entries.
+The split-step backend evolves the frozen ``PauliSum`` of each slice.
 """
 
 from __future__ import annotations
@@ -17,10 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .pauli import PauliSum, PauliTerm, _compiled, _scatter
 from .spectral import _canonical_eigh, _propagate
 from .state import StateVector
 from .twirl import Backend
+
+# Bytes of one stack of slice matrices; at 10 qubits and above a chunk is one slice.
+RAMP_STACK_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -65,17 +74,19 @@ def adiabatic_prepare(
     if state.n_qubits != start_op.n_qubits:
         raise ValueError("initial state and operators act on different registers")
     dt = schedule.total_time / schedule.steps
-    midpoints = [(k + 0.5) / schedule.steps for k in range(schedule.steps)]
+    midpoints = (np.arange(schedule.steps) + 0.5) / schedule.steps
     amplitudes = state.amplitudes
     if backend.kind != "exact":
-        for s in midpoints:
+        for s in midpoints.tolist():
             amplitudes = backend.evolve(amplitudes, (1.0 - s) * start_op + s * target_op, dt)
         return StateVector(state.n_qubits, amplitudes)
     start = [(term.coeff, _compiled(term.axes)) for term in start_op.terms]
     target = [(term.coeff, _compiled(term.axes)) for term in target_op.terms]
-    for s in midpoints:
+    chunk = max(1, RAMP_STACK_BYTES // (16 * 4**state.n_qubits))
+    for first in range(0, schedule.steps, chunk):
+        s = midpoints[first : first + chunk]
         # the terms, order and coefficients of dense_matrix((1 - s) * start_op + s * target_op)
         weighted = [((1.0 - s) * c, p) for c, p in start] + [(s * c, p) for c, p in target]
-        matrix = _scatter(state.n_qubits, weighted)
-        amplitudes = _propagate(amplitudes, *_canonical_eigh(matrix), dt)
+        for values, vectors in zip(*_canonical_eigh(_scatter(state.n_qubits, weighted))):
+            amplitudes = _propagate(amplitudes, values, vectors, dt)
     return StateVector(state.n_qubits, amplitudes)

@@ -161,21 +161,28 @@ def apply_operator(amplitudes: np.ndarray, op: PauliSum) -> np.ndarray:
 
 
 def _scatter(
-    n_qubits: int, weighted: Iterable[tuple[float, tuple[np.ndarray, np.ndarray]]]
+    n_qubits: int, weighted: Iterable[tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray]]]
 ) -> np.ndarray:
-    """Dense sum of ``coeff * P`` over ``(coeff, _compiled(P))`` pairs, in order."""
+    """Dense sum of ``coeff * P`` over ``(coeff, _compiled(P))`` pairs, in order.
+
+    Each ``coeff`` is a float, giving one ``(d, d)`` matrix, or an array of
+    ``k`` per-slice coefficients of the same length in every pair, giving
+    a ``(k, d, d)`` stack.
+    """
     limit = dense_limit()
     if n_qubits > limit:
         raise ValueError(
             f"dense matrix for {n_qubits} qubits exceeds the {limit}-qubit cap; "
             f"raise {DENSE_LIMIT_ENV} to override"
         )
+    weighted = list(weighted)
     dim = 2**n_qubits
     row_starts = np.arange(0, dim * dim, dim)
-    matrix = np.zeros(dim * dim, dtype=complex)
+    stack = np.shape(weighted[0][0])
+    matrix = np.zeros(stack + (dim * dim,), dtype=complex)
     for coeff, (source, phase) in weighted:
-        matrix[row_starts + source] += coeff * phase
-    return matrix.reshape(dim, dim)
+        matrix[..., row_starts + source] += np.multiply.outer(coeff, phase)
+    return matrix.reshape(stack + (dim, dim))
 
 
 def dense_matrix(op: PauliSum) -> np.ndarray:

@@ -90,21 +90,31 @@ class OverlapDecomposition:
 
 
 def _canonical_basis(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs in the canonical order, each column's leading amplitude positive real."""
-    first = np.argmax(np.abs(vectors) > SUPPORT_TOL, axis=0)
-    order = np.argsort(values, kind="stable")
-    ascending = values[order]
-    group = np.cumsum(np.concatenate(([False], ascending[1:] - ascending[:-1] > DEGENERACY_TOL)))
-    order = order[np.lexsort((first[order], group))]
-    fixed = vectors[:, order].copy()
-    leads = fixed[first[order], np.arange(order.size)]
+    """Eigenpairs in the canonical order, each column's leading amplitude positive real.
+
+    ``values`` is ``(..., d)`` and ``vectors`` is ``(..., d, d)`` with the
+    eigenvectors as columns; leading axes are a stack of independent
+    eigensystems, each canonicalized as if on its own. The returned
+    eigenvectors are a fresh C-contiguous array.
+    """
+    first = np.argmax(np.abs(vectors) > SUPPORT_TOL, axis=-2)
+    order = np.argsort(values, axis=-1, kind="stable")
+    ascending = np.take_along_axis(values, order, axis=-1)
+    gaps = np.diff(ascending, axis=-1, prepend=ascending[..., :1]) > DEGENERACY_TOL
+    group = np.cumsum(gaps, axis=-1)
+    first = np.take_along_axis(first, order, axis=-1)
+    within = np.lexsort((first, group), axis=-1)
+    order = np.take_along_axis(order, within, axis=-1)
+    first = np.take_along_axis(first, within, axis=-1)[..., None, :]
+    fixed = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    leads = np.take_along_axis(fixed, first, axis=-2)
     # np.hypot rounds as the scalar abs(lead) does; np.abs on a complex array may not
     fixed *= leads.conj() / np.hypot(leads.real, leads.imag)
-    return values[order], fixed
+    return np.take_along_axis(values, order, axis=-1), fixed
 
 
 def _canonical_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical eigensystem of a Hermitian matrix, uncached."""
+    """Canonical eigensystem of a Hermitian matrix or a stack of them, uncached."""
     return _canonical_basis(*np.linalg.eigh(matrix))
 
 

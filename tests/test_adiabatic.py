@@ -130,9 +130,7 @@ def test_chunked_ramp_matches_frozen_operator_oracle(chunk, monkeypatch):
     rng = np.random.default_rng(100 + chunk)
     for steps in sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 2} - {0}):
         for n_qubits in (1, 2, 3, 4):
-            monkeypatch.setattr(
-                adiabatic, "RAMP_STACK_BYTES", chunk * 16 * 4**n_qubits, raising=False
-            )
+            monkeypatch.setattr(adiabatic, "RAMP_STACK_BYTES", chunk * 16 * 4**n_qubits)
             start, target = _random_op(rng, n_qubits), _random_op(rng, n_qubits)
             raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
             initial = StateVector.from_amplitudes(raw)

@@ -212,10 +212,14 @@ def test_canonical_basis_on_a_stack_matches_each_slice():
         stacked_values, stacked_vectors = np.linalg.eigh(matrices)
         assert stacked_values.tobytes() == values.tobytes()
         assert stacked_vectors.tobytes() == vectors.tobytes()
-        for slice_values, slice_vectors in outputs:
+        canonical_values, canonical_vectors = spectral._canonical_basis(values, vectors)
+        for k, (slice_values, slice_vectors) in enumerate(outputs):
             expected_values, expected_vectors = spectral._canonical_basis(
                 slice_values, slice_vectors
             )
+            assert canonical_values[k].tobytes() == expected_values.tobytes()
+            assert canonical_vectors[k].tobytes() == expected_vectors.tobytes()
+            assert canonical_vectors[k].flags.c_contiguous
             degenerate += len(_group_slices(expected_values)) < expected_values.size
     assert degenerate > 100
 
