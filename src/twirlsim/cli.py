@@ -93,6 +93,18 @@ def _fmt(value: float | None, precision: int = 6) -> str:
     return text
 
 
+def _row(first, cells: list[str], widths: list[int]) -> str:
+    """Text-table row: ``first`` left-aligned in 6 columns, then each cell right-aligned.
+
+    A cell that fills or overflows its width gets one leading space instead
+    of padding, so neighbouring cells never run together.
+    """
+    return f"{first:<6}" + "".join(
+        f"{cell:>{width}}" if len(cell) < width else f" {cell}"
+        for cell, width in zip(cells, widths)
+    )
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -162,12 +174,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
     def text() -> str:
         lines = [f"spectrum {title}  J={args.j:g}"]
-        lines.append(f"{'index':<6}{'energy':>14}{'closed_form':>14}{'<' + obs_name + '>':>12}")
+        widths = [14, 14, 12]
+        lines.append(_row("index", ["energy", "closed_form", f"<{obs_name}>"], widths))
         for row in rows:
-            lines.append(
-                f"{row['index']:<6}{_fmt(row['energy']):>14}"
-                f"{_fmt(row['closed_form']):>14}{_fmt(row[obs_name]):>12}"
-            )
+            cells = [_fmt(row["energy"]), _fmt(row["closed_form"]), _fmt(row[obs_name])]
+            lines.append(_row(row["index"], cells, widths))
         lines.append(f"max |energy - closed_form| = {deviation:.3e}")
         return _lines(lines)
 
@@ -273,25 +284,25 @@ def _run_text(result: RunResult, check: bool) -> str:
     lines.append(f"  rounds: {modes}")
     lines.append("")
     obs_names = list(manifest.observables)
-    header = f"{'round':<6}{'energy_used':>13}{'tau':>11}{'p_round':>10}{'p_cum':>10}"
+    header = ["energy_used", "tau", "p_round", "p_cum"]
+    widths = [13, 11, 10, 10]
     if manifest.shots is not None:
-        header += f"{'active':>10}"
-    for name in obs_names:
-        header += f"{'<' + name + '>':>12}"
-    lines.append(header)
+        header.append("active")
+        widths.append(10)
+    header += [f"<{name}>" for name in obs_names]
+    widths += [12] * len(obs_names)
+    lines.append(_row("round", header, widths))
     for record in result.records:
-        row = (
-            f"{record.round_index:<6}"
-            f"{_fmt(record.energy_used):>13}"
-            f"{_fmt(record.tau):>11}"
-            f"{record.p_round:>10.6f}"
-            f"{record.p_cumulative:>10.6f}"
-        )
+        cells = [
+            _fmt(record.energy_used),
+            _fmt(record.tau),
+            f"{record.p_round:.6f}",
+            f"{record.p_cumulative:.6f}",
+        ]
         if manifest.shots is not None:
-            row += f"{record.active_count:>10}"
-        for name in obs_names:
-            row += f"{_fmt(record.expectations[name]):>12}"
-        lines.append(row)
+            cells.append(str(record.active_count))
+        cells += [_fmt(record.expectations[name]) for name in obs_names]
+        lines.append(_row(record.round_index, cells, widths))
     if check and result.targets:
         lines.append("")
         for target in result.targets:

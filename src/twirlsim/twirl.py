@@ -216,8 +216,10 @@ class TwirlConfig:
         object.__setattr__(self, "observables", tuple(self.observables))
         if not self.rounds:
             raise ValueError("protocol needs at least one round")
-        if self.shots is not None and (not isinstance(self.shots, int) or self.shots < 1):
-            raise ValueError(f"shot count must be a positive integer, got {self.shots!r}")
+        # numpy's binomial draws take the count as a 64-bit C long
+        shots = self.shots
+        if shots is not None and (not isinstance(shots, int) or not 0 < shots < 2**63):
+            raise ValueError(f"shot count must be a positive integer below 2**63, got {shots!r}")
         if not self.observables:
             raise ValueError("protocol needs at least one observable")
         if self.noisy_energy and self.shots is None:

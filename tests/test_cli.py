@@ -171,6 +171,26 @@ def test_bad_override_values_name_their_flag(flag, value, message, capsys):
     assert captured.err == f"config error: {message}\n"
 
 
+def test_oversized_shot_flag_is_a_config_error(capsys):
+    assert main(["run", "--config", "table-01-ket0", "--shots", str(10**20)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: shot count must be a positive integer below 2**63, got {10**20}\n"
+    )
+
+
+@pytest.mark.parametrize("shots, code", [(2**63 - 1, 0), (2**63, 2)])
+def test_manifest_shot_count_is_bounded(shots, code, tmp_path, capsys):
+    payload = {**VIOLATING, "name": "many-shots", "expected": [], "shots": shots}
+    assert main(["run", "--config", _write(tmp_path, "many.json", payload)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"config error: shot count must be a positive integer below 2**63, got {shots}\n"
+    else:
+        assert err == ""
+
+
 def test_run_prepare_none_breaks_ramp_scenario(capsys):
     # dropping the ramp leaves round 0 far from the prepared energy
     assert main(["run", "--config", "table-13", "--prepare", "none"]) == 1
@@ -226,6 +246,45 @@ def test_run_large_coefficients_leave_rounding_in_the_expectation(tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err == ""
     assert [r["round"] for r in json.loads(captured.out)["rounds"]] == [0, 1, 2, 3]
+
+
+def _table_rows(text, first):
+    """The header and rows of the text table whose header starts with ``first``."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(first))
+    end = next((i for i in range(start, len(lines)) if not lines[i].strip()), len(lines))
+    return lines[start], lines[start + 1 : end]
+
+
+@pytest.mark.parametrize("shots", [None, 10**15])
+def test_run_text_table_keeps_wide_cells_apart(shots, tmp_path, capsys):
+    terms = [
+        (3455841.9, "ZZI"),
+        (-13031572.3, "IIX"),
+        (4463745.7, "XZX"),
+        (3645724.0, "XII"),
+        (284222.4, "ZYZ"),
+    ]
+    payload = {
+        "name": "large",
+        "hamiltonian": {"n_qubits": 3, "terms": [{"coeff": c, "axes": a} for c, a in terms]},
+        "initial": "101",
+        "rounds": [{"mode": "quarter", "ancillas": 2}] * 3,
+        "shots": shots,
+    }
+    assert main(["run", "--config", _write(tmp_path, "large.json", payload)]) == 0
+    header, rows = _table_rows(capsys.readouterr().out, "round")
+    assert len(rows) == 4
+    for row in rows:
+        assert len(row.split()) == len(header.split())
+
+
+def test_spectrum_text_table_keeps_wide_cells_apart(capsys):
+    assert main(["spectrum", "--qubits", "2", "--j", "1e7"]) == 0
+    header, rows = _table_rows(capsys.readouterr().out, "index")
+    assert len(rows) == 5  # four levels and the deviation line
+    for row in rows[:-1]:
+        assert len(row.split()) == len(header.split())
 
 
 def _noisy_one_qubit(seed):
