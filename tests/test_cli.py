@@ -226,8 +226,7 @@ def test_run_zero_energy_scenario(tmp_path, capsys):
     assert "runtime abort: round 1: energy estimate is zero" in capsys.readouterr().err
 
 
-def test_run_large_coefficients_leave_rounding_in_the_expectation(tmp_path, capsys):
-    # <H> picks up an imaginary part of -4.7e-10 from rounding alone
+def _large_coefficients(shots=None):
     terms = [
         (3455841.9, "ZZI"),
         (-13031572.3, "IIX"),
@@ -235,13 +234,18 @@ def test_run_large_coefficients_leave_rounding_in_the_expectation(tmp_path, caps
         (3645724.0, "XII"),
         (284222.4, "ZYZ"),
     ]
-    payload = {
+    return {
         "name": "large",
         "hamiltonian": {"n_qubits": 3, "terms": [{"coeff": c, "axes": a} for c, a in terms]},
         "initial": "101",
         "rounds": [{"mode": "quarter", "ancillas": 2}] * 3,
+        "shots": shots,
     }
-    path = _write(tmp_path, "large.json", payload)
+
+
+def test_run_large_coefficients_leave_rounding_in_the_expectation(tmp_path, capsys):
+    # <H> picks up an imaginary part of -4.7e-10 from rounding alone
+    path = _write(tmp_path, "large.json", _large_coefficients())
     assert main(["run", "--config", path, "--format", "json"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
@@ -258,21 +262,9 @@ def _table_rows(text, first):
 
 @pytest.mark.parametrize("shots", [None, 10**15])
 def test_run_text_table_keeps_wide_cells_apart(shots, tmp_path, capsys):
-    terms = [
-        (3455841.9, "ZZI"),
-        (-13031572.3, "IIX"),
-        (4463745.7, "XZX"),
-        (3645724.0, "XII"),
-        (284222.4, "ZYZ"),
-    ]
-    payload = {
-        "name": "large",
-        "hamiltonian": {"n_qubits": 3, "terms": [{"coeff": c, "axes": a} for c, a in terms]},
-        "initial": "101",
-        "rounds": [{"mode": "quarter", "ancillas": 2}] * 3,
-        "shots": shots,
-    }
-    assert main(["run", "--config", _write(tmp_path, "large.json", payload)]) == 0
+    # <H> near 5e6 overflows its column, and so does an active count of 1e15
+    path = _write(tmp_path, "large.json", _large_coefficients(shots))
+    assert main(["run", "--config", path]) == 0
     header, rows = _table_rows(capsys.readouterr().out, "round")
     assert len(rows) == 4
     for row in rows:
