@@ -93,7 +93,7 @@ def _fmt(value: float | None, precision: int = 6) -> str:
     return text
 
 
-def _row(first, cells: list[str], widths: list[int]) -> str:
+def _row(first: int | str, cells: list[str], widths: list[int]) -> str:
     """Text-table row: ``first`` left-aligned in 6 columns, then each cell right-aligned.
 
     A cell that fills or overflows its width gets one leading space instead

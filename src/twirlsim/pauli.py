@@ -181,7 +181,8 @@ def _scatter(
     stack = np.shape(weighted[0][0])
     matrix = np.zeros(stack + (dim * dim,), dtype=complex)
     for coeff, (source, phase) in weighted:
-        matrix[..., row_starts + source] += np.multiply.outer(coeff, phase)
+        # the transposed view puts the flattened matrix axis first for one matrix and a stack alike
+        matrix.T[row_starts + source] += np.multiply.outer(phase, coeff)
     return matrix.reshape(stack + (dim, dim))
 
 

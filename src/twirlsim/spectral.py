@@ -97,20 +97,23 @@ def _canonical_basis(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarra
     eigensystems, each canonicalized as if on its own. The returned
     eigenvectors are a fresh C-contiguous array.
     """
-    first = np.argmax(np.abs(vectors) > SUPPORT_TOL, axis=-2)
-    order = np.argsort(values, axis=-1, kind="stable")
-    ascending = np.take_along_axis(values, order, axis=-1)
-    gaps = np.diff(ascending, axis=-1, prepend=ascending[..., :1]) > DEGENERACY_TOL
-    group = np.cumsum(gaps, axis=-1)
-    first = np.take_along_axis(first, order, axis=-1)
-    within = np.lexsort((first, group), axis=-1)
-    order = np.take_along_axis(order, within, axis=-1)
-    first = np.take_along_axis(first, within, axis=-1)[..., None, :]
-    fixed = np.take_along_axis(vectors, order[..., None, :], axis=-1)
-    leads = np.take_along_axis(fixed, first, axis=-2)
+    stack, dim = values.shape[:-1], values.shape[-1]
+    values = values.reshape(-1, dim)
+    vectors = vectors.reshape(-1, dim, dim)
+    # fancy indexing with a row index; take_along_axis costs ~5 us more per call at small dim
+    rows, columns = np.arange(len(values))[:, None], np.arange(dim)
+    first = np.argmax(np.abs(vectors) > SUPPORT_TOL, axis=1)
+    order = np.argsort(values, axis=1, kind="stable")
+    ascending = values[rows, order]
+    group = np.zeros(values.shape, dtype=np.intp)
+    np.cumsum(ascending[:, 1:] - ascending[:, :-1] > DEGENERACY_TOL, axis=1, out=group[:, 1:])
+    order = order[rows, np.lexsort((first[rows, order], group), axis=1)]
+    first = first[rows, order]
+    fixed = vectors[rows[:, :, None], columns[:, None], order[:, None, :]]
+    leads = fixed[rows, first, columns]
     # np.hypot rounds as the scalar abs(lead) does; np.abs on a complex array may not
-    fixed *= leads.conj() / np.hypot(leads.real, leads.imag)
-    return np.take_along_axis(values, order, axis=-1), fixed
+    fixed *= (leads.conj() / np.hypot(leads.real, leads.imag))[:, None, :]
+    return values[rows, order].reshape(stack + (dim,)), fixed.reshape(stack + (dim, dim))
 
 
 def _canonical_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
