@@ -213,6 +213,13 @@ def test_canonical_basis_on_a_stack_matches_each_slice():
         assert stacked_values.tobytes() == values.tobytes()
         assert stacked_vectors.tobytes() == vectors.tobytes()
         canonical_values, canonical_vectors = spectral._canonical_basis(values, vectors)
+        # two leading axes canonicalize like one
+        dim = 2**n_qubits
+        nested = spectral._canonical_basis(
+            values.reshape(6, 10, dim), vectors.reshape(6, 10, dim, dim)
+        )
+        assert nested[0].tobytes() == canonical_values.tobytes()
+        assert nested[1].tobytes() == canonical_vectors.tobytes()
         for k, (slice_values, slice_vectors) in enumerate(outputs):
             expected_values, expected_vectors = spectral._canonical_basis(
                 slice_values, slice_vectors
