@@ -83,13 +83,15 @@ def _emit(text: str, out_dir: str | None, filename: str) -> None:
         raise ValueError(f"cannot write into {out_dir!r}: {exc.strerror or exc}") from exc
 
 
-def _fmt(value: float | None, precision: int = 6) -> str:
+def _fmt(value: float | None, tiny: bool = False) -> str:
+    """Six decimals, or "-" for None; with ``tiny`` a nonzero value that
+    would print as zero keeps six significant digits instead."""
     if value is None:
         return "-"
-    text = f"{value:.{precision}f}"
-    # a value that rounds to zero prints without a stray minus sign
-    if text.startswith("-") and float(text) == 0.0:
-        text = text[1:]
+    text = f"{value:.6f}"
+    if float(text) == 0.0:
+        # a value that rounds to zero prints without a stray minus sign
+        text = f"{value:.6g}" if tiny and value else text.lstrip("-")
     return text
 
 
@@ -225,7 +227,7 @@ class RunResult:
 def execute_manifest(manifest: Manifest) -> RunResult:
     """Run one scenario and check its targets."""
     op = manifest.build_hamiltonian()
-    config = manifest.to_config()
+    config = manifest.config
     if manifest.prepare is None:
         initial: StateVector | str = manifest.initial
     else:
@@ -240,7 +242,7 @@ def execute_manifest(manifest: Manifest) -> RunResult:
     checks = []
     for target in manifest.targets:
         round_index = (
-            len(manifest.rounds) if target.round_index is None else target.round_index
+            len(config.rounds) if target.round_index is None else target.round_index
         )
         actual = records[round_index].expectations[target.observable]
         checks.append(
@@ -263,14 +265,14 @@ def _hamiltonian_label(manifest: Manifest) -> str:
 
 
 def _run_text(result: RunResult, check: bool) -> str:
-    manifest = result.manifest
+    manifest, config = result.manifest, result.manifest.config
     lines = [f"scenario {manifest.name}"]
     if manifest.description:
         lines.append(f"  {manifest.description}")
     lines.append(f"  hamiltonian: {_hamiltonian_label(manifest)}")
     lines.append(f"  initial: |{manifest.initial}>")
-    shots = "none" if manifest.shots is None else str(manifest.shots)
-    lines.append(f"  backend: {manifest.backend.label()}  shots: {shots}  seed: {manifest.seed}")
+    shots = "none" if config.shots is None else str(config.shots)
+    lines.append(f"  backend: {config.backend.label()}  shots: {shots}  seed: {config.seed}")
     if manifest.prepare is not None:
         lines.append(
             f"  prepare: adiabatic ramp, total_time={manifest.prepare.total_time:g}, "
@@ -279,14 +281,14 @@ def _run_text(result: RunResult, check: bool) -> str:
     modes = " ".join(
         f"{spec.mode.value}x{spec.ancillas}"
         + ("" if spec.energy_override is None else f"(E={spec.energy_override:g})")
-        for spec in manifest.rounds
+        for spec in config.rounds
     )
     lines.append(f"  rounds: {modes}")
     lines.append("")
-    obs_names = list(manifest.observables)
+    obs_names = list(config.observables)
     header = ["energy_used", "tau", "p_round", "p_cum"]
     widths = [13, 11, 10, 10]
-    if manifest.shots is not None:
+    if config.shots is not None:
         header.append("active")
         widths.append(10)
     header += [f"<{name}>" for name in obs_names]
@@ -294,12 +296,12 @@ def _run_text(result: RunResult, check: bool) -> str:
     lines.append(_row("round", header, widths))
     for record in result.records:
         cells = [
-            _fmt(record.energy_used),
-            _fmt(record.tau),
+            _fmt(record.energy_used, tiny=True),
+            _fmt(record.tau, tiny=True),
             f"{record.p_round:.6f}",
             f"{record.p_cumulative:.6f}",
         ]
-        if manifest.shots is not None:
+        if config.shots is not None:
             cells.append(str(record.active_count))
         cells += [_fmt(record.expectations[name]) for name in obs_names]
         lines.append(_row(record.round_index, cells, widths))
@@ -319,7 +321,7 @@ def _run_text(result: RunResult, check: bool) -> str:
 
 
 def _run_csv(result: RunResult) -> str:
-    obs_names = list(result.manifest.observables)
+    obs_names = list(result.manifest.config.observables)
     return _csv(
         ["round", "E_used", "tau", "p_round", "p_cum", "active_count"] + obs_names,
         (
@@ -331,14 +333,14 @@ def _run_csv(result: RunResult) -> str:
 
 
 def _run_json(result: RunResult, check: bool) -> str:
-    manifest = result.manifest
+    manifest, config = result.manifest, result.manifest.config
     payload = {
         "name": manifest.name,
         "hamiltonian": manifest.hamiltonian,
         "initial": manifest.initial,
-        "backend": manifest.backend.label(),
-        "shots": manifest.shots,
-        "seed": manifest.seed,
+        "backend": config.backend.label(),
+        "shots": config.shots,
+        "seed": config.seed,
         "prepare": None
         if manifest.prepare is None
         else {
@@ -351,7 +353,7 @@ def _run_json(result: RunResult, check: bool) -> str:
                 "round": record.round_index,
                 "mode": None
                 if record.round_index == 0
-                else manifest.rounds[record.round_index - 1].mode.value,
+                else config.rounds[record.round_index - 1].mode.value,
                 "energy_used": record.energy_used,
                 "tau": record.tau,
                 "prefactor": None
@@ -426,6 +428,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_overrides(args: argparse.Namespace) -> dict:
+    """The override flags given, parsed, by the field they replace."""
     overrides: dict = {}
     if args.backend is not None:
         overrides["backend"] = Backend.parse(args.backend)
@@ -440,8 +443,15 @@ def _run_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
+def _overridden(manifest: Manifest, overrides: dict) -> Manifest:
+    """``manifest`` with ``overrides``: ``prepare`` replaces its schedule, the rest its config."""
+    settings = dict(overrides)
+    prepare = settings.pop("prepare", manifest.prepare)
+    return replace(manifest, prepare=prepare, config=replace(manifest.config, **settings))
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    manifest = replace(load_manifest(args.config), **_run_overrides(args))
+    manifest = _overridden(load_manifest(args.config), _run_overrides(args))
     result = execute_manifest(manifest)
     check = not args.no_check
     shown = _render(
@@ -537,7 +547,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def _batch_verdict(source: str, overrides: dict, out_dir: str | None) -> tuple[str, int]:
     try:
-        result = execute_manifest(replace(load_manifest(source), **overrides))
+        result = execute_manifest(_overridden(load_manifest(source), overrides))
         if out_dir is not None:
             _emit(_run_json(result, True), out_dir, f"{result.manifest.name}.json")
     except _FAILURES as exc:

@@ -104,38 +104,25 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class Manifest:
-    """A validated scenario ready to run."""
+    """A validated scenario ready to run, its protocol settings in ``config``."""
 
     name: str
     hamiltonian: dict
     initial: str
-    rounds: tuple[RoundSpec, ...]
-    backend: Backend = Backend()
-    shots: int | None = None
-    seed: int = 0
-    observables: tuple[str, ...] = ("H",)
-    noisy_energy: bool = False
+    config: TwirlConfig
     prepare: AdiabaticSchedule | None = None
     targets: tuple[TargetSpec, ...] = ()
     description: str = ""
     notes: str = ""
 
     def build_hamiltonian(self) -> PauliSum:
-        if "name" in self.hamiltonian:
-            return hamiltonian_by_name(
-                self.hamiltonian["name"], self.hamiltonian.get("J", 1.0)
-            )
-        return PauliSum.from_dict(self.hamiltonian)
+        return _hamiltonian(self.hamiltonian)
 
-    def to_config(self) -> TwirlConfig:
-        return TwirlConfig(
-            rounds=self.rounds,
-            backend=self.backend,
-            shots=self.shots,
-            seed=self.seed,
-            observables=self.observables,
-            noisy_energy=self.noisy_energy,
-        )
+
+def _hamiltonian(spec: dict) -> PauliSum:
+    if "name" in spec:
+        return hamiltonian_by_name(spec["name"], spec.get("J", 1.0))
+    return PauliSum.from_dict(spec)
 
 
 # JSON type -> Python types; a boolean is no integer and a number is finite
@@ -200,80 +187,69 @@ def validate_manifest(data: object) -> None:
 
 
 def parse_manifest(data: dict) -> Manifest:
-    """Validate raw data and build a Manifest, with cross-field checks."""
+    """Validate raw data and build a Manifest, with cross-field checks.
+
+    Only the keys present are passed on, so an absent one takes the default
+    its type declares: TwirlConfig, RoundSpec, AdiabaticSchedule, TargetSpec
+    or Manifest.
+    """
     validate_manifest(data)
-    rounds = tuple(
-        RoundSpec(
-            mode=TauMode(r["mode"]),
-            energy_override=r.get("energy_override"),
-            ancillas=r.get("ancillas", 1),
+    _check_consistency(data)
+    settings = _given(data, "shots", "seed", "observables", "noisy_energy")
+    if "backend" in data:
+        settings["backend"] = Backend.parse(data["backend"])
+    rounds = [RoundSpec(**{**r, "mode": TauMode(r["mode"])}) for r in data["rounds"]]
+    fields = _given(data, "description", "notes")
+    if "prepare" in data:
+        fields["prepare"] = AdiabaticSchedule(**_given(data["prepare"], "total_time", "steps"))
+    if "expected" in data:
+        fields["targets"] = tuple(
+            TargetSpec(**{"round_index" if k == "round" else k: v for k, v in t.items()})
+            for t in data["expected"]
         )
-        for r in data["rounds"]
-    )
-    manifest = Manifest(
-        name=data["name"],
-        hamiltonian=data["hamiltonian"],
-        initial=data["initial"],
-        rounds=rounds,
-        backend=Backend.parse(data.get("backend", "exact")),
-        shots=data.get("shots"),
-        seed=data.get("seed", 0),
-        observables=tuple(data.get("observables", ["H"])),
-        noisy_energy=data.get("noisy_energy", False),
-        prepare=_parse_prepare(data.get("prepare")),
-        targets=tuple(
-            TargetSpec(
-                observable=t["observable"],
-                value=t["value"],
-                tol=t["tol"],
-                round_index=t.get("round"),
-            )
-            for t in data.get("expected", [])
-        ),
-        description=data.get("description", ""),
-        notes=data.get("notes", ""),
-    )
-    _check_consistency(manifest)
-    return manifest
-
-
-def _parse_prepare(data: dict | None) -> AdiabaticSchedule | None:
-    if data is None:
-        return None
-    return AdiabaticSchedule(
-        total_time=data.get("total_time", 20.0), steps=data.get("steps", 400)
-    )
-
-
-def _check_consistency(manifest: Manifest) -> None:
     try:
-        op = manifest.build_hamiltonian()
+        config = TwirlConfig(rounds, **settings)
+    except ValueError as exc:  # its shot bound of 2**63 is the one check not made above
+        raise ManifestError(f"config error: {exc}") from None
+    return Manifest(data["name"], data["hamiltonian"], data["initial"], config, **fields)
+
+
+def _given(data: dict, *keys: str) -> dict:
+    return {key: data[key] for key in keys if key in data}
+
+
+def _check_consistency(data: dict) -> None:
+    """Cross-field checks on validated data, made before the TwirlConfig is built."""
+    try:
+        op = _hamiltonian(data["hamiltonian"])
     except ValueError as exc:
         raise ManifestError(f"config error at /hamiltonian: {exc}") from None
-    if len(manifest.initial) != op.n_qubits:
+    initial = data["initial"]
+    if len(initial) != op.n_qubits:
         raise ManifestError(
-            f"config error at /initial: label {manifest.initial!r} has "
-            f"{len(manifest.initial)} bit(s), hamiltonian acts on {op.n_qubits} qubit(s)"
+            f"config error at /initial: label {initial!r} has "
+            f"{len(initial)} bit(s), hamiltonian acts on {op.n_qubits} qubit(s)"
         )
-    for i, name in enumerate(manifest.observables):
+    observables = data.get("observables", TwirlConfig.observables)
+    for i, name in enumerate(observables):
         if name == "H":
             continue
         try:
             named_observable(name, op.n_qubits)
         except ValueError as exc:
             raise ManifestError(f"config error at /observables/{i}: {exc}") from None
-    for i, target in enumerate(manifest.targets):
-        if target.observable not in manifest.observables:
+    for i, target in enumerate(data.get("expected", ())):
+        if target["observable"] not in observables:
             raise ManifestError(
-                f"config error at /expected/{i}/observable: {target.observable!r} "
+                f"config error at /expected/{i}/observable: {target['observable']!r} "
                 "is not among the manifest observables"
             )
-        if target.round_index is not None and target.round_index > len(manifest.rounds):
+        if "round" in target and target["round"] > len(data["rounds"]):
             raise ManifestError(
-                f"config error at /expected/{i}/round: round {target.round_index} "
-                f"is beyond the last round {len(manifest.rounds)}"
+                f"config error at /expected/{i}/round: round {target['round']} "
+                f"is beyond the last round {len(data['rounds'])}"
             )
-    if manifest.noisy_energy and manifest.shots is None:
+    if data.get("noisy_energy") and data.get("shots") is None:
         raise ManifestError("config error at /noisy_energy: needs a shot count")
 
 

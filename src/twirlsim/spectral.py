@@ -42,7 +42,10 @@ class SpectralDecomposition:
         dim = values.size
         if dim < 2 or dim & (dim - 1):
             raise ValueError("dimension must be a power of two of at least one qubit")
-        if np.any(np.diff(values) < -DEGENERACY_TOL):
+        # the near-degenerate runs _canonical_basis forms must ascend; inside one, any order
+        ascending = np.sort(values)
+        run = np.cumsum(np.diff(ascending, prepend=ascending[0]) > DEGENERACY_TOL)
+        if np.any(np.diff(run[np.searchsorted(ascending, values)]) < 0):
             raise ValueError("eigenvalues must be in ascending order")
         if dim <= ORTHONORMAL_CHECK_DIM:
             gram = vectors.conj().T @ vectors

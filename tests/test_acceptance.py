@@ -146,8 +146,8 @@ def test_criterion_04_three_qubit_convergence():
         ]
         for name, h_target, zbar_target in expectations:
             manifest = load_manifest(name)
-            assert len(manifest.rounds) <= 4
-            assert manifest.backend.label() == "exact"
+            assert len(manifest.config.rounds) <= 4
+            assert manifest.config.backend.label() == "exact"
             start = time.perf_counter()
             result = execute_manifest(manifest)
             elapsed = time.perf_counter() - start
@@ -160,7 +160,7 @@ def test_criterion_04_three_qubit_convergence():
 def test_criterion_05_zero_mode_override_schedule():
     with criterion("05 zero-mode-override-schedule"):
         result = execute_manifest(load_manifest("table-08"))
-        overrides = [spec.energy_override for spec in result.manifest.rounds]
+        overrides = [spec.energy_override for spec in result.manifest.config.rounds]
         assert overrides == [-1.0, 2.0, -3.0, 4.0]
         final = result.records[-1].expectations
         assert abs(final["H"] - 0.0) <= 1e-6
@@ -173,7 +173,7 @@ def test_criterion_05_zero_mode_override_schedule():
 def test_criterion_06_mixed_schedule_zero_mode():
     with criterion("06 mixed-schedule-zero-mode"):
         result = execute_manifest(load_manifest("table-09"))
-        modes = [spec.mode for spec in result.manifest.rounds]
+        modes = [spec.mode for spec in result.manifest.config.rounds]
         assert modes == [TauMode.FULL, TauMode.QUARTER, TauMode.FULL, TauMode.FULL]
         # after the first full round the state's energy vanishes exactly
         # (the two damped levels share one filter angle and cancel), so

@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from twirlsim import __version__, cli
+from twirlsim import AdiabaticSchedule, Backend, __version__, cli, load_manifest
 from twirlsim.cli import main
 
 VIOLATING = {
@@ -134,6 +135,47 @@ def test_run_with_shot_noise(capsys):
     assert "shots: 1000000  seed: 7" in out
     assert "active" in out
     assert "all targets satisfied" in out
+
+
+SETTINGS = {
+    "name": "settings",
+    "hamiltonian": {"name": "schwinger-1q", "J": 1.0},
+    "initial": "0",
+    "rounds": [{"mode": "quarter", "ancillas": 2}],
+    "backend": "trotter:4",
+    "shots": 100,
+    "seed": 9,
+    "observables": ["H", "Z"],
+    "noisy_energy": True,
+    "prepare": {"kind": "adiabatic", "total_time": 2.0, "steps": 5},
+}
+
+
+@pytest.mark.parametrize(
+    "flags, settings, prepare",
+    [
+        ([], {}, AdiabaticSchedule(2.0, 5)),
+        (["--backend", "exact", "--seed", "1"], {"backend": Backend(), "seed": 1},
+         AdiabaticSchedule(2.0, 5)),
+        (["--shots", "50", "--prepare", "none"], {"shots": 50}, None),
+        (["--prepare", "adiabatic:steps=3"], {}, AdiabaticSchedule(steps=3)),
+    ],
+    ids=["none", "backend+seed", "shots+prepare", "prepare"],
+)
+@pytest.mark.parametrize("command", ["run", "batch"])
+def test_override_flags_reach_the_config(
+    command, flags, settings, prepare, tmp_path, monkeypatch
+):
+    path = _write(tmp_path, "settings.json", SETTINGS)
+    manifest = load_manifest(path)
+    seen = []
+    real = cli.execute_manifest
+    monkeypatch.setattr(cli, "execute_manifest", lambda m: seen.append(m) or real(m))
+    source = ["--config", path] if command == "run" else ["--config-dir", str(tmp_path)]
+    assert main([command, *source, *flags]) == 0
+    # the flags given replace their settings; every other one is the manifest's
+    assert [m.config for m in seen] == [replace(manifest.config, **settings)]
+    assert [m.prepare for m in seen] == [prepare]
 
 
 @pytest.mark.parametrize(
@@ -269,6 +311,19 @@ def test_run_text_table_keeps_wide_cells_apart(shots, tmp_path, capsys):
     assert len(rows) == 4
     for row in rows:
         assert len(row.split()) == len(header.split())
+
+
+def test_run_text_table_shows_tiny_tau(tmp_path, capsys):
+    # tau is near 4.5e-7 here, which six fixed decimals would print as zero
+    path = _write(tmp_path, "large.json", _large_coefficients())
+    assert main(["run", "--config", path, "--format", "json"]) == 0
+    taus = [r["tau"] for r in json.loads(capsys.readouterr().out)["rounds"]]
+    assert main(["run", "--config", path]) == 0
+    header, rows = _table_rows(capsys.readouterr().out, "round")
+    column = header.split().index("tau")
+    assert rows[0].split()[column] == "-"
+    for row, tau in zip(rows[1:], taus[1:]):
+        assert tau != 0 and f"{float(row.split()[column]):.2e}" == f"{tau:.2e}"
 
 
 def test_spectrum_text_table_keeps_wide_cells_apart(capsys):

@@ -4,17 +4,17 @@ import copy
 import json
 import math
 import random
-from dataclasses import replace
 from importlib import resources
 
 import pytest
 
 from twirlsim import (
     AdiabaticSchedule,
-    Backend,
     Manifest,
     ManifestError,
+    RoundSpec,
     TauMode,
+    TwirlConfig,
     bundled_names,
     load_manifest,
     parse_manifest,
@@ -84,7 +84,7 @@ def test_load_from_path(tmp_path):
     path.write_text(json.dumps(_base()), encoding="utf-8")
     manifest = load_manifest(path)
     assert manifest.name == "unit"
-    assert manifest.rounds[0].mode is TauMode.QUARTER
+    assert manifest.config.rounds[0].mode is TauMode.QUARTER
 
 
 def test_malformed_json_is_reported(tmp_path):
@@ -434,14 +434,14 @@ def test_noisy_energy_needs_shots():
 
 
 def test_defaults_after_parse():
-    manifest = parse_manifest(_base())
-    assert manifest.backend == Backend()
-    assert manifest.shots is None
-    assert manifest.seed == 0
-    assert manifest.observables == ("H",)
-    assert manifest.noisy_energy is False
-    assert manifest.prepare is None
-    assert manifest.targets == ()
+    # an absent key takes the default of the engine type it lands in
+    data = _base(rounds=[{"mode": "quarter"}, {"mode": "full"}])
+    manifest = parse_manifest(data)
+    assert manifest.config == TwirlConfig(rounds=manifest.config.rounds)
+    assert manifest.config.rounds == (RoundSpec(TauMode.QUARTER), RoundSpec(TauMode.FULL))
+    assert manifest == Manifest(
+        name="unit", hamiltonian=data["hamiltonian"], initial="0", config=manifest.config
+    )
 
 
 def test_round_fields_are_parsed():
@@ -452,7 +452,7 @@ def test_round_fields_are_parsed():
         ]
     )
     manifest = parse_manifest(data)
-    first, second = manifest.rounds
+    first, second = manifest.config.rounds
     assert first.mode is TauMode.FULL
     assert first.energy_override == -0.2
     assert first.ancillas == 3
@@ -491,22 +491,12 @@ def test_inline_hamiltonian_axis_length_mismatch():
         parse_manifest(data)
 
 
-def test_to_config_keeps_and_overrides():
-    manifest = parse_manifest(_base(shots=100, seed=9))
-    kept = manifest.to_config()
-    assert kept.shots == 100 and kept.seed == 9
-    swapped = replace(manifest, shots=None, seed=1, backend=Backend("trotter", 8)).to_config()
-    assert swapped.shots is None
-    assert swapped.seed == 1
-    assert swapped.backend == Backend("trotter", 8)
-
-
 def test_manifest_named_hamiltonian_builds():
     manifest = Manifest(
         name="x",
         hamiltonian={"name": "schwinger-3q", "J": 0.5},
         initial="000",
-        rounds=(parse_manifest(_base()).rounds[0],),
+        config=TwirlConfig(rounds=(RoundSpec(TauMode.QUARTER),)),
     )
     op = manifest.build_hamiltonian()
     assert op.n_qubits == 3

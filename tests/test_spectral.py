@@ -200,6 +200,20 @@ def test_canonical_eigenbasis_matches_loop_oracle():
     assert degenerate > 1000
 
 
+def test_chained_near_degenerate_levels_decompose():
+    # gaps of 9e-9 chain all four levels into one run, ordered by support:
+    # the levels come out as 1.35e-8, -0.45e-8, 0.45e-8, -1.35e-8
+    op = PauliSum(2, (PauliTerm(0.45e-8, "ZI"), PauliTerm(0.9e-8, "IZ")))
+    values, vectors = _oracle_canonical(*np.linalg.eigh(dense_matrix(op)))
+    dec = eigendecompose(op)
+    assert dec.eigenvalues.tobytes() == values.tobytes()
+    assert dec.eigenvectors.tobytes() == vectors.tobytes()
+    np.testing.assert_allclose(dec.eigenvalues, [1.35e-8, -0.45e-8, 0.45e-8, -1.35e-8], rtol=1e-9)
+    # a level across a real gap still may not come first
+    with pytest.raises(ValueError, match="ascending"):
+        SpectralDecomposition(np.array([1.35e-8, -0.45e-8, 0.45e-8, -1.0]), np.eye(4))
+
+
 def test_canonical_basis_on_a_stack_matches_each_slice():
     rng = np.random.default_rng(2025)
     degenerate = 0
