@@ -1,14 +1,19 @@
 """Tests for the shot-noise emulation layer."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from twirlsim import (
+    PauliSum,
+    PauliTerm,
     PostSelectionError,
     RoundSpec,
     TauMode,
     TwirlConfig,
+    dense_matrix,
     run_protocol,
     sample_shots,
     schwinger_hamiltonian,
@@ -90,3 +95,101 @@ def test_large_shot_count_tracks_exact_run():
     assert sampled[-1].expectations["H"] == pytest.approx(
         exact[-1].expectations["H"], abs=0.02
     )
+
+
+# ---------------------------------------------------------------------------
+# draws against numpy's own seeded streams
+
+# Eight amplitudes of 1/4 or 3/4: every Pauli expectation is a short dyadic
+# sum, so outcome probabilities are exact however they are computed.
+_DYADIC = StateVector(3, np.array([1, 1, 1, 1, 1, 1, 1, 3]) / 4)
+_TERMS = [
+    ("A", PauliSum(3, [PauliTerm(1.0, "ZII"), PauliTerm(-1.5, "IXI"), PauliTerm(0.25, "XXZ")])),
+    ("B", PauliSum(3, [PauliTerm(2.0, "YIY"), PauliTerm(-0.75, "ZZZ")])),
+]
+# on |010> a Z term reads +1 or -1: p at 1 and at 0
+_BASIS = StateVector.basis("010")
+_EDGE_TERMS = [("E", PauliSum(3, [PauliTerm(1.0, "ZII"), PauliTerm(0.5, "IZI")]))]
+SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 + 3, 2**130 + 7]
+
+
+def _oracle_hits(seed, round_index, stream, n, p):
+    sequence = np.random.SeedSequence(entropy=seed, spawn_key=(round_index, stream))
+    return int(np.random.default_rng(sequence).binomial(n, p))
+
+
+def _oracle_estimates(state, ops, active, seed, round_index, stream_base):
+    estimates = {}
+    stream = stream_base
+    for name, op in ops:
+        total = 0.0
+        for term in op.terms:
+            single = dense_matrix(PauliSum(op.n_qubits, [PauliTerm(1.0, term.axes)]))
+            p_plus = (1.0 + np.vdot(state.amplitudes, single @ state.amplitudes).real) / 2.0
+            hits = _oracle_hits(seed, round_index, stream, active, p_plus)
+            total += term.coeff * (2.0 * hits / active - 1.0)
+            stream += 1
+        estimates[name] = total
+    return estimates
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sample_shots_matches_numpy_streams(seed):
+    for state, ops in ((_DYADIC, _TERMS), (_BASIS, _EDGE_TERMS)):
+        for round_index in (0, 1, 7, 2**32 + 1):
+            for active in (1, 1000, 2**63 - 1):
+                for stream_base in (1, 2**33):
+                    got = sample_shots(state, ops, active, seed, round_index, stream_base)
+                    want = _oracle_estimates(state, ops, active, seed, round_index, stream_base)
+                    assert got == want, (seed, round_index, active, stream_base)
+
+
+def test_edge_terms_pin_the_binomial_ends():
+    estimates = sample_shots(_BASIS, _EDGE_TERMS, active=2**63 - 1, seed=2**130 + 7, round_index=3)
+    assert estimates["E"] == 1.0 - 0.5
+
+
+@pytest.mark.parametrize("noisy_energy", [False, True], ids=["exact-energy", "noisy-energy"])
+@pytest.mark.parametrize("seed, shots", [(0, 1000), (2**64 + 3, 10**6)])
+def test_survivor_counts_match_numpy_streams(seed, shots, noisy_energy):
+    op = schwinger_hamiltonian(3, 1.3)
+    config = TwirlConfig(
+        rounds=(RoundSpec(TauMode.QUARTER, ancillas=2),) * 3,
+        shots=shots,
+        seed=seed,
+        observables=("H", "Zbar"),
+        noisy_energy=noisy_energy,
+    )
+    records = run_protocol("100", op, config)
+    assert records[0].active_count == shots
+    for record in records[1:]:
+        p = min(1.0, record.p_cumulative)
+        assert record.active_count == _oracle_hits(seed, record.round_index, 0, shots, p)
+
+
+# ---------------------------------------------------------------------------
+# the streams stay independent of call history and threads
+
+
+def _shot_run(seed):
+    op = schwinger_hamiltonian(2, 0.7)
+    config = _config(shots=2000, seed=seed, noisy_energy=seed % 2 == 0)
+    return run_protocol("10", op, config)
+
+
+def test_interleaved_seeds_do_not_disturb_each_other():
+    first = _shot_run(5)
+    other = _shot_run(6)
+    again = _shot_run(5)
+    assert first == again
+    assert first != other
+
+
+def test_threads_reproduce_a_sequential_run():
+    seeds = list(range(100))
+    sequential = [_shot_run(seed) for seed in seeds]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        halves = [pool.submit(lambda part: [_shot_run(s) for s in part], seeds[i::2]) for i in (0, 1)]
+        threaded = [half.result() for half in halves]
+    assert threaded[0] == sequential[0::2]
+    assert threaded[1] == sequential[1::2]
