@@ -40,11 +40,12 @@ _LABEL = {"type": "string", "nonempty": True}
 
 # The manifest rules. A rule may give a "type" (a key of _TYPES), "null"
 # (None is allowed too), "enum" (the allowed values), "pattern" (to match
-# in full), a lower bound "min" (inclusive) or "above" (exclusive),
-# "nonempty", the rule of each array element ("items"), and the "fields"
-# of an object with the "required" ones (any other key is an error). The
-# hamiltonian is "named" when it has a "name" key and "inline" otherwise,
-# the same choice Manifest.build_hamiltonian makes.
+# in full), a lower bound "min" (inclusive) or "above" (exclusive), an
+# upper bound "max" (inclusive), "nonempty", the rule of each array
+# element ("items"), and the "fields" of an object with the "required"
+# ones (any other key is an error). The hamiltonian is "named" when it
+# has a "name" key and "inline" otherwise, the same choice
+# Manifest.build_hamiltonian makes.
 RULES = _object(
     ("name", "hamiltonian", "initial", "rounds"),
     name={"type": "string", "pattern": "[A-Za-z0-9][A-Za-z0-9._-]*"},
@@ -73,7 +74,8 @@ RULES = _object(
         )
     ),
     backend={"type": "string", "pattern": "exact|trotter:[1-9][0-9]*"},
-    shots={"type": "integer", "null": True, "min": 1},
+    # numpy's binomial draws take the count as a 64-bit C long
+    shots={"type": "integer", "null": True, "min": 1, "max": 2**63 - 1},
     seed={"type": "integer", "min": 0},
     observables=_array(_LABEL),
     noisy_energy={"type": "boolean"},
@@ -160,6 +162,8 @@ def _check(value: object, rule: dict, path: str, errors: list) -> None:
         fail(f"at least {rule['min']}")
     if "above" in rule and value <= rule["above"]:
         fail(f"more than {rule['above']}")
+    if "max" in rule and value > rule["max"]:
+        fail(f"at most {rule['max']}")
     if rule.get("nonempty") and not value:
         fail("a non-empty value")
     for index, item in enumerate(value if "items" in rule else ()):
@@ -207,10 +211,7 @@ def parse_manifest(data: dict) -> Manifest:
             TargetSpec(**{"round_index" if k == "round" else k: v for k, v in t.items()})
             for t in data["expected"]
         )
-    try:
-        config = TwirlConfig(rounds, **settings)
-    except ValueError as exc:  # its shot bound of 2**63 is the one check not made above
-        raise ManifestError(f"config error: {exc}") from None
+    config = TwirlConfig(rounds, **settings)
     return Manifest(data["name"], data["hamiltonian"], data["initial"], config, **fields)
 
 

@@ -228,9 +228,32 @@ def test_manifest_shot_count_is_bounded(shots, code, tmp_path, capsys):
     assert main(["run", "--config", _write(tmp_path, "many.json", payload)]) == code
     err = capsys.readouterr().err
     if code:
-        assert err == f"config error: shot count must be a positive integer below 2**63, got {shots}\n"
+        assert err == f"config error at /shots: expected at most {2**63 - 1}, got {shots}\n"
     else:
         assert err == ""
+
+
+def test_keep_probability_rounded_above_one_still_draws(tmp_path, capsys):
+    # rounding lifts this run's p_cumulative to 1 + 4e-16 from round 2 on
+    payload = {
+        "name": "rounded-keep",
+        "hamiltonian": {
+            "n_qubits": 1,
+            "terms": [
+                {"coeff": 1.0, "axes": "Y"},
+                {"coeff": 0.5, "axes": "Z"},
+                {"coeff": -1.0, "axes": "X"},
+            ],
+        },
+        "initial": "0",
+        "rounds": [{"mode": "full", "ancillas": 3}] * 3,
+        "shots": 1000,
+        "seed": 0,
+    }
+    path = _write(tmp_path, "rounded.json", payload)
+    assert main(["run", "--config", path, "--format", "json"]) == 0
+    rounds = json.loads(capsys.readouterr().out)["rounds"]
+    assert [r["active_count"] for r in rounds] == [1000] * 4
 
 
 def test_run_prepare_none_breaks_ramp_scenario(capsys):

@@ -147,6 +147,8 @@ def test_valid_data_passes_silently():
             {"hamiltonian": {"n_qubits": 1, "terms": [{"coeff": math.nan, "axes": "Z"}]}},
             "/hamiltonian/terms/0/coeff",
         ),
+        # numpy's binomial takes the shot count as a 64-bit C long
+        ({"shots": 2**63}, "/shots"),
     ],
 )
 def test_schema_errors_name_the_pointer(mutation, pointer):
@@ -239,7 +241,7 @@ ORACLE_SCHEMA = {
             },
         },
         "backend": {"type": "string", "pattern": "^(exact|trotter:[1-9][0-9]*)$"},
-        "shots": {"type": ["integer", "null"], "minimum": 1},
+        "shots": {"type": ["integer", "null"], "minimum": 1, "maximum": 2**63 - 1},
         "seed": {"type": "integer", "minimum": 0},
         "observables": {
             "type": "array",

@@ -1,6 +1,7 @@
 """Tests for the shot-noise emulation layer."""
 
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -57,6 +58,24 @@ def test_deterministic_outcome_is_estimated_exactly():
     estimates = sample_shots(state, ops, active=17, seed=5, round_index=1)
     assert estimates["Z0"] == 1.0
     assert estimates["Z1"] == 1.0
+
+
+@pytest.mark.parametrize("seed", [None, True, -1, 2.0, "3"])
+def test_config_rejects_seeds_the_streams_cannot_take(seed):
+    message = f"seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _config(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "seed, round_index, stream_base",
+    [(-1, 0, 1), (0, -1, 1), (0, 0, -1)],
+    ids=["seed", "round", "stream"],
+)
+def test_negative_stream_coordinates_are_rejected(seed, round_index, stream_base):
+    ops = [("Z", single_z(1, 0))]
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_shots(StateVector.basis("0"), ops, 10, seed, round_index, stream_base)
 
 
 def test_sample_shots_needs_active_runs():
@@ -188,8 +207,12 @@ def test_interleaved_seeds_do_not_disturb_each_other():
 def test_threads_reproduce_a_sequential_run():
     seeds = list(range(100))
     sequential = [_shot_run(seed) for seed in seeds]
+
+    def run_all(part):
+        return [_shot_run(seed) for seed in part]
+
     with ThreadPoolExecutor(max_workers=2) as pool:
-        halves = [pool.submit(lambda part: [_shot_run(s) for s in part], seeds[i::2]) for i in (0, 1)]
+        halves = [pool.submit(run_all, seeds[i::2]) for i in (0, 1)]
         threaded = [half.result() for half in halves]
     assert threaded[0] == sequential[0::2]
     assert threaded[1] == sequential[1::2]
