@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -163,11 +164,6 @@ def test_sample_shots_matches_numpy_streams(seed):
                     assert got == want, (seed, round_index, active, stream_base)
 
 
-def test_edge_terms_pin_the_binomial_ends():
-    estimates = sample_shots(_BASIS, _EDGE_TERMS, active=2**63 - 1, seed=2**130 + 7, round_index=3)
-    assert estimates["E"] == 1.0 - 0.5
-
-
 @pytest.mark.parametrize("noisy_energy", [False, True], ids=["exact-energy", "noisy-energy"])
 @pytest.mark.parametrize("seed, shots", [(0, 1000), (2**64 + 3, 10**6)])
 def test_survivor_counts_match_numpy_streams(seed, shots, noisy_energy):
@@ -211,8 +207,14 @@ def test_threads_reproduce_a_sequential_run():
     def run_all(part):
         return [_shot_run(seed) for seed in part]
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        halves = [pool.submit(run_all, seeds[i::2]) for i in (0, 1)]
-        threaded = [half.result() for half in halves]
+    # switch threads often, so the two threads' draws interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            halves = [pool.submit(run_all, seeds[i::2]) for i in (0, 1)]
+            threaded = [half.result(timeout=120) for half in halves]
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded[0] == sequential[0::2]
     assert threaded[1] == sequential[1::2]
