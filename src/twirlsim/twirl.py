@@ -36,6 +36,7 @@ the draw itself.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -266,6 +267,7 @@ _local = threading.local()
 
 def _words(value: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative integer; 0 is one word."""
+    value = operator.index(value)  # a numpy integer would wrap in the hashing
     if value < 0:
         raise ValueError(f"stream seeds, rounds and streams must be non-negative, got {value}")
     words = [value & _MASK32]

@@ -164,6 +164,12 @@ def test_sample_shots_matches_numpy_streams(seed):
                     assert got == want, (seed, round_index, active, stream_base)
 
 
+def test_numpy_integer_coordinates_draw_like_ints():
+    args = (_DYADIC, _TERMS, 1000)
+    got = sample_shots(*args, np.int64(2**62 + 5), np.uint32(7), np.int16(3))
+    assert got == sample_shots(*args, 2**62 + 5, 7, 3)
+
+
 @pytest.mark.parametrize("noisy_energy", [False, True], ids=["exact-energy", "noisy-energy"])
 @pytest.mark.parametrize("seed, shots", [(0, 1000), (2**64 + 3, 10**6)])
 def test_survivor_counts_match_numpy_streams(seed, shots, noisy_energy):
