@@ -29,8 +29,8 @@ the current state. Each draw comes from its own PCG64 stream, the one
 so a full protocol is reproducible from its seed alone and insensitive
 to evaluation order. The stream's start state is computed here, with
 numpy's SeedSequence hashing written out, and set on one generator per
-thread: building both numpy objects for each draw cost about 15 times
-the draw itself.
+thread: building a SeedSequence and a Generator per draw would cost
+about 15 times the draw itself.
 """
 
 from __future__ import annotations
