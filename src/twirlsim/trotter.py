@@ -4,6 +4,15 @@ One step over dt sweeps the terms forward applying exp(-i c_k P_k dt/2)
 each, then sweeps them in reverse. The symmetric sweep cancels the
 first-order commutator error, so the step error is O(dt^3) and the
 full-interval error O(tau^2 / steps^2).
+
+The sweep is compiled once per call. With ``(P v)[b] = phase[b] * v[source[b]]``
+each rotation is ``cos(angle) * v - factor * v[source]`` with
+``factor = 1j * sin(angle) * phase``: one gather, two scalings and one
+subtraction. It rounds like the textbook
+``cos(angle) * v - 1j * sin(angle) * (P v)``. Each phase is one of 1, i, -1
+and -i, so each component of ``factor`` is exactly +-sin(angle) or +-0, and
+every nonzero product rounds once, as it does there; only the sign of an
+exact zero amplitude can differ.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, apply_axes, dense_matrix
+from .pauli import PauliSum, PauliTerm, _compiled, dense_matrix
 
 
 def _check_steps(steps: int) -> None:
@@ -29,13 +38,17 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
     if not math.isfinite(tau):
         raise ValueError(f"evolution time {tau!r} must be finite")
     dt = tau / steps
+    rotations = []
+    for term in op.terms:
+        # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
+        angle = term.coeff * dt / 2.0
+        source, phase = _compiled(term.axes)
+        rotations.append((math.cos(angle), source, 1.0j * math.sin(angle) * phase))
+    sweep = rotations + rotations[::-1]
     amps = np.asarray(amplitudes, dtype=complex)
-    sweep = op.terms + op.terms[::-1]
     for _ in range(steps):
-        for term in sweep:
-            # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
-            angle = term.coeff * dt / 2.0
-            amps = math.cos(angle) * amps - 1.0j * math.sin(angle) * apply_axes(amps, term.axes)
+        for cos, source, factor in sweep:
+            amps = cos * amps - factor * amps[source]
     return amps
 
 
