@@ -14,7 +14,6 @@ from .adiabatic import (
     AdiabaticSchedule,
     adiabatic_prepare,
     staggered_start,
-    staggered_start_label,
 )
 from .manifest import (
     Manifest,
@@ -102,7 +101,6 @@ __all__ = [
     "schwinger_hamiltonian",
     "single_z",
     "staggered_start",
-    "staggered_start_label",
     "trotter_error",
     "twirl_round",
     "validate_manifest",

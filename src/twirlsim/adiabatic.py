@@ -42,7 +42,7 @@ class AdiabaticSchedule:
     def __post_init__(self) -> None:
         if not math.isfinite(self.total_time) or self.total_time <= 0:
             raise ValueError(f"total time must be positive, got {self.total_time!r}")
-        if not isinstance(self.steps, int) or self.steps < 1:
+        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
             raise ValueError(f"step count must be a positive integer, got {self.steps!r}")
 
 
@@ -53,11 +53,6 @@ def staggered_start(n_qubits: int) -> PauliSum:
         axes = "".join("Z" if q == qubit else "I" for q in range(n_qubits))
         terms.append(PauliTerm(1.0 if qubit % 2 == 0 else -1.0, axes))
     return PauliSum(n_qubits, tuple(terms))
-
-
-def staggered_start_label(n_qubits: int) -> str:
-    """Basis label of the staggered-start ground state, e.g. "101"."""
-    return "".join("1" if qubit % 2 == 0 else "0" for qubit in range(n_qubits))
 
 
 def adiabatic_prepare(

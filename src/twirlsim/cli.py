@@ -431,7 +431,12 @@ def _run_overrides(args: argparse.Namespace) -> dict:
     """The override flags given, parsed, by the field they replace."""
     overrides: dict = {}
     if args.backend is not None:
-        overrides["backend"] = Backend.parse(args.backend)
+        try:
+            overrides["backend"] = Backend.parse(args.backend)
+        except ValueError:
+            raise ValueError(
+                f'--backend must be "exact" or "trotter:<steps>", got {args.backend!r}'
+            ) from None
     if args.shots is not None:
         overrides["shots"] = None if args.shots == "none" else _positive("--shots", args.shots, int)
     if args.seed is not None:

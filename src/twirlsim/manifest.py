@@ -17,7 +17,7 @@ from importlib import resources
 
 from .adiabatic import AdiabaticSchedule
 from .pauli import PauliSum, hamiltonian_by_name, named_observable
-from .twirl import Backend, RoundSpec, TauMode, TwirlConfig
+from .twirl import BACKEND_PATTERN, Backend, RoundSpec, TauMode, TwirlConfig
 
 
 class ManifestError(ValueError):
@@ -73,7 +73,7 @@ RULES = _object(
             ("mode",), mode={"enum": ("quarter", "full")}, energy_override=_NUMBER, ancillas=_COUNT
         )
     ),
-    backend={"type": "string", "pattern": "exact|trotter:[1-9][0-9]*"},
+    backend={"type": "string", "pattern": BACKEND_PATTERN},
     # numpy's binomial draws take the count as a 64-bit C long
     shots={"type": "integer", "null": True, "min": 1, "max": 2**63 - 1},
     seed={"type": "integer", "min": 0},

@@ -87,10 +87,6 @@ class OverlapDecomposition:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "weights", weights)
 
-    def dominant_index(self) -> int:
-        """Index of the eigencomponent carrying the most weight."""
-        return int(np.argmax(self.weights))
-
 
 def _canonical_basis(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs in the canonical order, each column's leading amplitude positive real.

@@ -26,7 +26,7 @@ from .pauli import PauliSum, PauliTerm, _compiled, dense_matrix
 
 
 def _check_steps(steps: int) -> None:
-    if not isinstance(steps, int) or steps < 1:
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ValueError(f"step count must be a positive integer, got {steps!r}")
 
 

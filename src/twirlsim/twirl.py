@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import threading
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,8 @@ from .trotter import evolve_trotter
 ZERO_ENERGY_TOL = 1e-12
 EXTINCTION_TOL = 1e-14
 PREFACTOR_TOL = 1e-12
+# a backend's spelling in manifests and on the command line: no sign, separator or leading zero
+BACKEND_PATTERN = "exact|trotter:[1-9][0-9]*"
 
 
 class ZeroEnergyError(ValueError):
@@ -97,24 +100,17 @@ class Backend:
             if self.steps is not None:
                 raise ValueError("exact backend takes no step count")
         elif self.kind == "trotter":
-            if not isinstance(self.steps, int) or self.steps < 1:
+            if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
                 raise ValueError("trotter backend needs a positive step count")
         else:
             raise ValueError(f"unknown backend kind {self.kind!r}")
 
     @classmethod
     def parse(cls, text: str) -> Backend:
-        """Parse "exact" or "trotter:<steps>"."""
-        if text == "exact":
-            return cls()
-        if text.startswith("trotter:"):
-            raw = text.split(":", 1)[1]
-            try:
-                steps = int(raw)
-            except ValueError as exc:
-                raise ValueError(f"backend {text!r} has a non-integer step count") from exc
-            return cls("trotter", steps)
-        raise ValueError(f'unknown backend {text!r}, expected "exact" or "trotter:<steps>"')
+        """Parse "exact" or "trotter:<steps>", the steps in plain decimal digits."""
+        if not re.fullmatch(BACKEND_PATTERN, text):
+            raise ValueError(f'unknown backend {text!r}, expected "exact" or "trotter:<steps>"')
+        return cls() if text == "exact" else cls("trotter", int(text.split(":", 1)[1]))
 
     def label(self) -> str:
         return "exact" if self.kind == "exact" else f"trotter:{self.steps}"
@@ -203,8 +199,9 @@ class RoundSpec:
             raise ValueError(f"mode must be a TauMode, got {self.mode!r}")
         if self.energy_override is not None and not math.isfinite(self.energy_override):
             raise ValueError(f"energy override {self.energy_override!r} must be finite")
-        if not isinstance(self.ancillas, int) or self.ancillas < 1:
-            raise ValueError(f"ancilla count must be a positive integer, got {self.ancillas!r}")
+        ancillas = self.ancillas
+        if not isinstance(ancillas, int) or isinstance(ancillas, bool) or ancillas < 1:
+            raise ValueError(f"ancilla count must be a positive integer, got {ancillas!r}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +222,9 @@ class TwirlConfig:
             raise ValueError("protocol needs at least one round")
         # numpy's binomial draws take the count as a 64-bit C long
         shots = self.shots
-        if shots is not None and (not isinstance(shots, int) or not 0 < shots < 2**63):
+        if shots is not None and (
+            not isinstance(shots, int) or isinstance(shots, bool) or not 0 < shots < 2**63
+        ):
             raise ValueError(f"shot count must be a positive integer below 2**63, got {shots!r}")
         # the seed is the entropy of every shot stream, so it is a plain integer
         seed = self.seed

@@ -203,8 +203,14 @@ def test_negative_seed_is_rejected(argv, capsys):
         ("--prepare", "adiabatic:T=inf", "--prepare T must be a positive number, got 'inf'"),
         ("--prepare", "adiabatic:steps=2.5",
          "--prepare steps must be a positive integer, got '2.5'"),
+        # int() reads each of these as 16; the manifest's backend pattern refuses them
+        *(
+            ("--backend", raw, f'--backend must be "exact" or "trotter:<steps>", got {raw!r}')
+            for raw in ("trotter:1_6", "trotter: 16", "trotter:+16", "trotter:016")
+        ),
     ],
-    ids=["shots=1.5", "shots=abc", "shots=0", "T=x", "T=inf", "steps=2.5"],
+    ids=["shots=1.5", "shots=abc", "shots=0", "T=x", "T=inf", "steps=2.5",
+         "backend=1_6", "backend=space16", "backend=+16", "backend=016"],
 )
 def test_bad_override_values_name_their_flag(flag, value, message, capsys):
     assert main(["run", "--config", "table-13", flag, value]) == 2

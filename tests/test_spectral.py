@@ -315,7 +315,7 @@ def test_overlap_weights_for_basis_101():
     assert abs(result.weights[0] - w_ground) < 1e-10
     assert abs(result.weights[5] - w_upper) < 1e-10
     assert abs(float(np.sum(result.weights)) - 1.0) < 1e-9
-    assert result.dominant_index() == 0
+    assert np.argmax(result.weights) == 0
 
 
 def test_overlap_accepts_every_state_within_the_norm_tolerance():

@@ -19,12 +19,13 @@ from twirlsim import (
     adiabatic_prepare,
     choose_tau,
     eigendecompose,
+    evolve_trotter,
     expectation,
     phase_profile,
     run_protocol,
     schwinger_hamiltonian,
     staggered_start,
-    staggered_start_label,
+    trotter_error,
     twirl_round,
 )
 from twirlsim import spectral
@@ -207,7 +208,7 @@ def test_rounds_match_state_per_ancilla_oracle(seed):
         assert np.float64(p).tobytes() == np.float64(p_expected).tobytes()
     for n_qubits in (1, 2, 3):
         op = schwinger_hamiltonian(n_qubits, 1.0)
-        state = StateVector.basis(staggered_start_label(n_qubits))
+        state = StateVector.basis(("10" * n_qubits)[:n_qubits])
         for steps in (None, 16):
             backend = Backend() if steps is None else Backend("trotter", steps)
             for prefactor, tau in ((1.0j, -0.75), (1.0 + 0.0j, 2.5)):
@@ -226,7 +227,7 @@ def test_split_step_ramp_matches_state_per_slice_oracle(seed):
         start, target = _random_op(rng, n_qubits), _random_op(rng, n_qubits)
         cases.append((_random_state(rng, n_qubits), start, target))
     for n_qubits in (1, 2, 3):
-        label = staggered_start_label(n_qubits)
+        label = ("10" * n_qubits)[:n_qubits]
         cases.append((label, staggered_start(n_qubits), schwinger_hamiltonian(n_qubits, 1.0)))
     for initial, start, target in cases:
         steps = int(rng.integers(1, 5))
@@ -250,7 +251,7 @@ def test_backend_parse_and_label():
     assert Backend.parse("trotter:64") == Backend("trotter", 64)
     assert Backend.parse("trotter:64").label() == "trotter:64"
     assert Backend().label() == "exact"
-    with pytest.raises(ValueError, match="non-integer"):
+    with pytest.raises(ValueError, match="unknown backend"):
         Backend.parse("trotter:lots")
     with pytest.raises(ValueError, match="unknown backend"):
         Backend.parse("magic")
@@ -279,6 +280,25 @@ def test_config_validation():
         TwirlConfig(rounds=(quarter,), observables=())
     with pytest.raises(ValueError, match="noisy_energy"):
         TwirlConfig(rounds=(quarter,), noisy_energy=True)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwirlConfig(rounds=(RoundSpec(TauMode.QUARTER),), shots=True),
+        lambda: Backend("trotter", True),
+        lambda: RoundSpec(TauMode.QUARTER, ancillas=True),
+        lambda: AdiabaticSchedule(steps=True),
+        lambda: evolve_trotter(StateVector.basis("0").amplitudes, schwinger_hamiltonian(1, 1.0),
+                               1.0, True),
+        lambda: trotter_error(schwinger_hamiltonian(1, 1.0), 1.0, True),
+    ],
+    ids=["shots", "backend-steps", "ancillas", "ramp-steps", "evolve-steps", "error-steps"],
+)
+def test_counts_reject_booleans(build):
+    # a bool is an int, but True is no count of one
+    with pytest.raises(ValueError, match="positive"):
+        build()
 
 
 # ---------------------------------------------------------------------------
