@@ -19,9 +19,11 @@ from twirlsim import (
     run_protocol,
     sample_shots,
     schwinger_hamiltonian,
+    twirl_round,
 )
 from twirlsim.pauli import single_z
 from twirlsim.state import StateVector
+from twirlsim.twirl import resolve_observables
 
 
 def _config(**overrides):
@@ -182,10 +184,22 @@ def test_survivor_counts_match_numpy_streams(seed, shots, noisy_energy):
         noisy_energy=noisy_energy,
     )
     records = run_protocol("100", op, config)
+    observables = resolve_observables(config.observables, op)
+    # stream 0 draws the survivors, the observables' terms follow, then H's terms
+    energy_base = 1 + sum(len(obs.terms) for _, obs in observables)
+    state = StateVector.basis("100")
     assert records[0].active_count == shots
-    for record in records[1:]:
+    assert records[0].expectations == _oracle_estimates(state, observables, shots, seed, 0, 1)
+    for before, record in zip(records, records[1:]):
+        k = record.round_index
+        if noisy_energy:
+            energy = _oracle_estimates(state, [("H", op)], before.active_count, seed, k, energy_base)
+            assert record.energy_used == energy["H"], k
+        state, _ = twirl_round(state, op, record.tau, record.prefactor, ancillas=2)
         p = min(1.0, record.p_cumulative)
-        assert record.active_count == _oracle_hits(seed, record.round_index, 0, shots, p)
+        assert record.active_count == _oracle_hits(seed, k, 0, shots, p)
+        want = _oracle_estimates(state, observables, record.active_count, seed, k, 1)
+        assert record.expectations == want, k
 
 
 # ---------------------------------------------------------------------------
