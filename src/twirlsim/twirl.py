@@ -27,10 +27,13 @@ observable term from a binomial over its exact outcome probability on
 the current state. Each draw comes from its own PCG64 stream, the one
 ``default_rng(SeedSequence(seed, spawn_key=(round, stream)))`` starts,
 so a full protocol is reproducible from its seed alone and insensitive
-to evaluation order. The stream's start state is computed here, with
-numpy's SeedSequence hashing written out, and set on one generator per
-thread: building a SeedSequence and a Generator per draw would cost
-about 15 times the draw itself.
+to evaluation order. Before its first round a protocol computes the
+start states of every stream it can draw from, rounds 0..R by streams
+0..S-1, in one seeding pass: numpy's SeedSequence hashing is written out
+once for the seed and then as array steps over the whole grid, since
+its hash constants do not depend on the data. Each draw sets its start
+on one generator per thread; building a SeedSequence and a Generator
+per draw would cost about 15 times the draw itself.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import operator
 import re
 import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -258,9 +262,15 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL_SIZE = 4
-# generate_state xors word i with constant i and multiplies it by constant
-# i + 1; the constants run the same course for every pool
-_STATE_HASH = [_HASH_INIT_B * _HASH_MULT_B**i & _MASK32 for i in range(2 * _POOL_SIZE + 1)]
+# a word mixed into the pool takes the hash constant through _POOL_SIZE
+# steps: h, h * A, h * A**2, ... (mod 2**32)
+_STEP_A = np.array([_HASH_MULT_A**i & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint64)
+_STEP_A_WORD = _HASH_MULT_A**_POOL_SIZE & _MASK32
+# generate_state(4, uint64) hashes eight words cycling twice over the pool;
+# its hash constants run the same course for every pool
+_STATE_HASH = np.array(
+    [_HASH_INIT_B * _HASH_MULT_B**i & _MASK32 for i in range(2 * _POOL_SIZE)], dtype=np.uint64
+).reshape(2, _POOL_SIZE)
 _local = threading.local()
 
 
@@ -277,57 +287,103 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _mix_word(pool: list[int], h: int, word: int, skip: int = -1) -> int:
-    """Mix the hashed word into every pool entry but ``skip``; returns the next constant."""
-    for dst in range(_POOL_SIZE):
-        if dst != skip:
-            # hashmix: xor the constant, step it, multiply by it, fold the high half
-            v = (word ^ h) * (h := h * _HASH_MULT_A & _MASK32) & _MASK32
-            r = (_MIX_MULT_L * pool[dst] - _MIX_MULT_R * (v ^ v >> 16)) & _MASK32
-            pool[dst] = r ^ r >> 16
-    return h
+# The two hashing steps take Python ints or, elementwise, uint64 arrays of
+# 32-bit values: a product of two such values fits in 64 bits, and a wrapped
+# subtraction is masked back to 32.
+def _hashmix(value, h, mult=_HASH_MULT_A):
+    """Xor the hash constant ``h``, step it, multiply by it, fold the high half."""
+    value = (value ^ h) * (h * mult & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool: np.ndarray, h: int, words: np.ndarray) -> tuple[np.ndarray, int]:
+    """Mix each word along the last axis of ``words`` into every pool entry.
+
+    Pools lie along the last axis of ``pool``; the other axes broadcast
+    against those of ``words``. Returns the pools and the next hash constant.
+    """
+    for k in range(words.shape[-1]):
+        pool = _mix(pool, _hashmix(words[..., k, None], h * _STEP_A & _MASK32))
+        h = h * _STEP_A_WORD & _MASK32
+    return pool, h
 
 
 @lru_cache(maxsize=64)
-def _round_pool(seed: int, round_index: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence pool and hash constant after the seed and round words.
+def _seed_prefix(seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence pool and hash constant after every word of the seed.
 
-    A nonempty spawn key pads the seed to the pool size; every stream of
-    the round shares this prefix.
+    A nonempty spawn key pads the seed to the pool size, so every stream
+    of a seed starts from this prefix and goes on with its round and
+    stream words.
     """
-    seed_words = _words(seed)
-    words = seed_words + [0] * (_POOL_SIZE - len(seed_words)) + _words(round_index)
+    words = _words(seed)
+    words += [0] * (_POOL_SIZE - len(words))
     pool, h = [], _HASH_INIT_A
     for word in words[:_POOL_SIZE]:
-        v = (word ^ h) * (h := h * _HASH_MULT_A & _MASK32) & _MASK32
-        pool.append(v ^ v >> 16)
+        pool.append(_hashmix(word, h))
+        h = h * _HASH_MULT_A & _MASK32
     for src in range(_POOL_SIZE):
-        h = _mix_word(pool, h, pool[src], skip=src)
-    for word in words[_POOL_SIZE:]:
-        h = _mix_word(pool, h, word)
-    return tuple(pool), h
+        for dst in range(_POOL_SIZE):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h))
+                h = h * _HASH_MULT_A & _MASK32
+    extra = np.array(words[_POOL_SIZE:], dtype=np.uint64)
+    pool, h = _absorb(np.array(pool, dtype=np.uint64), h, extra)
+    return tuple(pool.tolist()), h
 
 
-def _binomial(seed: int, round_index: int, stream: int, n: int, p: float) -> int:
-    """One binomial(n, p) draw from the start of stream (seed, round, stream)."""
-    pool, h = _round_pool(seed, round_index)
-    pool = list(pool)
-    for word in _words(stream):
-        h = _mix_word(pool, h, word)
-    # generate_state(4, uint64): eight words cycling over the pool, each
-    # 64-bit value low half first
-    w = [
-        (v := (e ^ x) * m & _MASK32) ^ v >> 16
-        for e, x, m in zip(pool + pool, _STATE_HASH, _STATE_HASH[1:])
-    ]
-    # PCG64 seeds with the first two values as its state, the last two as its stream
-    initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-    inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _MASK128
-    state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+def _word_groups(values: Sequence[int]) -> list[tuple[list[int], np.ndarray]]:
+    """Positions and ``(n, words)`` arrays of the values, grouped by word count."""
+    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for index, value in enumerate(values):
+        words = _words(value)
+        positions, rows = groups.setdefault(len(words), ([], []))
+        positions.append(index)
+        rows.append(words)
+    return [(positions, np.array(rows, dtype=np.uint64)) for positions, rows in groups.values()]
+
+
+def _stream_starts(
+    seed: int, rounds: Sequence[int], streams: Sequence[int]
+) -> list[list[tuple[int, int]]]:
+    """PCG64 ``(state, inc)`` starts of the streams (seed, round, stream).
+
+    Row i, column j is the start of ``default_rng(SeedSequence(seed,
+    spawn_key=(rounds[i], streams[j])))``. The hash constants do not
+    depend on the data, so each word of a round or stream is one array
+    step over every grid point with the same word counts.
+    """
+    prefix, h0 = _seed_prefix(seed)
+    stream_groups = _word_groups(streams)
+    starts = [[(0, 0)] * len(streams) for _ in rounds]
+    for rows, round_words in _word_groups(rounds):
+        round_pool, h1 = _absorb(np.array(prefix, dtype=np.uint64), h0, round_words)
+        for cols, stream_words in stream_groups:
+            pool, _ = _absorb(round_pool[:, None], h1, stream_words[None])
+            w = _hashmix(pool[..., None, :], _STATE_HASH, _HASH_MULT_B)
+            # generate_state's eight words read as four little-endian uint64
+            # values: PCG64 seeds with the first two as its state and the
+            # last two as its stream
+            values = w.astype("<u4").reshape(*w.shape[:-2], 8).view("<u8").tolist()
+            for i, row in zip(rows, values):
+                for j, (a, b, c, d) in zip(cols, row):
+                    inc = (c << 65 | d << 1 | 1) & _MASK128
+                    starts[i][j] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc
+    return starts
+
+
+def _draw(start: tuple[int, int], n: int, p: float) -> int:
+    """One binomial(n, p) draw from a stream's PCG64 ``(state, inc)`` start."""
     generator = getattr(_local, "generator", None)
     if generator is None:
         # made on the first draw, so runs without shots never import numpy.random
         generator = _local.generator = np.random.Generator(np.random.PCG64(0))
+    state, inc = start
     generator.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": state, "inc": inc},
@@ -346,27 +402,26 @@ def sample_shots(
     state: StateVector,
     ops: list[tuple[str, PauliSum]],
     active: int,
-    seed: int,
-    round_index: int,
-    stream_base: int = 1,
+    starts: list[tuple[int, int]],
 ) -> dict[str, float]:
     """Binomial estimates of named observables from ``active`` runs.
 
-    Term t of the flattened operator list draws from stream
-    ``stream_base + t`` of the given round, so estimates do not depend
-    on when or in what order they are computed.
+    Term t of the flattened operator list draws from the stream that
+    starts at ``starts[t]`` (see ``_stream_starts``), so estimates do not
+    depend on when or in what order they are computed.
     """
     if active < 1:
-        raise PostSelectionError(f"no active runs left in round {round_index}")
+        raise PostSelectionError("no active runs left")
+    n_terms = sum(len(op.terms) for _, op in ops)
+    if len(starts) != n_terms:
+        raise ValueError(f"need one stream start per term: {n_terms} terms, {len(starts)} starts")
     estimates: dict[str, float] = {}
-    offset = stream_base
+    draws = iter(starts)
     for name, op in ops:
         total = 0.0
         for term in op.terms:
-            p_plus = _outcome_probability(state, term.axes)
-            hits = _binomial(seed, round_index, offset, active, p_plus)
+            hits = _draw(next(draws), active, _outcome_probability(state, term.axes))
             total += term.coeff * (2.0 * hits / active - 1.0)
-            offset += 1
         estimates[name] = total
     return estimates
 
@@ -395,12 +450,19 @@ def run_protocol(
     if state.n_qubits != op.n_qubits:
         raise ValueError("initial state and Hamiltonian act on different registers")
     observables = resolve_observables(config.observables, op)
-    n_obs_streams = sum(len(o.terms) for _, o in observables)
+    n_obs = sum(len(o.terms) for _, o in observables)
+    if config.shots is not None:
+        # per round: stream 0 draws the survivors, the observables' terms
+        # follow, then H's terms for a sampled energy estimate
+        n_streams = 1 + n_obs + (len(op.terms) if config.noisy_energy else 0)
+        starts = _stream_starts(config.seed, range(len(config.rounds) + 1), range(n_streams))
 
     def measure(current: StateVector, round_index: int, active: int | None) -> dict[str, float]:
         if config.shots is None:
             return {name: expectation(current, obs) for name, obs in observables}
-        return sample_shots(current, observables, active, config.seed, round_index)
+        if active < 1:
+            raise PostSelectionError(f"no active runs left in round {round_index}")
+        return sample_shots(current, observables, active, starts[round_index][1 : 1 + n_obs])
 
     records: list[RoundRecord] = []
     active = config.shots
@@ -421,11 +483,7 @@ def run_protocol(
         if spec.energy_override is not None:
             energy = spec.energy_override
         elif config.shots is not None and config.noisy_energy:
-            # energy streams sit above the observable streams of this round
-            estimate = sample_shots(
-                state, [("H", op)], active, config.seed, index, stream_base=1 + n_obs_streams
-            )
-            energy = estimate["H"]
+            energy = sample_shots(state, [("H", op)], active, starts[index][1 + n_obs :])["H"]
         else:
             energy = expectation(state, op)
         try:
@@ -436,7 +494,7 @@ def run_protocol(
         p_cumulative *= p_round
         if config.shots is not None:
             # rounding can lift the product of keep probabilities past 1
-            active = _binomial(config.seed, index, 0, config.shots, min(1.0, p_cumulative))
+            active = _draw(starts[index][0], config.shots, min(1.0, p_cumulative))
         records.append(
             RoundRecord(
                 round_index=index,
