@@ -485,7 +485,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_trotter_scan(args: argparse.Namespace) -> int:
     op = schwinger_hamiltonian(args.qubits, args.j)
-    steps = [int(s) for s in args.steps.split(",")]
+    entries = args.steps.split(",")
+    # int() would also read "1_6", "+8" and " 8"
+    if not all(entry.isascii() and entry.isdigit() for entry in entries):
+        raise ValueError(
+            f"--steps must be comma-separated step counts in decimal digits, got {args.steps!r}"
+        )
+    steps = [int(entry) for entry in entries]
     if any(s < 1 for s in steps):
         raise ValueError("step counts must be positive")
     errors = [trotter_error(op, args.tau, s) for s in steps]

@@ -125,6 +125,12 @@ class Backend:
         return evolve_trotter(amplitudes, op, tau, self.steps)
 
 
+def _check_ancillas(ancillas: int) -> None:
+    # a bool is an int and 2.0 compares like one, but neither is a count
+    if not isinstance(ancillas, int) or isinstance(ancillas, bool) or ancillas < 1:
+        raise ValueError(f"ancilla count must be a positive integer, got {ancillas!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PhaseProfile:
     """Per-eigencomponent filter angles and input weights."""
@@ -144,8 +150,7 @@ class PhaseProfile:
 
     def post_selection_probability(self, ancillas: int = 1) -> float:
         """Keep probability of one round with the given ancilla count."""
-        if ancillas < 1:
-            raise ValueError("ancilla count must be positive")
+        _check_ancillas(ancillas)
         return float(np.sum(self.weights * np.cos(self.angles / 2.0) ** (2 * ancillas)))
 
 
@@ -173,8 +178,7 @@ def twirl_round(
     """One filtering round; returns the posterior and its keep probability."""
     if abs(abs(prefactor) - 1.0) > PREFACTOR_TOL:
         raise ValueError(f"prefactor {prefactor!r} must have unit modulus")
-    if ancillas < 1:
-        raise ValueError(f"ancilla count must be positive, got {ancillas}")
+    _check_ancillas(ancillas)
     current = state.amplitudes
     probability = 1.0
     for _ in range(ancillas):
@@ -203,9 +207,7 @@ class RoundSpec:
             raise ValueError(f"mode must be a TauMode, got {self.mode!r}")
         if self.energy_override is not None and not math.isfinite(self.energy_override):
             raise ValueError(f"energy override {self.energy_override!r} must be finite")
-        ancillas = self.ancillas
-        if not isinstance(ancillas, int) or isinstance(ancillas, bool) or ancillas < 1:
-            raise ValueError(f"ancilla count must be a positive integer, got {ancillas!r}")
+        _check_ancillas(self.ancillas)
 
 
 @dataclass(frozen=True)

@@ -428,7 +428,18 @@ def test_trotter_scan_fits_no_order_to_rounding_noise(qubits, capsys):
 
 def test_trotter_scan_rejects_bad_steps(capsys):
     assert main(["trotter-scan", "--qubits", "1", "--j", "1", "--steps", "0,8"]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: step counts must be positive\n"
+
+
+@pytest.mark.parametrize("raw", ["1_6,32", "+8", "8,,16", "8, 16", "-8", "8.0", "8,", "", "²"])
+def test_trotter_scan_takes_only_decimal_digits(raw, capsys):
+    assert main(["trotter-scan", "--qubits", "1", "--j", "1", "--steps", raw]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: --steps must be comma-separated step counts in decimal digits, "
+        f"got {raw!r}\n"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -288,15 +288,24 @@ def test_config_validation():
         lambda: TwirlConfig(rounds=(RoundSpec(TauMode.QUARTER),), shots=True),
         lambda: Backend("trotter", True),
         lambda: RoundSpec(TauMode.QUARTER, ancillas=True),
+        lambda: twirl_round(StateVector.basis("0"), schwinger_hamiltonian(1, 1.0), 1.0, 1.0j,
+                            ancillas=True),
+        lambda: twirl_round(StateVector.basis("0"), schwinger_hamiltonian(1, 1.0), 1.0, 1.0j,
+                            ancillas=2.0),
+        lambda: PhaseProfile([0.5], [1.0]).post_selection_probability(True),
+        lambda: PhaseProfile([0.5], [1.0]).post_selection_probability(1.5),
         lambda: AdiabaticSchedule(steps=True),
         lambda: evolve_trotter(StateVector.basis("0").amplitudes, schwinger_hamiltonian(1, 1.0),
                                1.0, True),
         lambda: trotter_error(schwinger_hamiltonian(1, 1.0), 1.0, True),
     ],
-    ids=["shots", "backend-steps", "ancillas", "ramp-steps", "evolve-steps", "error-steps"],
+    ids=[
+        "shots", "backend-steps", "ancillas", "round-ancillas", "round-float-ancillas",
+        "profile-ancillas", "profile-float-ancillas", "ramp-steps", "evolve-steps", "error-steps",
+    ],
 )
 def test_counts_reject_booleans(build):
-    # a bool is an int, but True is no count of one
+    # a bool is an int and 2.0 compares equal to 2, but neither is a count
     with pytest.raises(ValueError, match="positive"):
         build()
 
