@@ -462,9 +462,10 @@ def run_protocol(
     def measure(current: StateVector, round_index: int, active: int | None) -> dict[str, float]:
         if config.shots is None:
             return {name: expectation(current, obs) for name, obs in observables}
-        if active < 1:
-            raise PostSelectionError(f"no active runs left in round {round_index}")
-        return sample_shots(current, observables, active, starts[round_index][1 : 1 + n_obs])
+        try:
+            return sample_shots(current, observables, active, starts[round_index][1 : 1 + n_obs])
+        except PostSelectionError as exc:
+            raise PostSelectionError(f"{exc} in round {round_index}") from None
 
     records: list[RoundRecord] = []
     active = config.shots
