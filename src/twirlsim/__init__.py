@@ -58,6 +58,7 @@ from .twirl import (
     phase_profile,
     run_protocol,
     sample_shots,
+    stream_starts,
     twirl_round,
 )
 
@@ -101,6 +102,7 @@ __all__ = [
     "schwinger_hamiltonian",
     "single_z",
     "staggered_start",
+    "stream_starts",
     "trotter_error",
     "twirl_round",
     "validate_manifest",

@@ -45,7 +45,6 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -315,7 +314,6 @@ def _absorb(pool: np.ndarray, h: int, words: np.ndarray) -> tuple[np.ndarray, in
     return pool, h
 
 
-@lru_cache(maxsize=64)
 def _seed_prefix(seed: int) -> tuple[tuple[int, ...], int]:
     """SeedSequence pool and hash constant after every word of the seed.
 
@@ -350,15 +348,19 @@ def _word_groups(values: Sequence[int]) -> list[tuple[list[int], np.ndarray]]:
     return [(positions, np.array(rows, dtype=np.uint64)) for positions, rows in groups.values()]
 
 
-def _stream_starts(
+def stream_starts(
     seed: int, rounds: Sequence[int], streams: Sequence[int]
 ) -> list[list[tuple[int, int]]]:
     """PCG64 ``(state, inc)`` starts of the streams (seed, round, stream).
 
     Row i, column j is the start of ``default_rng(SeedSequence(seed,
-    spawn_key=(rounds[i], streams[j])))``. The hash constants do not
-    depend on the data, so each word of a round or stream is one array
-    step over every grid point with the same word counts.
+    spawn_key=(rounds[i], streams[j])))``; the seed, rounds and streams
+    are non-negative integers. ``sample_shots`` takes one row's starts for
+    its terms, and ``run_protocol`` draws round k's survivors from stream
+    0 and its observables' terms from streams 1 onward. The hash
+    constants do not depend on the data, so each word of a round or
+    stream is one array step over every grid point with the same word
+    counts.
     """
     prefix, h0 = _seed_prefix(seed)
     stream_groups = _word_groups(streams)
@@ -409,7 +411,7 @@ def sample_shots(
     """Binomial estimates of named observables from ``active`` runs.
 
     Term t of the flattened operator list draws from the stream that
-    starts at ``starts[t]`` (see ``_stream_starts``), so estimates do not
+    starts at ``starts[t]`` (see ``stream_starts``), so estimates do not
     depend on when or in what order they are computed.
     """
     if active < 1:
@@ -457,7 +459,7 @@ def run_protocol(
         # per round: stream 0 draws the survivors, the observables' terms
         # follow, then H's terms for a sampled energy estimate
         n_streams = 1 + n_obs + (len(op.terms) if config.noisy_energy else 0)
-        starts = _stream_starts(config.seed, range(len(config.rounds) + 1), range(n_streams))
+        starts = stream_starts(config.seed, range(len(config.rounds) + 1), range(n_streams))
 
     def measure(current: StateVector, round_index: int, active: int | None) -> dict[str, float]:
         if config.shots is None:

@@ -19,11 +19,12 @@ from twirlsim import (
     run_protocol,
     sample_shots,
     schwinger_hamiltonian,
+    stream_starts,
     twirl_round,
 )
 from twirlsim.pauli import single_z
 from twirlsim.state import StateVector
-from twirlsim.twirl import _stream_starts, resolve_observables
+from twirlsim.twirl import resolve_observables
 
 
 def _config(**overrides):
@@ -58,7 +59,7 @@ def test_deterministic_outcome_is_estimated_exactly():
     # <Z0> = 1 on |00> pins the per-term binomial at its ceiling
     state = StateVector.basis("00")
     ops = [("Z0", single_z(2, 0)), ("Z1", single_z(2, 1))]
-    estimates = sample_shots(state, ops, 17, _stream_starts(5, [1], [1, 2])[0])
+    estimates = sample_shots(state, ops, 17, stream_starts(5, [1], [1, 2])[0])
     assert estimates["Z0"] == 1.0
     assert estimates["Z1"] == 1.0
 
@@ -77,20 +78,20 @@ def test_config_rejects_seeds_the_streams_cannot_take(seed):
 )
 def test_negative_stream_coordinates_are_rejected(seed, round_index, stream):
     with pytest.raises(ValueError, match="non-negative"):
-        _stream_starts(seed, [round_index], [stream])
+        stream_starts(seed, [round_index], [stream])
 
 
 def test_sample_shots_needs_active_runs():
     state = StateVector.basis("0")
     ops = [("Z", single_z(1, 0))]
     with pytest.raises(PostSelectionError, match="no active runs left"):
-        sample_shots(state, ops, 0, _stream_starts(1, [2], [1])[0])
+        sample_shots(state, ops, 0, stream_starts(1, [2], [1])[0])
 
 
 def test_sample_shots_needs_one_start_per_term():
     ops = [("Z", single_z(1, 0))]
     with pytest.raises(ValueError, match="one stream start per term: 1 terms, 2 starts"):
-        sample_shots(StateVector.basis("0"), ops, 10, _stream_starts(1, [2], [1, 2])[0])
+        sample_shots(StateVector.basis("0"), ops, 10, stream_starts(1, [2], [1, 2])[0])
 
 
 def test_starved_post_selection_raises():
@@ -167,7 +168,7 @@ def test_sample_shots_matches_numpy_streams(seed):
         for round_index in (0, 1, 7, 2**32 + 1):
             for stream_base in (1, 2**33):
                 streams = range(stream_base, stream_base + n_terms)
-                starts = _stream_starts(seed, [round_index], streams)[0]
+                starts = stream_starts(seed, [round_index], streams)[0]
                 for active in (1, 1000, 2**63 - 1):
                     got = sample_shots(state, ops, active, starts)
                     want = _oracle_estimates(state, ops, active, seed, round_index, stream_base)
@@ -185,14 +186,14 @@ def test_stream_starts_match_numpy_seeding(seed):
     # rounds and streams on both sides of 2**32 mix one- and two-word grid points
     straddle = [0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
     for rounds, streams in ((straddle, range(4)), (range(3), straddle), (straddle, straddle)):
-        got = _stream_starts(seed, rounds, streams)
+        got = stream_starts(seed, rounds, streams)
         want = [[_oracle_start(seed, r, s) for s in streams] for r in rounds]
         assert got == want
 
 
 def test_numpy_integer_coordinates_draw_like_ints():
-    got = _stream_starts(np.int64(2**62 + 5), [np.uint32(7)], [np.int16(3), np.uint64(2**40)])
-    assert got == _stream_starts(2**62 + 5, [7], [3, 2**40])
+    got = stream_starts(np.int64(2**62 + 5), [np.uint32(7)], [np.int16(3), np.uint64(2**40)])
+    assert got == stream_starts(2**62 + 5, [7], [3, 2**40])
 
 
 @pytest.mark.parametrize("noisy_energy", [False, True], ids=["exact-energy", "noisy-energy"])
