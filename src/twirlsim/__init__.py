@@ -36,18 +36,16 @@ from .pauli import (
     single_z,
 )
 from .spectral import (
-    OverlapDecomposition,
     SpectralDecomposition,
     closed_form_spectrum,
     eigendecompose,
     evolve_exact,
-    overlap_decomposition,
+    overlap_weights,
 )
 from .state import StateVector
 from .trotter import evolve_trotter, trotter_error
 from .twirl import (
     Backend,
-    PhaseProfile,
     PostSelectionError,
     RoundRecord,
     RoundSpec,
@@ -55,7 +53,7 @@ from .twirl import (
     TwirlConfig,
     ZeroEnergyError,
     choose_tau,
-    phase_profile,
+    keep_probability,
     run_protocol,
     sample_shots,
     stream_starts,
@@ -68,10 +66,8 @@ __all__ = [
     "Backend",
     "Manifest",
     "ManifestError",
-    "OverlapDecomposition",
     "PauliSum",
     "PauliTerm",
-    "PhaseProfile",
     "PostSelectionError",
     "RoundRecord",
     "RoundSpec",
@@ -91,12 +87,12 @@ __all__ = [
     "evolve_trotter",
     "expectation",
     "hamiltonian_by_name",
+    "keep_probability",
     "load_manifest",
     "named_observable",
     "observable_zbar",
-    "overlap_decomposition",
+    "overlap_weights",
     "parse_manifest",
-    "phase_profile",
     "run_protocol",
     "sample_shots",
     "schwinger_hamiltonian",

@@ -26,6 +26,7 @@ import numpy as np
 from .pauli import PauliSum, PauliTerm, _compiled, _scatter
 from .spectral import _canonical_eigh, _propagate
 from .state import StateVector
+from .trotter import _check_steps
 from .twirl import Backend
 
 # Bytes of one stack of slice matrices; at 10 qubits and above a chunk is one slice.
@@ -42,8 +43,7 @@ class AdiabaticSchedule:
     def __post_init__(self) -> None:
         if not math.isfinite(self.total_time) or self.total_time <= 0:
             raise ValueError(f"total time must be positive, got {self.total_time!r}")
-        if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
-            raise ValueError(f"step count must be a positive integer, got {self.steps!r}")
+        _check_steps(self.steps)
 
 
 def staggered_start(n_qubits: int) -> PauliSum:
@@ -71,7 +71,7 @@ def adiabatic_prepare(
     dt = schedule.total_time / schedule.steps
     midpoints = (np.arange(schedule.steps) + 0.5) / schedule.steps
     amplitudes = state.amplitudes
-    if backend.kind != "exact":
+    if backend.steps is not None:
         for s in midpoints.tolist():
             amplitudes = backend.evolve(amplitudes, (1.0 - s) * start_op + s * target_op, dt)
         return StateVector(state.n_qubits, amplitudes)

@@ -7,7 +7,9 @@ Subcommands:
 * ``trotter-scan``: split-step error against the exact propagator.
 * ``batch``: run every manifest in a directory (or all bundled ones) in
   order, one verdict per line. A manifest that cannot be read or run is
-  reported on its own line and the batch goes on.
+  reported on its own line and the batch goes on. With ``--out``, a
+  scenario whose name an earlier one took is a config error and writes
+  nothing.
 
 Exit codes: 0 on success, 1 when a target check fails, 2 for unusable
 configuration or arguments, 3 when a run aborts (post-selection left no
@@ -33,7 +35,7 @@ import numpy as np
 from . import __version__
 from .adiabatic import AdiabaticSchedule, adiabatic_prepare, staggered_start
 from .manifest import Manifest, ManifestError, bundled_names, load_manifest
-from .pauli import expectation, schwinger_hamiltonian, single_z, observable_zbar
+from .pauli import expectation, named_observable, schwinger_hamiltonian
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
 from .trotter import trotter_error
@@ -143,18 +145,15 @@ def _render(args: argparse.Namespace, stem: str, *, text, csv, json) -> bool:
 # ---------------------------------------------------------------- spectrum
 
 
-def _spectrum_observable(n_qubits: int):
-    if n_qubits == 3:
-        return "Zbar", observable_zbar()
-    if n_qubits == 2:
-        return "Z0", single_z(2, 0)
-    return "Z", single_z(1, 0)
+# the observable the spectrum table reports, by chain size
+_SPECTRUM_OBSERVABLE = {1: "Z", 2: "Z0", 3: "Zbar"}
 
 
 def _spectrum_rows(n_qubits: int, coupling: float):
     numeric = eigendecompose(schwinger_hamiltonian(n_qubits, coupling))
     closed = closed_form_spectrum(n_qubits, coupling)
-    obs_name, obs = _spectrum_observable(n_qubits)
+    obs_name = _SPECTRUM_OBSERVABLE[n_qubits]
+    obs = named_observable(obs_name, n_qubits)
     rows = []
     for i in range(closed.dim):
         rows.append(
@@ -548,17 +547,29 @@ def cmd_batch(args: argparse.Namespace) -> int:
             raise ManifestError(f"config error: no manifests found in {args.config_dir!r}")
     overrides = _run_overrides(args)
     codes = []
+    claimed: dict[str, str] = {}
     for source in sources:
-        line, code = _batch_verdict(source, overrides, args.out)
+        line, code = _batch_verdict(source, overrides, args.out, claimed)
         sys.stdout.write(f"{line}\n")
         codes.append(code)
     sys.stdout.write(f"{codes.count(EXIT_OK)}/{len(codes)} scenario(s) passed\n")
     return max(codes)
 
 
-def _batch_verdict(source: str, overrides: dict, out_dir: str | None) -> tuple[str, int]:
+def _batch_verdict(
+    source: str, overrides: dict, out_dir: str | None, claimed: dict[str, str]
+) -> tuple[str, int]:
+    """One batch line and its exit code; ``claimed`` maps each output name to its source."""
     try:
-        result = execute_manifest(_overridden(load_manifest(source), overrides))
+        manifest = load_manifest(source)
+        if out_dir is not None:
+            earlier = claimed.setdefault(manifest.name, source)
+            if earlier != source:
+                raise ValueError(
+                    f"scenario name {manifest.name!r} is taken by {earlier}, "
+                    "whose --out file it would overwrite"
+                )
+        result = execute_manifest(_overridden(manifest, overrides))
         if out_dir is not None:
             _emit(_run_json(result, True), out_dir, f"{result.manifest.name}.json")
     except _FAILURES as exc:

@@ -5,8 +5,8 @@ Each ancilla applies (I + phi U(tau)) / 2 to the register, where U is
 the time evolution over tau and phi is a unit-modulus prefactor, and
 only runs in which the ancilla reads 0 are kept. An eigencomponent at
 energy e picks up the kept-amplitude factor exp(i theta/2) cos(theta/2)
-per ancilla, with theta = arg(phi) - tau e wrapped to (-pi, pi], so
-components with theta = 0 pass untouched and the rest are damped.
+per ancilla, with theta = arg(phi) - tau e, so components with theta
+a multiple of 2 pi pass untouched and the rest are damped.
 
 The period tau comes from an energy estimate E for the wanted state:
 
@@ -49,9 +49,9 @@ from enum import Enum
 import numpy as np
 
 from .pauli import PauliSum, apply_axes, expectation, named_observable
-from .spectral import eigendecompose, evolve_exact, overlap_decomposition
+from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
-from .trotter import evolve_trotter
+from .trotter import _check_steps, evolve_trotter
 
 ZERO_ENERGY_TOL = 1e-12
 EXTINCTION_TOL = 1e-14
@@ -93,33 +93,26 @@ def choose_tau(energy: float, mode: TauMode) -> tuple[float, complex]:
 
 @dataclass(frozen=True)
 class Backend:
-    """Time-evolution strategy: exact or split-step with a step count."""
+    """Time-evolution strategy: exact, or split-step with ``steps`` sweeps."""
 
-    kind: str = "exact"
     steps: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "exact":
-            if self.steps is not None:
-                raise ValueError("exact backend takes no step count")
-        elif self.kind == "trotter":
-            if not isinstance(self.steps, int) or isinstance(self.steps, bool) or self.steps < 1:
-                raise ValueError("trotter backend needs a positive step count")
-        else:
-            raise ValueError(f"unknown backend kind {self.kind!r}")
+        if self.steps is not None:
+            _check_steps(self.steps)
 
     @classmethod
     def parse(cls, text: str) -> Backend:
         """Parse "exact" or "trotter:<steps>", the steps in plain decimal digits."""
         if not re.fullmatch(BACKEND_PATTERN, text):
             raise ValueError(f'unknown backend {text!r}, expected "exact" or "trotter:<steps>"')
-        return cls() if text == "exact" else cls("trotter", int(text.split(":", 1)[1]))
+        return cls() if text == "exact" else cls(int(text.split(":", 1)[1]))
 
     def label(self) -> str:
-        return "exact" if self.kind == "exact" else f"trotter:{self.steps}"
+        return "exact" if self.steps is None else f"trotter:{self.steps}"
 
     def evolve(self, amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray:
-        if self.kind == "exact":
+        if self.steps is None:
             return evolve_exact(amplitudes, op, tau)
         return evolve_trotter(amplitudes, op, tau, self.steps)
 
@@ -130,40 +123,19 @@ def _check_ancillas(ancillas: int) -> None:
         raise ValueError(f"ancilla count must be a positive integer, got {ancillas!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseProfile:
-    """Per-eigencomponent filter angles and input weights."""
+def keep_probability(
+    state: StateVector, op: PauliSum, tau: float, prefactor: complex, ancillas: int = 1
+) -> float:
+    """Keep probability of one round, predicted from the eigenbasis.
 
-    angles: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        angles = np.array(self.angles, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        if angles.shape != weights.shape:
-            raise ValueError("angles and weights must have matching shapes")
-        angles.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "weights", weights)
-
-    def post_selection_probability(self, ancillas: int = 1) -> float:
-        """Keep probability of one round with the given ancilla count."""
-        _check_ancillas(ancillas)
-        return float(np.sum(self.weights * np.cos(self.angles / 2.0) ** (2 * ancillas)))
-
-
-def _wrap_angle(x: np.ndarray) -> np.ndarray:
-    wrapped = (x + np.pi) % (2.0 * np.pi) - np.pi
-    return np.where(wrapped == -np.pi, np.pi, wrapped)
-
-
-def phase_profile(state: StateVector, op: PauliSum, tau: float, prefactor: complex) -> PhaseProfile:
-    """Filter angles theta_j = arg(phi) - tau e_j against the eigenbasis."""
+    Level j of weight w_j sits at filter angle theta_j = arg(phi) - tau e_j
+    and keeps cos(theta_j / 2)**2 per ancilla. That factor has period 2 pi
+    in theta, so the angle needs no wrapping.
+    """
+    _check_ancillas(ancillas)
     dec = eigendecompose(op)
-    overlap = overlap_decomposition(state, dec)
-    angles = _wrap_angle(np.angle(prefactor) - tau * dec.eigenvalues)
-    return PhaseProfile(angles, overlap.weights)
+    angles = np.angle(prefactor) - tau * dec.eigenvalues
+    return float(np.sum(overlap_weights(state, dec) * np.cos(angles / 2.0) ** (2 * ancillas)))
 
 
 def twirl_round(

@@ -68,7 +68,7 @@ def test_split_step_ramp_tracks_the_exact_ramp():
     target = schwinger_hamiltonian(3, 1.0)
     schedule = AdiabaticSchedule(total_time=5.0, steps=50)
     exact = adiabatic_prepare("101", staggered_start(3), target, schedule)
-    split = adiabatic_prepare("101", staggered_start(3), target, schedule, Backend("trotter", 4))
+    split = adiabatic_prepare("101", staggered_start(3), target, schedule, Backend(4))
     assert 1.0 - 1e-6 < exact.fidelity(split) < 1.0 - 1e-12
 
 

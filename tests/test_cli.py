@@ -525,6 +525,27 @@ def test_batch_out_naming_a_file_is_a_config_error_per_scenario(tmp_path, capsys
     assert lines[2] == "0/2 scenario(s) passed"
 
 
+def test_batch_out_refuses_a_second_scenario_of_the_same_name(tmp_path, capsys):
+    configs, out = tmp_path / "configs", tmp_path / "out"
+    configs.mkdir()
+    same = dict(VIOLATING, name="same", expected=[])
+    first = _write(configs, "a.json", same)
+    second = _write(configs, "b.json", dict(same, hamiltonian={"name": "schwinger-1q", "J": 2.0}))
+    _write(configs, "c.json", dict(same, name="other"))
+    assert main(["batch", "--config-dir", str(configs), "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "same: ok (0 target(s))",
+        f"{second}: config error: scenario name 'same' is taken by {first}, "
+        "whose --out file it would overwrite",
+        "other: ok (0 target(s))",
+        "2/3 scenario(s) passed",
+    ]
+    assert sorted(path.name for path in out.iterdir()) == ["other.json", "same.json"]
+    written = json.loads((out / "same.json").read_text(encoding="utf-8"))
+    assert written["hamiltonian"]["J"] == 1.0
+
+
 def test_run_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     target = tmp_path / "taken"
     target.write_text("", encoding="utf-8")

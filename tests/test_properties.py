@@ -17,8 +17,8 @@ from twirlsim import (
     eigendecompose,
     evolve_exact,
     expectation,
-    overlap_decomposition,
-    phase_profile,
+    keep_probability,
+    overlap_weights,
     schwinger_hamiltonian,
     twirl_round,
 )
@@ -97,7 +97,7 @@ def run_spectral_cases(cases, seed=0):
                 propagator @ state.amplitudes,
                 atol=1e-8,
             )
-        weights = overlap_decomposition(state, dec).weights
+        weights = overlap_weights(state, dec)
         assert abs(float(np.sum(weights)) - 1.0) < 1e-9
     return cases
 
@@ -112,7 +112,7 @@ def run_twirl_cases(cases, seed=0):
         op = schwinger_hamiltonian(n, float(rng.uniform(0.0, 3.0)))
         dec = eigendecompose(op)
         state = _random_state(rng, n)
-        before = overlap_decomposition(state, dec).weights
+        before = overlap_weights(state, dec)
         candidates = [
             j
             for j in range(dec.dim)
@@ -124,11 +124,11 @@ def run_twirl_cases(cases, seed=0):
         mode = TauMode.QUARTER if rng.random() < 0.5 else TauMode.FULL
         tau, prefactor = choose_tau(float(dec.eigenvalues[target]), mode)
         posterior, p = twirl_round(state, op, tau, prefactor)
-        predicted = phase_profile(state, op, tau, prefactor).post_selection_probability()
+        predicted = keep_probability(state, op, tau, prefactor)
         assert abs(p - predicted) < 1e-10
         assert 0.0 < p <= 1.0 + 1e-12
         assert abs(np.linalg.norm(posterior.amplitudes) - 1.0) < 1e-10
-        after = overlap_decomposition(posterior, dec).weights
+        after = overlap_weights(posterior, dec)
         # the aimed-at component sits at filter angle zero, so its weight
         # can only be renormalized upward
         assert after[target] >= before[target] - 1e-12
@@ -164,9 +164,11 @@ def test_runner_inputs_are_reproducible():
 
 
 def test_quarter_round_angle_is_exact_at_target():
-    # sanity for the invariant used above: aiming at a level zeroes its angle
+    # sanity for the invariant used above: aiming at a level zeroes its
+    # angle, so that level alone keeps everything, on any ancilla count
     op = schwinger_hamiltonian(2, 1.3)
     dec = eigendecompose(op)
     tau, prefactor = choose_tau(float(dec.eigenvalues[0]), TauMode.QUARTER)
-    profile = phase_profile(dec.eigenstate(0), op, tau, prefactor)
-    assert profile.angles[0] == pytest.approx(0.0, abs=1e-12)
+    for ancillas in (1, 4):
+        kept = keep_probability(dec.eigenstate(0), op, tau, prefactor, ancillas)
+        assert kept == pytest.approx(1.0, abs=1e-12)

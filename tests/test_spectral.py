@@ -14,7 +14,7 @@ from twirlsim import (
     closed_form_spectrum,
     eigendecompose,
     evolve_exact,
-    overlap_decomposition,
+    overlap_weights,
     schwinger_hamiltonian,
     spectral,
 )
@@ -140,6 +140,8 @@ def test_numeric_matches_closed_form_projectors():
         for j in (0.0, 0.5, 1.0, 2.0, 3.7):
             numeric = eigendecompose(schwinger_hamiltonian(n, j))
             closed = closed_form_spectrum(n, j)
+            gram = closed.eigenvectors.conj().T @ closed.eigenvectors
+            np.testing.assert_allclose(gram, np.eye(closed.dim), atol=1e-12)
             np.testing.assert_allclose(
                 numeric.eigenvalues, closed.eigenvalues, atol=1e-10
             )
@@ -209,9 +211,6 @@ def test_chained_near_degenerate_levels_decompose():
     assert dec.eigenvalues.tobytes() == values.tobytes()
     assert dec.eigenvectors.tobytes() == vectors.tobytes()
     np.testing.assert_allclose(dec.eigenvalues, [1.35e-8, -0.45e-8, 0.45e-8, -1.35e-8], rtol=1e-9)
-    # a level across a real gap still may not come first
-    with pytest.raises(ValueError, match="ascending"):
-        SpectralDecomposition(np.array([1.35e-8, -0.45e-8, 0.45e-8, -1.0]), np.eye(4))
 
 
 def test_canonical_basis_on_a_stack_matches_each_slice():
@@ -309,13 +308,15 @@ def test_overlap_weights_for_basis_101():
     j = 1.0
     c = math.sqrt(3.0)
     dec = eigendecompose(schwinger_hamiltonian(3, j))
-    result = overlap_decomposition(StateVector.basis("101"), dec)
+    weights = overlap_weights(StateVector.basis("101"), dec)
     w_ground = (j + c) ** 2 / (2.0 + (j + c) ** 2)
     w_upper = (c - j) ** 2 / (2.0 + (c - j) ** 2)
-    assert abs(result.weights[0] - w_ground) < 1e-10
-    assert abs(result.weights[5] - w_upper) < 1e-10
-    assert abs(float(np.sum(result.weights)) - 1.0) < 1e-9
-    assert np.argmax(result.weights) == 0
+    assert abs(weights[0] - w_ground) < 1e-10
+    assert abs(weights[5] - w_upper) < 1e-10
+    assert abs(float(np.sum(weights)) - 1.0) < 1e-9
+    assert np.argmax(weights) == 0
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
 
 
 def test_overlap_accepts_every_state_within_the_norm_tolerance():
@@ -323,14 +324,14 @@ def test_overlap_accepts_every_state_within_the_norm_tolerance():
     amplitudes = np.zeros(8, dtype=complex)
     amplitudes[5] = 1.0 + 8e-10
     state = StateVector(3, amplitudes)
-    result = overlap_decomposition(state, eigendecompose(schwinger_hamiltonian(3, 1.0)))
-    assert float(np.sum(result.weights)) == pytest.approx(1.0 + 1.6e-9, abs=1e-12)
+    weights = overlap_weights(state, eigendecompose(schwinger_hamiltonian(3, 1.0)))
+    assert float(np.sum(weights)) == pytest.approx(1.0 + 1.6e-9, abs=1e-12)
 
 
 def test_overlap_register_mismatch():
     dec = eigendecompose(schwinger_hamiltonian(2, 1.0))
     with pytest.raises(ValueError, match="different registers"):
-        overlap_decomposition(StateVector.basis("0"), dec)
+        overlap_weights(StateVector.basis("0"), dec)
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +341,20 @@ def test_overlap_register_mismatch():
 def test_decomposition_rejects_bad_shapes():
     with pytest.raises(ValueError, match="square"):
         SpectralDecomposition(np.array([0.0, 1.0]), np.eye(3))
-    with pytest.raises(ValueError, match="ascending"):
-        SpectralDecomposition(np.array([1.0, 0.0]), np.eye(2))
-    skewed = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="orthonormal"):
-        SpectralDecomposition(np.array([0.0, 1.0]), skewed)
+    with pytest.raises(ValueError, match="power of two"):
+        SpectralDecomposition(np.zeros(3), np.eye(3))
+    with pytest.raises(ValueError, match="power of two"):
+        SpectralDecomposition(np.zeros(1), np.eye(1))
 
 
 def test_decomposition_arrays_are_read_only():
-    dec = eigendecompose(schwinger_hamiltonian(1, 1.0))
-    with pytest.raises(ValueError):
-        dec.eigenvalues[0] = 99.0
-    with pytest.raises(ValueError):
-        dec.eigenvectors[0, 0] = 99.0
+    for dec in (eigendecompose(schwinger_hamiltonian(1, 1.0)), closed_form_spectrum(2, 0.5)):
+        with pytest.raises(ValueError):
+            dec.eigenvalues[0] = 99.0
+        with pytest.raises(ValueError):
+            dec.eigenvectors[0, 0] = 99.0
+    # the constructor freezes the arrays it is given instead of copying them
+    values, vectors = spectral._canonical_eigh(dense_matrix(schwinger_hamiltonian(2, 1.0)))
+    dec = SpectralDecomposition(values, vectors)
+    assert dec.eigenvalues is values and dec.eigenvectors is vectors
+    assert not values.flags.writeable and not vectors.flags.writeable

@@ -1,5 +1,6 @@
 """Tests for the filtering rounds and the protocol driver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from twirlsim import (
     Backend,
     PauliSum,
     PauliTerm,
-    PhaseProfile,
     PostSelectionError,
     RoundSpec,
     TauMode,
@@ -21,7 +21,7 @@ from twirlsim import (
     eigendecompose,
     evolve_trotter,
     expectation,
-    phase_profile,
+    keep_probability,
     run_protocol,
     schwinger_hamiltonian,
     staggered_start,
@@ -62,33 +62,45 @@ def test_choose_tau_rejects_zero_and_junk():
 
 
 # ---------------------------------------------------------------------------
-# phase profiles
+# predicted keep probability
 
 
-def test_phase_profile_on_flat_superposition():
-    # J=0 chain has levels -1 and +1; |0> splits evenly between them
+def test_keep_probability_on_flat_superposition():
+    # J=0 chain has levels -1 and +1; |0> splits evenly between them, and
+    # tau = pi/2 with phi = i puts them at angles pi (blocked) and 0 (passed)
     op = schwinger_hamiltonian(1, 0.0)
-    profile = phase_profile(StateVector.basis("0"), op, math.pi / 2.0, 1.0j)
-    np.testing.assert_allclose(profile.angles, [math.pi, 0.0], atol=1e-12)
-    np.testing.assert_allclose(profile.weights, [0.5, 0.5], atol=1e-12)
-    assert profile.post_selection_probability() == pytest.approx(0.5)
-    assert profile.post_selection_probability(3) == pytest.approx(0.5)
-
-
-def test_phase_wrap_lands_on_positive_pi():
-    # raw angle -pi must wrap to +pi, not stay on the open edge
-    op = schwinger_hamiltonian(1, 0.0)
-    profile = phase_profile(StateVector.basis("0"), op, math.pi, 1.0 + 0.0j)
-    np.testing.assert_allclose(profile.angles, [math.pi, math.pi], atol=1e-12)
-    assert profile.post_selection_probability() == pytest.approx(0.0, abs=1e-15)
-
-
-def test_phase_profile_validation():
-    with pytest.raises(ValueError, match="matching shapes"):
-        PhaseProfile(np.array([0.0, 1.0]), np.array([1.0]))
-    profile = PhaseProfile(np.array([0.0]), np.array([1.0]))
+    state = StateVector.basis("0")
+    assert keep_probability(state, op, math.pi / 2.0, 1.0j) == pytest.approx(0.5)
+    assert keep_probability(state, op, math.pi / 2.0, 1.0j, ancillas=3) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="positive"):
-        profile.post_selection_probability(0)
+        keep_probability(state, op, math.pi / 2.0, 1.0j, ancillas=0)
+
+
+def test_keep_probability_at_theta_pi():
+    # tau = pi with phi = 1 puts the levels at theta = +pi and -pi: both blocked
+    op = schwinger_hamiltonian(1, 0.0)
+    assert keep_probability(StateVector.basis("0"), op, math.pi, 1.0 + 0.0j) == pytest.approx(
+        0.0, abs=1e-15
+    )
+
+
+@pytest.mark.parametrize("tau", [1000.3, -7.5e4])
+def test_keep_probability_at_large_angles(tau):
+    # tau * e far beyond 2 pi, against the unwrapped formula of acceptance
+    # criterion 02 and against the round itself
+    op = schwinger_hamiltonian(1, 1.0)
+    state = StateVector.basis("0")
+    w_minus = 1.0 / (1.0 + (1.0 + ROOT2) ** 2)
+    theta_plus = math.pi / 2.0 - tau * ROOT2
+    theta_minus = math.pi / 2.0 + tau * ROOT2
+    for ancillas in (1, 2):
+        oracle = (1.0 - w_minus) * math.cos(theta_plus / 2.0) ** (2 * ancillas) + (
+            w_minus * math.cos(theta_minus / 2.0) ** (2 * ancillas)
+        )
+        predicted = keep_probability(state, op, tau, 1.0j, ancillas)
+        assert abs(predicted - oracle) < 1e-10
+        _, p = twirl_round(state, op, tau, 1.0j, ancillas)
+        assert abs(predicted - p) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +116,7 @@ def test_eigenstate_is_a_fixed_point():
     np.testing.assert_allclose(posterior.amplitudes, ground.amplitudes, atol=1e-10)
 
 
-def test_keep_probability_matches_phase_profile():
+def test_keep_probability_matches_twirl_round():
     op = schwinger_hamiltonian(3, 1.0)
     state = StateVector.basis("101")
     energy = expectation(state, op)
@@ -112,7 +124,7 @@ def test_keep_probability_matches_phase_profile():
     tau, prefactor = choose_tau(energy, TauMode.QUARTER)
     for ancillas in (1, 2, 4):
         _, p = twirl_round(state, op, tau, prefactor, ancillas=ancillas)
-        predicted = phase_profile(state, op, tau, prefactor).post_selection_probability(ancillas)
+        predicted = keep_probability(state, op, tau, prefactor, ancillas)
         assert p == pytest.approx(predicted, abs=1e-10)
 
 
@@ -201,7 +213,7 @@ def test_rounds_match_state_per_ancilla_oracle(seed):
         prefactor = 1.0j if rng.random() < 0.5 else 1.0 + 0.0j
         ancillas = int(rng.integers(1, 6))
         steps = None if rng.random() < 0.5 else int(rng.integers(1, 9))
-        backend = Backend() if steps is None else Backend("trotter", steps)
+        backend = Backend(steps)
         expected, p_expected = _oracle_round(state, op, tau, prefactor, ancillas, steps)
         posterior, p = twirl_round(state, op, tau, prefactor, ancillas, backend)
         assert posterior.amplitudes.tobytes() == expected.amplitudes.tobytes()
@@ -210,7 +222,7 @@ def test_rounds_match_state_per_ancilla_oracle(seed):
         op = schwinger_hamiltonian(n_qubits, 1.0)
         state = StateVector.basis(("10" * n_qubits)[:n_qubits])
         for steps in (None, 16):
-            backend = Backend() if steps is None else Backend("trotter", steps)
+            backend = Backend(steps)
             for prefactor, tau in ((1.0j, -0.75), (1.0 + 0.0j, 2.5)):
                 expected, p_expected = _oracle_round(state, op, tau, prefactor, 4, steps)
                 posterior, p = twirl_round(state, op, tau, prefactor, 4, backend)
@@ -238,7 +250,7 @@ def test_split_step_ramp_matches_state_per_slice_oracle(seed):
             s = (k + 0.5) / schedule.steps
             amps = _oracle_sweep(expected.amplitudes, (1.0 - s) * start + s * target, dt, steps)
             expected = StateVector(expected.n_qubits, amps)
-        prepared = adiabatic_prepare(initial, start, target, schedule, Backend("trotter", steps))
+        prepared = adiabatic_prepare(initial, start, target, schedule, Backend(steps))
         assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
@@ -248,17 +260,17 @@ def test_split_step_ramp_matches_state_per_slice_oracle(seed):
 
 def test_backend_parse_and_label():
     assert Backend.parse("exact") == Backend()
-    assert Backend.parse("trotter:64") == Backend("trotter", 64)
+    assert Backend.parse("trotter:64") == Backend(64)
     assert Backend.parse("trotter:64").label() == "trotter:64"
     assert Backend().label() == "exact"
     with pytest.raises(ValueError, match="unknown backend"):
         Backend.parse("trotter:lots")
     with pytest.raises(ValueError, match="unknown backend"):
         Backend.parse("magic")
-    with pytest.raises(ValueError, match="no step count"):
-        Backend("exact", 5)
-    with pytest.raises(ValueError, match="positive step count"):
-        Backend("trotter", 0)
+    with pytest.raises(ValueError, match="positive integer"):
+        Backend(0)
+    # the step count alone says which route: None is exact
+    assert [field.name for field in dataclasses.fields(Backend)] == ["steps"]
 
 
 def test_round_spec_validation():
@@ -286,14 +298,16 @@ def test_config_validation():
     "build",
     [
         lambda: TwirlConfig(rounds=(RoundSpec(TauMode.QUARTER),), shots=True),
-        lambda: Backend("trotter", True),
+        lambda: Backend(True),
         lambda: RoundSpec(TauMode.QUARTER, ancillas=True),
         lambda: twirl_round(StateVector.basis("0"), schwinger_hamiltonian(1, 1.0), 1.0, 1.0j,
                             ancillas=True),
         lambda: twirl_round(StateVector.basis("0"), schwinger_hamiltonian(1, 1.0), 1.0, 1.0j,
                             ancillas=2.0),
-        lambda: PhaseProfile([0.5], [1.0]).post_selection_probability(True),
-        lambda: PhaseProfile([0.5], [1.0]).post_selection_probability(1.5),
+        lambda: keep_probability(StateVector.basis("0"), schwinger_hamiltonian(1, 1.0), 1.0, 1.0j,
+                                 ancillas=True),
+        lambda: keep_probability(StateVector.basis("0"), schwinger_hamiltonian(1, 1.0), 1.0, 1.0j,
+                                 ancillas=1.5),
         lambda: AdiabaticSchedule(steps=True),
         lambda: evolve_trotter(StateVector.basis("0").amplitudes, schwinger_hamiltonian(1, 1.0),
                                1.0, True),
@@ -389,7 +403,7 @@ def test_trotter_backend_tracks_exact_at_high_steps():
     op = schwinger_hamiltonian(1, 1.0)
     rounds = (RoundSpec(TauMode.QUARTER),) * 2
     exact = run_protocol("0", op, TwirlConfig(rounds=rounds))
-    split = run_protocol("0", op, TwirlConfig(rounds=rounds, backend=Backend("trotter", 1024)))
+    split = run_protocol("0", op, TwirlConfig(rounds=rounds, backend=Backend(1024)))
     assert split[-1].expectations["H"] == pytest.approx(exact[-1].expectations["H"], abs=1e-6)
     assert split[-1].p_cumulative == pytest.approx(exact[-1].p_cumulative, abs=1e-6)
 
