@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from twirlsim import (
+    Backend,
     PauliSum,
     PauliTerm,
     StateVector,
@@ -91,28 +92,96 @@ def _textbook_sweep(amplitudes, op, tau, steps):
     return amps
 
 
+def _random_axes(rng, n_qubits, alphabet="IXYZ"):
+    return "".join(rng.choice(list(alphabet), n_qubits))
+
+
+def _chain_sum(rng, n_qubits):
+    """The benchmark chain: XX+YY hopping on each bond, then a staggered Z field."""
+    terms = []
+    for q in range(n_qubits - 1):
+        hop = float(rng.uniform(0.5, 1.0))
+        terms += [PauliTerm(hop, "I" * q + 2 * axis + "I" * (n_qubits - q - 2)) for axis in "XY"]
+    for q in range(n_qubits):
+        field = (-1) ** q * float(rng.uniform(0.5, 1.5))
+        terms.append(PauliTerm(field, "I" * q + "Z" + "I" * (n_qubits - q - 1)))
+    return PauliSum(n_qubits, tuple(terms))
+
+
+def _mixed_sum(rng, n_qubits):
+    """Diagonal (I/Z) strings interleaved with strings holding at least one X or Y."""
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        terms.append(PauliTerm(float(rng.normal()), _random_axes(rng, n_qubits, "IZ")))
+        flip = list(_random_axes(rng, n_qubits))
+        flip[rng.integers(n_qubits)] = str(rng.choice(list("XY")))
+        terms.append(PauliTerm(float(rng.normal()), "".join(flip)))
+    return PauliSum(n_qubits, tuple(terms))
+
+
+def _sweep_cases(rng):
+    """(op, amplitudes, tau, steps): random strings, then each shape the sweep branches on."""
+    ops = []
+    for _ in range(300):
+        n_qubits = int(rng.integers(1, 9))
+        terms = tuple(
+            PauliTerm(float(rng.normal()), _random_axes(rng, n_qubits))
+            for _ in range(int(rng.integers(1, 7)))
+        )
+        ops.append(PauliSum(n_qubits, terms))
+    for _ in range(60):
+        # every rotation diagonal
+        n_qubits = int(rng.integers(1, 9))
+        terms = tuple(
+            PauliTerm(float(rng.normal()), _random_axes(rng, n_qubits, "IZ"))
+            for _ in range(int(rng.integers(1, 7)))
+        )
+        ops.append(PauliSum(n_qubits, terms))
+    ops += [_mixed_sum(rng, int(rng.integers(1, 9))) for _ in range(60)]
+    ops += [_chain_sum(rng, n_qubits) for n_qubits in (8, 10) for _ in range(3)]
+    for case, op in enumerate(ops):
+        dim = 2**op.n_qubits
+        if case % 2:
+            amps = rng.normal(size=dim) + 1.0j * rng.normal(size=dim)
+            amps /= np.linalg.norm(amps)
+        else:
+            amps = np.zeros(dim, dtype=complex)
+            amps[rng.integers(dim)] = 1.0
+        yield op, amps, float(rng.uniform(-100.0, 100.0)), int(rng.integers(1, 33))
+
+
 def test_sweep_matches_textbook_rotations():
     """Split-step evolution equals the per-term textbook formula value for value.
 
     Values, not ``tobytes``: an exact zero amplitude may come out as -0.0
     on one side and 0.0 on the other, and nothing downstream reads its sign.
     """
-    rng = np.random.default_rng(11)
-    for case in range(300):
-        n_qubits = int(rng.integers(1, 9))
-        terms = tuple(
-            PauliTerm(float(rng.normal()), "".join(rng.choice(list("IXYZ"), n_qubits)))
-            for _ in range(int(rng.integers(1, 7)))
-        )
-        op = PauliSum(n_qubits, terms)
-        if case % 2:
-            amps = rng.normal(size=2**n_qubits) + 1.0j * rng.normal(size=2**n_qubits)
-            amps /= np.linalg.norm(amps)
-        else:
-            amps = np.zeros(2**n_qubits, dtype=complex)
-            amps[rng.integers(2**n_qubits)] = 1.0
-        tau = float(rng.uniform(-100.0, 100.0))
-        steps = int(rng.integers(1, 33))
+    for case, (op, amps, tau, steps) in enumerate(_sweep_cases(np.random.default_rng(11))):
         got = evolve_trotter(amps, op, tau, steps)
         want = _textbook_sweep(amps, op, tau, steps)
         assert np.array_equal(got, want), (case, op, tau, steps)
+
+
+def test_sweep_leaves_its_input_alone():
+    """The result is a fresh array; a read-only or writable input is never written."""
+    rng = np.random.default_rng(5)
+    op = _chain_sum(rng, 8)
+    diagonal = PauliSum(3, (PauliTerm(0.4, "ZIZ"), PauliTerm(-1.1, "IZI")))
+    frozen = StateVector.basis("10010110").amplitudes
+    assert not frozen.flags.writeable
+    got = evolve_trotter(frozen, op, 0.7, 4)
+    assert not np.shares_memory(got, frozen)
+    assert np.array_equal(frozen, StateVector.basis("10010110").amplitudes)
+    for case_op in (op, diagonal):
+        dim = 2**case_op.n_qubits
+        writable = rng.normal(size=dim) + 1.0j * rng.normal(size=dim)
+        writable /= np.linalg.norm(writable)
+        before = writable.copy()
+        got = evolve_trotter(writable, case_op, 0.7, 4)
+        assert np.array_equal(writable, before)
+        assert not np.shares_memory(got, writable)
+        first = Backend(16).evolve(writable, case_op, 1.3)
+        second = Backend(16).evolve(writable, case_op, 1.3)
+        assert np.array_equal(first, second)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(writable, before)
