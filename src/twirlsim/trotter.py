@@ -7,12 +7,21 @@ full-interval error O(tau^2 / steps^2).
 
 The sweep is compiled once per call. With ``(P v)[b] = phase[b] * v[source[b]]``
 each rotation is ``cos(angle) * v - factor * v[source]`` with
-``factor = 1j * sin(angle) * phase``: one gather, two scalings and one
-subtraction. It rounds like the textbook
-``cos(angle) * v - 1j * sin(angle) * (P v)``. Each phase is one of 1, i, -1
-and -i, so each component of ``factor`` is exactly +-sin(angle) or +-0, and
-every nonzero product rounds once, as it does there; only the sign of an
-exact zero amplitude can differ.
+``factor = 1j * sin(angle) * phase``. The input is copied once, into the
+array the sweep then updates in place, next to one scratch buffer of the
+same length; both are allocated once per call. Each rotation is three ufunc
+calls into them: ``factor * v[source]`` into the scratch buffer, ``v * cos``
+into ``v``, and ``v - scratch`` into ``v``. A diagonal term (no X or Y) has
+the identity as its ``source``, so it multiplies ``v`` directly and skips
+the gather; the gather of the other terms is the one array a rotation
+allocates, since ``take`` into a second buffer measured slower. ``cos`` is
+kept as a complex scalar, so numpy converts no Python float per call.
+
+Every product and difference is the IEEE operation of the textbook
+``cos(angle) * v - 1j * sin(angle) * (P v)``, so the values are its values.
+Each phase is one of 1, i, -1 and -i, so each component of ``factor`` is
+exactly +-sin(angle) or +-0, and every nonzero product rounds once, as it
+does there; only the sign of an exact zero amplitude can differ.
 """
 
 from __future__ import annotations
@@ -43,12 +52,18 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
         # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
         angle = term.coeff * dt / 2.0
         source, phase = _compiled(term.axes)
-        rotations.append((math.cos(angle), source, 1.0j * math.sin(angle) * phase))
+        cos = np.complex128(math.cos(angle))
+        if not any(axis in "XY" for axis in term.axes):
+            source = None  # diagonal: P v = phase * v, no gather
+        rotations.append((cos, source, 1.0j * math.sin(angle) * phase))
     sweep = rotations + rotations[::-1]
-    amps = np.asarray(amplitudes, dtype=complex)
+    amps = np.array(amplitudes, dtype=complex)
+    scratch = np.empty_like(amps)
     for _ in range(steps):
         for cos, source, factor in sweep:
-            amps = cos * amps - factor * amps[source]
+            np.multiply(factor, amps if source is None else amps[source], out=scratch)
+            np.multiply(amps, cos, out=amps)
+            np.subtract(amps, scratch, out=amps)
     return amps
 
 
