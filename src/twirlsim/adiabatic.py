@@ -18,12 +18,11 @@ The split-step backend evolves the frozen ``PauliSum`` of each slice.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, _compiled, _scatter
+from .pauli import PauliSum, PauliTerm, _compiled, _is_finite_real, _scatter
 from .spectral import _canonical_eigh, _propagate
 from .state import StateVector
 from .trotter import _check_steps
@@ -41,8 +40,10 @@ class AdiabaticSchedule:
     steps: int = 400
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.total_time) or self.total_time <= 0:
-            raise ValueError(f"total time must be positive, got {self.total_time!r}")
+        if not _is_finite_real(self.total_time) or self.total_time <= 0:
+            raise ValueError(
+                f"total time must be a positive finite real number, got {self.total_time!r}"
+            )
         _check_steps(self.steps)
 
 

@@ -22,6 +22,7 @@ cap defaults to 12 qubits and can be overridden through the
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -35,6 +36,16 @@ AXES = "IXYZ"
 
 DENSE_LIMIT_ENV = "TWIRL_DENSE_LIMIT"
 DENSE_LIMIT_DEFAULT = 12
+
+
+def _is_finite_real(value: object) -> bool:
+    """Times, energies, couplings and coefficients: finite reals, never a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _check_real(value: object, what: str) -> None:
+    if not _is_finite_real(value):
+        raise ValueError(f"{what} {value!r} must be a finite real number")
 
 
 def dense_limit() -> int:
@@ -59,8 +70,7 @@ class PauliTerm:
     axes: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.coeff, (int, float)) or not math.isfinite(self.coeff):
-            raise ValueError(f"coefficient {self.coeff!r} must be a finite real number")
+        _check_real(self.coeff, "coefficient")
         object.__setattr__(self, "coeff", float(self.coeff))
         if not self.axes or any(c not in AXES for c in self.axes):
             raise ValueError(f"axes {self.axes!r} must be a nonempty string over {AXES!r}")
@@ -214,8 +224,7 @@ def schwinger_hamiltonian(n_qubits: int, coupling: float) -> PauliSum:
     must be a finite non-negative real; the bundled scenarios use J in
     [0, 4].
     """
-    if not isinstance(coupling, (int, float)) or not math.isfinite(coupling):
-        raise ValueError(f"coupling {coupling!r} must be a finite real number")
+    _check_real(coupling, "coupling")
     if coupling < 0:
         raise ValueError(f"coupling must be non-negative, got {coupling!r}")
     j = float(coupling)

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliSum, dense_matrix, schwinger_hamiltonian
+from .pauli import PauliSum, _check_real, dense_matrix, schwinger_hamiltonian
 from .state import StateVector
 
 DEGENERACY_TOL = 1e-8
@@ -191,8 +191,7 @@ def evolve_exact(amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray
     """Amplitudes after exp(-i tau op), through the cached eigensystem."""
     if np.shape(amplitudes) != (2**op.n_qubits,):
         raise ValueError("amplitudes and operator act on different registers")
-    if not math.isfinite(tau):
-        raise ValueError(f"evolution time {tau!r} must be finite")
+    _check_real(tau, "evolution time")
     dec = _eigensystem(op)
     return _propagate(amplitudes, dec.eigenvalues, dec.eigenvectors, tau)
 

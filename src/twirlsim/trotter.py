@@ -31,7 +31,7 @@ from functools import reduce
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, _compiled, dense_matrix
+from .pauli import PauliSum, PauliTerm, _check_real, _compiled, dense_matrix
 
 
 def _check_steps(steps: int) -> None:
@@ -44,8 +44,7 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
     _check_steps(steps)
     if np.shape(amplitudes) != (2**op.n_qubits,):
         raise ValueError("amplitudes and operator act on different registers")
-    if not math.isfinite(tau):
-        raise ValueError(f"evolution time {tau!r} must be finite")
+    _check_real(tau, "evolution time")
     dt = tau / steps
     rotations = []
     for term in op.terms:
@@ -70,8 +69,7 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
 def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
     """Operator-norm distance between the split-step and exact propagators."""
     _check_steps(steps)
-    if not math.isfinite(tau):
-        raise ValueError(f"evolution time {tau!r} must be finite")
+    _check_real(tau, "evolution time")
     matrix = dense_matrix(op)
     values, vectors = np.linalg.eigh(matrix)
     exact = (vectors * np.exp(-1.0j * tau * values)) @ vectors.conj().T

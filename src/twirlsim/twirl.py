@@ -48,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .pauli import PauliSum, apply_axes, expectation, named_observable
+from .pauli import PauliSum, _check_real, apply_axes, expectation, named_observable
 from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
 from .trotter import _check_steps, evolve_trotter
@@ -77,8 +77,7 @@ class TauMode(Enum):
 
 def choose_tau(energy: float, mode: TauMode) -> tuple[float, complex]:
     """Period and prefactor for one filtering round at energy E."""
-    if not isinstance(energy, (int, float)) or not math.isfinite(energy):
-        raise ValueError(f"energy estimate {energy!r} must be a finite real number")
+    _check_real(energy, "energy estimate")
     if abs(energy) < ZERO_ENERGY_TOL:
         raise ZeroEnergyError(
             "energy estimate is zero within tolerance; a zero-energy target "
@@ -176,8 +175,8 @@ class RoundSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.mode, TauMode):
             raise ValueError(f"mode must be a TauMode, got {self.mode!r}")
-        if self.energy_override is not None and not math.isfinite(self.energy_override):
-            raise ValueError(f"energy override {self.energy_override!r} must be finite")
+        if self.energy_override is not None:
+            _check_real(self.energy_override, "energy override")
         _check_ancillas(self.ancillas)
 
 

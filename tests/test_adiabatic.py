@@ -36,6 +36,10 @@ def test_schedule_validation():
         AdiabaticSchedule(total_time=0.0)
     with pytest.raises(ValueError, match="positive"):
         AdiabaticSchedule(total_time=float("inf"))
+    for total_time in (True, "1", 1j):
+        with pytest.raises(ValueError, match=f"positive finite real number, got {total_time!r}"):
+            AdiabaticSchedule(total_time=total_time)
+    assert AdiabaticSchedule(total_time=np.float32(2.5)).total_time == 2.5
     with pytest.raises(ValueError, match="positive integer"):
         AdiabaticSchedule(steps=0)
 

@@ -69,9 +69,9 @@ def test_unsupported_system_size_rejected():
         schwinger_hamiltonian(4, 1.0)
 
 
-@pytest.mark.parametrize("coupling", [-0.1, float("nan"), float("inf")])
+@pytest.mark.parametrize("coupling", [-0.1, float("nan"), float("inf"), True, "1", 1j])
 def test_bad_coupling_rejected(coupling):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"coupling.*{coupling!r}"):
         schwinger_hamiltonian(1, coupling)
 
 
@@ -162,6 +162,10 @@ def test_json_round_trip_preserves_order_and_values():
 def test_term_validation():
     with pytest.raises(ValueError, match="finite"):
         PauliTerm(float("nan"), "X")
+    for coeff in (True, "1", 1j):
+        with pytest.raises(ValueError, match=f"coefficient {coeff!r} must be a finite real number"):
+            PauliTerm(coeff, "Z")
+    assert PauliTerm(np.float32(0.5), "Z") == PauliTerm(0.5, "Z")
     with pytest.raises(ValueError, match="axes"):
         PauliTerm(1.0, "XQ")
     with pytest.raises(ValueError, match="axes"):

@@ -295,6 +295,11 @@ def test_evolution_validation():
         evolve_exact(StateVector.basis("0").amplitudes, op, 0.1)
     with pytest.raises(ValueError, match="finite"):
         evolve_exact(StateVector.basis("01").amplitudes, op, float("nan"))
+    state = StateVector.basis("01").amplitudes
+    for tau in (True, "1", 1j):
+        with pytest.raises(ValueError, match=f"time {tau!r} must be a finite real number"):
+            evolve_exact(state, op, tau)
+    assert np.array_equal(evolve_exact(state, op, np.float32(0.5)), evolve_exact(state, op, 0.5))
 
 
 # ---------------------------------------------------------------------------

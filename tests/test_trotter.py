@@ -79,6 +79,15 @@ def test_plan_and_argument_validation():
         trotter_error(op, float("nan"), 4)
     with pytest.raises(ValueError, match="different registers"):
         evolve_trotter(StateVector.basis("00").amplitudes, op, 1.0, 4)
+    # a time is a real number: not a bool, a string or a complex
+    for tau in (True, "1", 1j):
+        with pytest.raises(ValueError, match=f"time {tau!r} must be a finite real number"):
+            evolve_trotter(state, op, tau, 4)
+        with pytest.raises(ValueError, match=f"time {tau!r} must be a finite real number"):
+            trotter_error(op, tau, 4)
+    for tau in (np.float64(0.7), np.float32(0.5), 2):
+        want = evolve_trotter(state, op, float(tau), 4)
+        assert np.array_equal(evolve_trotter(state, op, tau, 4), want)
 
 
 def _textbook_sweep(amplitudes, op, tau, steps):

@@ -59,6 +59,10 @@ def test_choose_tau_rejects_zero_and_junk():
         choose_tau(float("nan"), TauMode.QUARTER)
     with pytest.raises(ValueError, match="finite"):
         choose_tau("2", TauMode.QUARTER)
+    for energy in (True, 1j):
+        with pytest.raises(ValueError, match=f"estimate {energy!r} must be a finite real number"):
+            choose_tau(energy, TauMode.QUARTER)
+    assert choose_tau(np.float64(2.0), TauMode.QUARTER) == choose_tau(2.0, TauMode.QUARTER)
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +282,10 @@ def test_round_spec_validation():
         RoundSpec("quarter")
     with pytest.raises(ValueError, match="finite"):
         RoundSpec(TauMode.FULL, energy_override=float("inf"))
+    for energy in (True, "1", 1j):
+        with pytest.raises(ValueError, match=f"override {energy!r} must be a finite real number"):
+            RoundSpec(TauMode.FULL, energy_override=energy)
+    assert RoundSpec(TauMode.FULL, energy_override=np.float64(0.5)).energy_override == 0.5
     with pytest.raises(ValueError, match="positive integer"):
         RoundSpec(TauMode.QUARTER, ancillas=0)
 
