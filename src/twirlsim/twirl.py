@@ -131,6 +131,7 @@ def keep_probability(
     and keeps cos(theta_j / 2)**2 per ancilla. That factor has period 2 pi
     in theta, so the angle needs no wrapping.
     """
+    _check_real(tau, "evolution time")
     _check_ancillas(ancillas)
     dec = eigendecompose(op)
     angles = np.angle(prefactor) - tau * dec.eigenvalues

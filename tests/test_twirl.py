@@ -78,6 +78,9 @@ def test_keep_probability_on_flat_superposition():
     assert keep_probability(state, op, math.pi / 2.0, 1.0j, ancillas=3) == pytest.approx(0.5)
     with pytest.raises(ValueError, match="positive"):
         keep_probability(state, op, math.pi / 2.0, 1.0j, ancillas=0)
+    for tau in (True, "1", 1j, float("nan")):
+        with pytest.raises(ValueError, match=f"time {tau!r} must be a finite real number"):
+            keep_probability(state, op, tau, 1.0j)
 
 
 def test_keep_probability_at_theta_pi():
