@@ -58,11 +58,13 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
     sweep = rotations + rotations[::-1]
     amps = np.array(amplitudes, dtype=complex)
     scratch = np.empty_like(amps)
+    # local names spare three module attribute lookups per rotation
+    multiply, subtract = np.multiply, np.subtract
     for _ in range(steps):
         for cos, source, factor in sweep:
-            np.multiply(factor, amps if source is None else amps[source], out=scratch)
-            np.multiply(amps, cos, out=amps)
-            np.subtract(amps, scratch, out=amps)
+            multiply(factor, amps if source is None else amps[source], out=scratch)
+            multiply(amps, cos, out=amps)
+            subtract(amps, scratch, out=amps)
     return amps
 
 
