@@ -37,8 +37,8 @@ DENSE_LIMIT_ENV = "TWIRL_DENSE_LIMIT"
 DENSE_LIMIT_DEFAULT = 12
 
 
-# Concrete types, not numbers.Real: the ABC check costs about 0.4 us more per
-# float, and PauliTerm and every evolve run this rule.
+# Concrete types, not numbers.Real: the ABC check is several times slower per
+# float, and every PauliTerm and every evolve runs this rule.
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
