@@ -24,7 +24,7 @@ from twirlsim import (
 )
 from twirlsim.pauli import single_z
 from twirlsim.state import StateVector
-from twirlsim.twirl import resolve_observables
+from twirlsim.twirl import _draw, resolve_observables
 
 
 def _config(**overrides):
@@ -196,22 +196,64 @@ def test_numpy_integer_coordinates_draw_like_ints():
     assert got == stream_starts(2**62 + 5, [7], [3, 2**40])
 
 
-@pytest.mark.parametrize("noisy_energy", [False, True], ids=["exact-energy", "noisy-energy"])
-@pytest.mark.parametrize("seed, shots", [(0, 1000), (2**64 + 3, 10**6)])
+def test_fixed_outcome_draws_match_numpy_streams():
+    # p of 0 or 1 fixes the outcome whatever the stream holds
+    for seed in (0, 2**64 + 3):
+        for round_index, stream in ((0, 0), (3, 2**33)):
+            start = stream_starts(seed, [round_index], [stream])[0][0]
+            for n in (1, 1000, 2**63 - 1):
+                for p in (0.0, 1.0):
+                    want = _oracle_hits(seed, round_index, stream, n, p)
+                    assert _draw(start, n, p) == want, (seed, round_index, n, p)
+
+
+# initial basis state and observables per register size; the observables
+# share Pauli strings with H and with each other (H's ZII is Z0, Zbar's
+# axes are Z0-Z2)
+_PROTOCOLS = {
+    1: ("1", ("H", "Z")),
+    2: ("10", ("H", "Z0", "Z1")),
+    3: ("100", ("H", "Z0", "Zbar")),
+}
+
+
+_SEEDS_AND_SHOTS = [(0, 1000), (2**64 + 3, 10**6)]
+_ENERGIES = pytest.mark.parametrize(
+    "noisy_energy", [False, True], ids=["exact-energy", "noisy-energy"]
+)
+
+
+@_ENERGIES
+@pytest.mark.parametrize("seed, shots", _SEEDS_AND_SHOTS)
 def test_survivor_counts_match_numpy_streams(seed, shots, noisy_energy):
-    op = schwinger_hamiltonian(3, 1.3)
+    _check_survivor_counts(seed, shots, noisy_energy, ancillas=2, n_qubits=3)
+
+
+# the remaining register sizes and ancilla counts; 3 qubits with 2 ancillas is above
+@pytest.mark.parametrize("n_qubits, ancillas", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)])
+@_ENERGIES
+@pytest.mark.parametrize("seed, shots", _SEEDS_AND_SHOTS)
+def test_survivor_counts_match_numpy_streams_on_every_register(
+    seed, shots, noisy_energy, n_qubits, ancillas
+):
+    _check_survivor_counts(seed, shots, noisy_energy, ancillas, n_qubits)
+
+
+def _check_survivor_counts(seed, shots, noisy_energy, ancillas, n_qubits):
+    initial, names = _PROTOCOLS[n_qubits]
+    op = schwinger_hamiltonian(n_qubits, 1.3)
     config = TwirlConfig(
-        rounds=(RoundSpec(TauMode.QUARTER, ancillas=2),) * 3,
+        rounds=(RoundSpec(TauMode.QUARTER, ancillas=ancillas),) * 3,
         shots=shots,
         seed=seed,
-        observables=("H", "Zbar"),
+        observables=names,
         noisy_energy=noisy_energy,
     )
-    records = run_protocol("100", op, config)
+    records = run_protocol(initial, op, config)
     observables = resolve_observables(config.observables, op)
     # stream 0 draws the survivors, the observables' terms follow, then H's terms
     energy_base = 1 + sum(len(obs.terms) for _, obs in observables)
-    state = StateVector.basis("100")
+    state = StateVector.basis(initial)
     assert records[0].active_count == shots
     assert records[0].expectations == _oracle_estimates(state, observables, shots, seed, 0, 1)
     for before, record in zip(records, records[1:]):
@@ -219,7 +261,7 @@ def test_survivor_counts_match_numpy_streams(seed, shots, noisy_energy):
         if noisy_energy:
             energy = _oracle_estimates(state, [("H", op)], before.active_count, seed, k, energy_base)
             assert record.energy_used == energy["H"], k
-        state, _ = twirl_round(state, op, record.tau, record.prefactor, ancillas=2)
+        state, _ = twirl_round(state, op, record.tau, record.prefactor, ancillas=ancillas)
         p = min(1.0, record.p_cumulative)
         assert record.active_count == _oracle_hits(seed, k, 0, shots, p)
         want = _oracle_estimates(state, observables, record.active_count, seed, k, 1)
