@@ -69,7 +69,7 @@ def adiabatic_prepare(
         raise ValueError("start and target operators act on different registers")
     if state.n_qubits != start_op.n_qubits:
         raise ValueError("initial state and operators act on different registers")
-    dt = schedule.total_time / schedule.steps
+    dt = float(schedule.total_time) / schedule.steps
     midpoints = (np.arange(schedule.steps) + 0.5) / schedule.steps
     amplitudes = state.amplitudes
     if backend.steps is not None:

@@ -193,7 +193,7 @@ def evolve_exact(amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray
         raise ValueError("amplitudes and operator act on different registers")
     _check_real(tau, "evolution time")
     dec = _eigensystem(op)
-    return _propagate(amplitudes, dec.eigenvalues, dec.eigenvectors, tau)
+    return _propagate(amplitudes, dec.eigenvalues, dec.eigenvectors, float(tau))
 
 
 def overlap_weights(state: StateVector, dec: SpectralDecomposition) -> np.ndarray:

@@ -45,7 +45,7 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
     if np.shape(amplitudes) != (2**op.n_qubits,):
         raise ValueError("amplitudes and operator act on different registers")
     _check_real(tau, "evolution time")
-    dt = tau / steps
+    dt = float(tau) / steps  # a float32 tau would keep float32 angles
     rotations = []
     for term in op.terms:
         # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
@@ -72,6 +72,7 @@ def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
     """Operator-norm distance between the split-step and exact propagators."""
     _check_steps(steps)
     _check_real(tau, "evolution time")
+    tau = float(tau)
     matrix = dense_matrix(op)
     values, vectors = np.linalg.eigh(matrix)
     exact = (vectors * np.exp(-1.0j * tau * values)) @ vectors.conj().T

@@ -78,6 +78,7 @@ class TauMode(Enum):
 def choose_tau(energy: float, mode: TauMode) -> tuple[float, complex]:
     """Period and prefactor for one filtering round at energy E."""
     _check_real(energy, "energy estimate")
+    energy = float(energy)  # a float32 estimate would keep float32 arithmetic
     if abs(energy) < ZERO_ENERGY_TOL:
         raise ZeroEnergyError(
             "energy estimate is zero within tolerance; a zero-energy target "
@@ -134,7 +135,7 @@ def keep_probability(
     _check_real(tau, "evolution time")
     _check_ancillas(ancillas)
     dec = eigendecompose(op)
-    angles = np.angle(prefactor) - tau * dec.eigenvalues
+    angles = np.angle(prefactor) - float(tau) * dec.eigenvalues
     return float(np.sum(overlap_weights(state, dec) * np.cos(angles / 2.0) ** (2 * ancillas)))
 
 

@@ -19,6 +19,7 @@ from twirlsim import (
     adiabatic_prepare,
     choose_tau,
     eigendecompose,
+    evolve_exact,
     evolve_trotter,
     expectation,
     keep_probability,
@@ -48,6 +49,32 @@ def test_choose_tau_quarter_and_full():
     assert prefactor == 1.0 + 0.0j
     tau, _ = choose_tau(-2.0, TauMode.QUARTER)
     assert tau == pytest.approx(-math.pi / 4.0)
+
+
+_CHAIN = schwinger_hamiltonian(3, 1.3)
+_START = StateVector.basis("101")
+# each entry point that takes a time or an energy, as a function of that real
+_REAL_ENTRY_POINTS = {
+    "choose_tau": lambda x: choose_tau(x, TauMode.QUARTER)[0],
+    "evolve_trotter": lambda x: evolve_trotter(_START.amplitudes, _CHAIN, x, 16),
+    "evolve_exact": lambda x: evolve_exact(_START.amplitudes, _CHAIN, x),
+    "trotter_error": lambda x: trotter_error(_CHAIN, x, 4),
+    "keep_probability": lambda x: keep_probability(_START, _CHAIN, x, 1.0j, 2),
+    "exact-ramp": lambda x: adiabatic_prepare(
+        _START, staggered_start(3), _CHAIN, AdiabaticSchedule(x, 7)
+    ).amplitudes,
+    "split-step-ramp": lambda x: adiabatic_prepare(
+        _START, staggered_start(3), _CHAIN, AdiabaticSchedule(x, 7), Backend(4)
+    ).amplitudes,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REAL_ENTRY_POINTS))
+def test_float32_reals_compute_as_their_float_values(entry):
+    call = _REAL_ENTRY_POINTS[entry]
+    value = np.float32(0.7)
+    # tobytes also tells a float32 result from a float64 one
+    assert np.asarray(call(value)).tobytes() == np.asarray(call(float(value))).tobytes()
 
 
 def test_choose_tau_rejects_zero_and_junk():
