@@ -421,7 +421,9 @@ def run_protocol(
     Record 0 describes the initial state before any filtering. Unless a
     round carries an override, its energy estimate is the current <H>:
     the exact expectation by default, or a sampled estimate when both
-    ``shots`` and ``noisy_energy`` are set.
+    ``shots`` and ``noisy_energy`` are set. Without shots, a record that
+    holds ``"H"`` holds that exact expectation, and the next round takes
+    it from there.
     """
     state = StateVector.basis(initial) if isinstance(initial, str) else initial
     if state.n_qubits != op.n_qubits:
@@ -460,6 +462,8 @@ def run_protocol(
     for index, spec in enumerate(config.rounds, start=1):
         if spec.energy_override is not None:
             energy = spec.energy_override
+        elif config.shots is None and "H" in config.observables:
+            energy = records[-1].expectations["H"]
         elif config.shots is not None and config.noisy_energy:
             energy = sample_shots(state, [("H", op)], active, starts[index][1 + n_obs :])["H"]
         else:
