@@ -33,7 +33,15 @@ start states of every stream it can draw from, rounds 0..R by streams
 once for the seed and then as array steps over the whole grid, since
 its hash constants do not depend on the data. Each draw sets its start
 on one generator per thread; building a SeedSequence and a Generator
-per draw would cost about 15 times the draw itself.
+per draw would cost about 15 times the draw itself. A draw at p = 0 or
+p = 1 does not touch its stream: numpy returns 0 or n there whatever the
+stream holds, and no stream is drawn twice.
+
+A state's outcome probabilities are computed once per distinct Pauli
+string. Each thread keeps those of the last state it sampled, so a
+string shared between observables (H's ZII is Z0; Zbar's axes are
+Z0-Z2) and the next round's sampled energy estimate, drawn on the same
+state as the record before it, reuse them.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from enum import Enum
 
 import numpy as np
 
-from .pauli import PauliSum, _check_real, apply_axes, expectation, named_observable
+from .pauli import PauliSum, _check_real, _compiled, expectation, named_observable
 from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
 from .trotter import _check_steps, evolve_trotter
@@ -356,6 +364,11 @@ def stream_starts(
 
 def _draw(start: tuple[int, int], n: int, p: float) -> int:
     """One binomial(n, p) draw from a stream's PCG64 ``(state, inc)`` start."""
+    # numpy's draw is 0 at p = 0 and n at p = 1 whatever the stream holds
+    if p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
     generator = getattr(_local, "generator", None)
     if generator is None:
         # made on the first draw, so runs without shots never import numpy.random
@@ -370,9 +383,24 @@ def _draw(start: tuple[int, int], n: int, p: float) -> int:
     return int(generator.binomial(n, p))
 
 
-def _outcome_probability(state: StateVector, axes: str) -> float:
-    value = float(np.real(np.vdot(state.amplitudes, apply_axes(state.amplitudes, axes))))
+def _outcome_probability(amplitudes: np.ndarray, axes: str) -> float:
+    """Probability (1 + <P>) / 2 that the Pauli string reads +1, clamped to [0, 1]."""
+    source, phase = _compiled(axes)
+    # apply_axes's expression, without its register check on every term
+    value = float(np.vdot(amplitudes, phase * amplitudes[source]).real)
     return min(1.0, max(0.0, (1.0 + value) / 2.0))
+
+
+def _probabilities(state: StateVector) -> dict[str, float]:
+    """This thread's outcome probabilities on ``state``, by Pauli string.
+
+    Only the last state sampled is kept: a protocol samples each state for
+    its record and then for the next round's energy estimate.
+    """
+    memo = getattr(_local, "probabilities", None)
+    if memo is None or memo[0] is not state:
+        memo = _local.probabilities = (state, {})
+    return memo[1]
 
 
 def sample_shots(
@@ -385,19 +413,29 @@ def sample_shots(
 
     Term t of the flattened operator list draws from the stream that
     starts at ``starts[t]`` (see ``stream_starts``), so estimates do not
-    depend on when or in what order they are computed.
+    depend on when or in what order they are computed. Each distinct
+    Pauli string's outcome probability is computed once per state.
     """
     if active < 1:
         raise PostSelectionError("no active runs left")
     n_terms = sum(len(op.terms) for _, op in ops)
     if len(starts) != n_terms:
         raise ValueError(f"need one stream start per term: {n_terms} terms, {len(starts)} starts")
+    probabilities = _probabilities(state)
     estimates: dict[str, float] = {}
     draws = iter(starts)
     for name, op in ops:
+        if op.n_qubits != state.n_qubits:
+            raise ValueError(
+                f"state on {state.n_qubits} qubit(s) does not match "
+                f"observable {name!r} on {op.n_qubits}"
+            )
         total = 0.0
         for term in op.terms:
-            hits = _draw(next(draws), active, _outcome_probability(state, term.axes))
+            p = probabilities.get(term.axes)
+            if p is None:
+                p = probabilities[term.axes] = _outcome_probability(state.amplitudes, term.axes)
+            hits = _draw(next(draws), active, p)
             total += term.coeff * (2.0 * hits / active - 1.0)
         estimates[name] = total
     return estimates

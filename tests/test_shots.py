@@ -22,6 +22,7 @@ from twirlsim import (
     stream_starts,
     twirl_round,
 )
+from twirlsim import twirl
 from twirlsim.pauli import single_z
 from twirlsim.state import StateVector
 from twirlsim.twirl import _draw, resolve_observables
@@ -205,6 +206,37 @@ def test_fixed_outcome_draws_match_numpy_streams():
                 for p in (0.0, 1.0):
                     want = _oracle_hits(seed, round_index, stream, n, p)
                     assert _draw(start, n, p) == want, (seed, round_index, n, p)
+
+
+def test_each_string_is_evaluated_once_per_state(monkeypatch):
+    # H's ZII is Z0, Zbar's axes are Z0-Z2, and round k + 1's energy is
+    # sampled on round k's state: 8 distinct strings on each of 5 states,
+    # against 12 + 6 evaluations per round without the reuse
+    calls = []
+    evaluate = twirl._outcome_probability
+
+    def counted(amplitudes, axes):
+        calls.append(axes)
+        return evaluate(amplitudes, axes)
+
+    monkeypatch.setattr(twirl, "_outcome_probability", counted)
+    config = TwirlConfig(
+        rounds=(RoundSpec(TauMode.QUARTER, ancillas=2),) * 4,
+        shots=10**5,
+        seed=7,
+        observables=("H", "Z0", "Z1", "Z2", "Zbar"),
+        noisy_energy=True,
+    )
+    run_protocol("100", schwinger_hamiltonian(3, 1.3), config)
+    assert len(calls) == 40
+    assert len(set(calls)) == 8
+
+
+def test_sample_shots_names_both_registers():
+    ops = [("Z0", single_z(2, 0))]
+    message = "state on 3 qubit(s) does not match observable 'Z0' on 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_shots(StateVector.basis("000"), ops, 10, stream_starts(1, [0], [1])[0])
 
 
 # initial basis state and observables per register size; the observables
