@@ -418,6 +418,9 @@ def sample_shots(
     """
     if active < 1:
         raise PostSelectionError("no active runs left")
+    # numpy's binomial takes the count as a 64-bit C long, and fixed-outcome draws skip numpy
+    if active >= 2**63:
+        raise ValueError(f"active count must be below 2**63, got {active!r}")
     n_terms = sum(len(op.terms) for _, op in ops)
     if len(starts) != n_terms:
         raise ValueError(f"need one stream start per term: {n_terms} terms, {len(starts)} starts")

@@ -89,6 +89,15 @@ def test_sample_shots_needs_active_runs():
         sample_shots(state, ops, 0, stream_starts(1, [2], [1])[0])
 
 
+def test_sample_shots_bounds_the_active_count():
+    # |0> reads Z = +1 on every run, so no draw would catch the count
+    ops = [("Z", single_z(1, 0))]
+    starts = stream_starts(1, [2], [1])[0]
+    assert sample_shots(StateVector.basis("0"), ops, 2**63 - 1, starts) == {"Z": 1.0}
+    with pytest.raises(ValueError, match=re.escape("below 2**63, got 9223372036854775808")):
+        sample_shots(StateVector.basis("0"), ops, 2**63, starts)
+
+
 def test_sample_shots_needs_one_start_per_term():
     ops = [("Z", single_z(1, 0))]
     with pytest.raises(ValueError, match="one stream start per term: 1 terms, 2 starts"):
