@@ -364,7 +364,8 @@ def stream_starts(
 
 def _draw(start: tuple[int, int], n: int, p: float) -> int:
     """One binomial(n, p) draw from a stream's PCG64 ``(state, inc)`` start."""
-    # numpy's draw is 0 at p = 0 and n at p = 1 whatever the stream holds
+    # numpy's draw is 0 at p = 0 and n at p = 1 whatever the stream holds, and
+    # no stream is drawn twice, so skipping the generator shifts no later draw
     if p == 0.0:
         return 0
     if p == 1.0:
@@ -394,8 +395,9 @@ def _outcome_probability(amplitudes: np.ndarray, axes: str) -> float:
 def _probabilities(state: StateVector) -> dict[str, float]:
     """This thread's outcome probabilities on ``state``, by Pauli string.
 
-    Only the last state sampled is kept: a protocol samples each state for
-    its record and then for the next round's energy estimate.
+    Only the last state sampled is kept, alive until the thread samples
+    another: a protocol samples each state for its record and then for
+    the next round's energy estimate.
     """
     memo = getattr(_local, "probabilities", None)
     if memo is None or memo[0] is not state:

@@ -220,7 +220,7 @@ def test_fixed_outcome_draws_match_numpy_streams():
 def test_each_string_is_evaluated_once_per_state(monkeypatch):
     # H's ZII is Z0, Zbar's axes are Z0-Z2, and round k + 1's energy is
     # sampled on round k's state: 8 distinct strings on each of 5 states,
-    # against 12 + 6 evaluations per round without the reuse
+    # against 12 per record and 6 per energy estimate, 84 in all, without reuse
     calls = []
     evaluate = twirl._outcome_probability
 
