@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, _compiled, _is_finite_real, _scatter
+from .pauli import PauliSum, PauliTerm, _check_count, _compiled, _is_finite_real, _scatter
 from .spectral import _canonical_eigh, _propagate
 from .state import StateVector
-from .trotter import _check_steps
 from .twirl import Backend
 
 # Bytes of one stack of slice matrices; at 10 qubits and above a chunk is one slice.
@@ -44,7 +43,7 @@ class AdiabaticSchedule:
             raise ValueError(
                 f"total time must be a positive finite real number, got {self.total_time!r}"
             )
-        _check_steps(self.steps)
+        object.__setattr__(self, "steps", _check_count(self.steps, "step count"))
 
 
 def staggered_start(n_qubits: int) -> PauliSum:

@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .adiabatic import AdiabaticSchedule, adiabatic_prepare, staggered_start
 from .manifest import Manifest, ManifestError, bundled_names, load_manifest
-from .pauli import expectation, named_observable, schwinger_hamiltonian
+from .pauli import _check_count, expectation, named_observable, schwinger_hamiltonian
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
 from .trotter import trotter_error
@@ -439,9 +439,7 @@ def _run_overrides(args: argparse.Namespace) -> dict:
     if args.shots is not None:
         overrides["shots"] = None if args.shots == "none" else _positive("--shots", args.shots, int)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        overrides["seed"] = args.seed
+        overrides["seed"] = _check_count(args.seed, "--seed", low=0)
     if args.prepare is not None:
         overrides["prepare"] = _parse_prepare_flag(args.prepare)
     return overrides

@@ -26,10 +26,13 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .state import StateVector
+if TYPE_CHECKING:
+    # annotation only: state imports the count rule from here
+    from .state import StateVector
 
 AXES = "IXYZ"
 
@@ -50,6 +53,21 @@ def _is_finite_real(value: object) -> bool:
 def _check_real(value: object, what: str) -> None:
     if not _is_finite_real(value):
         raise ValueError(f"{what} {value!r} must be a finite real number")
+
+
+def _check_count(value: object, what: str, low: int = 1, below: int | None = None) -> int:
+    """Counts, seeds, indices and register sizes: ints or numpy integers, never a bool.
+
+    Returns ``int(value)``, so a numpy integer goes no further than the check.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        count = int(value)
+        if low <= count and (below is None or count < below):
+            return count
+    sign = "positive" if low == 1 else "non-negative"
+    # every bound in use is a power of two
+    bound = "" if below is None else f" below 2**{below.bit_length() - 1}"
+    raise ValueError(f"{what} must be a {sign} integer{bound}, got {value!r}")
 
 
 def dense_limit() -> int:
@@ -99,9 +117,8 @@ class PauliSum:
     terms: tuple[PauliTerm, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_qubits", _check_count(self.n_qubits, "operator qubit count"))
         object.__setattr__(self, "terms", tuple(self.terms))
-        if self.n_qubits < 1:
-            raise ValueError("operator needs at least one qubit")
         if not self.terms:
             raise ValueError("operator needs at least one term")
         for term in self.terms:
@@ -119,7 +136,7 @@ class PauliSum:
         return PauliSum(self.n_qubits, self.terms + other.terms)
 
     def __mul__(self, scalar: float) -> PauliSum:
-        if not isinstance(scalar, (int, float)):
+        if not _is_finite_real(scalar):
             return NotImplemented
         return PauliSum(
             self.n_qubits,
@@ -265,7 +282,8 @@ def hamiltonian_by_name(name: str, coupling: float) -> PauliSum:
 
 def single_z(n_qubits: int, qubit: int) -> PauliSum:
     """Z on one qubit of an ``n_qubits`` register."""
-    if not 0 <= qubit < n_qubits:
+    qubit = _check_count(qubit, "qubit", low=0)
+    if qubit >= n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubit(s)")
     axes = "".join("Z" if q == qubit else "I" for q in range(n_qubits))
     return PauliSum(n_qubits, (PauliTerm(1.0, axes),))

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import _check_count
+
 NORM_TOL = 1e-9
 
 
@@ -27,8 +29,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError("state needs at least one qubit")
+        object.__setattr__(self, "n_qubits", _check_count(self.n_qubits, "state qubit count"))
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(

@@ -31,17 +31,12 @@ from functools import reduce
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, _check_real, _compiled, dense_matrix
-
-
-def _check_steps(steps: int) -> None:
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ValueError(f"step count must be a positive integer, got {steps!r}")
+from .pauli import PauliSum, PauliTerm, _check_count, _check_real, _compiled, dense_matrix
 
 
 def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int) -> np.ndarray:
     """Amplitudes after ``steps`` symmetric sweeps approximating exp(-i tau op)."""
-    _check_steps(steps)
+    steps = _check_count(steps, "step count")
     if np.shape(amplitudes) != (2**op.n_qubits,):
         raise ValueError("amplitudes and operator act on different registers")
     _check_real(tau, "evolution time")
@@ -70,7 +65,7 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
 
 def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
     """Operator-norm distance between the split-step and exact propagators."""
-    _check_steps(steps)
+    steps = _check_count(steps, "step count")
     _check_real(tau, "evolution time")
     tau = float(tau)
     matrix = dense_matrix(op)

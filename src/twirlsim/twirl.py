@@ -47,7 +47,6 @@ state as the record before it, reuse them.
 from __future__ import annotations
 
 import math
-import operator
 import re
 import threading
 from collections.abc import Sequence
@@ -56,10 +55,10 @@ from enum import Enum
 
 import numpy as np
 
-from .pauli import PauliSum, _check_real, _compiled, expectation, named_observable
+from .pauli import PauliSum, _check_count, _check_real, _compiled, expectation, named_observable
 from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
-from .trotter import _check_steps, evolve_trotter
+from .trotter import evolve_trotter
 
 ZERO_ENERGY_TOL = 1e-12
 EXTINCTION_TOL = 1e-14
@@ -107,7 +106,7 @@ class Backend:
 
     def __post_init__(self) -> None:
         if self.steps is not None:
-            _check_steps(self.steps)
+            object.__setattr__(self, "steps", _check_count(self.steps, "step count"))
 
     @classmethod
     def parse(cls, text: str) -> Backend:
@@ -125,12 +124,6 @@ class Backend:
         return evolve_trotter(amplitudes, op, tau, self.steps)
 
 
-def _check_ancillas(ancillas: int) -> None:
-    # a bool is an int and 2.0 compares like one, but neither is a count
-    if not isinstance(ancillas, int) or isinstance(ancillas, bool) or ancillas < 1:
-        raise ValueError(f"ancilla count must be a positive integer, got {ancillas!r}")
-
-
 def keep_probability(
     state: StateVector, op: PauliSum, tau: float, prefactor: complex, ancillas: int = 1
 ) -> float:
@@ -141,7 +134,7 @@ def keep_probability(
     in theta, so the angle needs no wrapping.
     """
     _check_real(tau, "evolution time")
-    _check_ancillas(ancillas)
+    ancillas = _check_count(ancillas, "ancilla count")
     dec = eigendecompose(op)
     angles = np.angle(prefactor) - float(tau) * dec.eigenvalues
     return float(np.sum(overlap_weights(state, dec) * np.cos(angles / 2.0) ** (2 * ancillas)))
@@ -158,7 +151,7 @@ def twirl_round(
     """One filtering round; returns the posterior and its keep probability."""
     if abs(abs(prefactor) - 1.0) > PREFACTOR_TOL:
         raise ValueError(f"prefactor {prefactor!r} must have unit modulus")
-    _check_ancillas(ancillas)
+    ancillas = _check_count(ancillas, "ancilla count")
     current = state.amplitudes
     probability = 1.0
     for _ in range(ancillas):
@@ -187,7 +180,7 @@ class RoundSpec:
             raise ValueError(f"mode must be a TauMode, got {self.mode!r}")
         if self.energy_override is not None:
             _check_real(self.energy_override, "energy override")
-        _check_ancillas(self.ancillas)
+        object.__setattr__(self, "ancillas", _check_count(self.ancillas, "ancilla count"))
 
 
 @dataclass(frozen=True)
@@ -206,16 +199,10 @@ class TwirlConfig:
         object.__setattr__(self, "observables", tuple(self.observables))
         if not self.rounds:
             raise ValueError("protocol needs at least one round")
-        # numpy's binomial draws take the count as a 64-bit C long
-        shots = self.shots
-        if shots is not None and (
-            not isinstance(shots, int) or isinstance(shots, bool) or not 0 < shots < 2**63
-        ):
-            raise ValueError(f"shot count must be a positive integer below 2**63, got {shots!r}")
-        # the seed is the entropy of every shot stream, so it is a plain integer
-        seed = self.seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        if self.shots is not None:
+            # numpy's binomial draws take the count as a 64-bit C long
+            object.__setattr__(self, "shots", _check_count(self.shots, "shot count", below=2**63))
+        object.__setattr__(self, "seed", _check_count(self.seed, "seed", low=0))
         if not self.observables:
             raise ValueError("protocol needs at least one observable")
         if self.noisy_energy and self.shots is None:
@@ -258,9 +245,8 @@ _local = threading.local()
 
 def _words(value: int) -> list[int]:
     """Little-endian 32-bit words of a non-negative integer; 0 is one word."""
-    value = operator.index(value)  # a numpy integer would wrap in the hashing
-    if value < 0:
-        raise ValueError(f"stream seeds, rounds and streams must be non-negative, got {value}")
+    # as a Python int: a numpy integer would wrap in the hashing
+    value = _check_count(value, "stream coordinate", low=0)
     words = [value & _MASK32]
     value >>= 32
     while value:
@@ -418,11 +404,10 @@ def sample_shots(
     depend on when or in what order they are computed. Each distinct
     Pauli string's outcome probability is computed once per state.
     """
-    if active < 1:
-        raise PostSelectionError("no active runs left")
     # numpy's binomial takes the count as a 64-bit C long, and fixed-outcome draws skip numpy
-    if active >= 2**63:
-        raise ValueError(f"active count must be below 2**63, got {active!r}")
+    active = _check_count(active, "active count", low=0, below=2**63)
+    if active == 0:
+        raise PostSelectionError("no active runs left")
     n_terms = sum(len(op.terms) for _, op in ops)
     if len(starts) != n_terms:
         raise ValueError(f"need one stream start per term: {n_terms} terms, {len(starts)} starts")

@@ -1,9 +1,31 @@
-"""Tests for the package's public namespace."""
+"""Tests for the package's public namespace and its import graph."""
+
+import subprocess
+import sys
+
+import pytest
 
 import twirlsim
+
+# Registers the package without running its __init__, so the named module
+# is the first of the package to import.
+_IMPORT_FIRST = """
+import importlib, importlib.util, sys
+sys.modules["twirlsim"] = importlib.util.module_from_spec(importlib.util.find_spec("twirlsim"))
+importlib.import_module(sys.argv[1])
+"""
 
 
 def test_every_export_resolves_once():
     names = twirlsim.__all__
     assert len(set(names)) == len(names)
     assert [name for name in names if not hasattr(twirlsim, name)] == []
+
+
+@pytest.mark.parametrize("module", ["twirlsim.state", "twirlsim.pauli"])
+def test_state_and_pauli_import_without_a_cycle(module):
+    # state takes the count rule from pauli; pauli names StateVector only in annotations
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FIRST, module], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr

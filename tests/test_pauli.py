@@ -187,6 +187,11 @@ def test_arithmetic_preserves_order():
     assert [t.coeff for t in total.terms] == [0.25, 0.25, 0.5, 1.0]
     with pytest.raises(ValueError, match="different registers"):
         a + single_z(1, 0)
+    # a bool is not a scalar, as it is not a coefficient
+    with pytest.raises(TypeError):
+        a * True
+    with pytest.raises(TypeError):
+        True * a
 
 
 _ORACLE_FACTORS = {"I": I2, "X": SX, "Y": SY, "Z": SZ}

@@ -1,5 +1,6 @@
 """Tests for the shot-noise emulation layer."""
 
+import argparse
 import math
 import re
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from twirlsim import (
+    Backend,
     PauliSum,
     PauliTerm,
     PostSelectionError,
@@ -23,6 +25,7 @@ from twirlsim import (
     twirl_round,
 )
 from twirlsim import twirl
+from twirlsim.cli import _run_overrides
 from twirlsim.pauli import single_z
 from twirlsim.state import StateVector
 from twirlsim.twirl import _draw, resolve_observables
@@ -80,6 +83,49 @@ def test_config_rejects_seeds_the_streams_cannot_take(seed):
 def test_negative_stream_coordinates_are_rejected(seed, round_index, stream):
     with pytest.raises(ValueError, match="non-negative"):
         stream_starts(seed, [round_index], [stream])
+
+
+_NON_NEGATIVE_SITES = {
+    "config-seed": lambda value: _config(seed=value),
+    "streams-seed": lambda value: stream_starts(value, [0], [1]),
+    "streams-round": lambda value: stream_starts(0, [value], [1]),
+    "streams-stream": lambda value: stream_starts(0, [0], [value]),
+    "active": lambda value: sample_shots(
+        StateVector.basis("0"), [("Z", single_z(1, 0))], value, stream_starts(1, [2], [1])[0]
+    ),
+    "qubit": lambda value: single_z(2, value),
+    "cli-seed": lambda value: _run_overrides(
+        argparse.Namespace(backend=None, shots=None, seed=value, prepare=None)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 2.0, -1])
+@pytest.mark.parametrize("site", list(_NON_NEGATIVE_SITES))
+def test_non_negative_counts_reject_bools_floats_and_negatives(site, value):
+    message = rf"non-negative integer( below 2\*\*63)?, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        _NON_NEGATIVE_SITES[site](value)
+
+
+def test_numpy_integer_counts_run_like_ints():
+    op = schwinger_hamiltonian(2, 1.0)
+
+    def run(count, seed):
+        config = TwirlConfig(
+            rounds=(RoundSpec(TauMode.QUARTER, ancillas=count(2)),) * 2,
+            backend=Backend(count(4)),
+            shots=count(50),
+            seed=seed,
+            observables=("H", "Z1"),
+        )
+        return config, run_protocol("01", op, config)
+
+    config, records = run(np.int64, np.uint64(3))
+    assert records == run(int, 3)[1]
+    stored = [config.shots, config.seed, config.backend.steps, config.rounds[0].ancillas]
+    assert [type(value) for value in stored] == [int] * 4
+    assert all(type(record.active_count) is int for record in records)
 
 
 def test_sample_shots_needs_active_runs():

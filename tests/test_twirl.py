@@ -24,8 +24,11 @@ from twirlsim import (
     expectation,
     keep_probability,
     run_protocol,
+    sample_shots,
     schwinger_hamiltonian,
+    single_z,
     staggered_start,
+    stream_starts,
     trotter_error,
     twirl_round,
 )
@@ -350,15 +353,26 @@ def test_config_validation():
         lambda: evolve_trotter(StateVector.basis("0").amplitudes, schwinger_hamiltonian(1, 1.0),
                                1.0, True),
         lambda: trotter_error(schwinger_hamiltonian(1, 1.0), 1.0, True),
+        lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], True,
+                             stream_starts(1, [2], [1])[0]),
+        lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], 10.5,
+                             stream_starts(1, [2], [1])[0]),
+        lambda: PauliSum(True, (PauliTerm(1.0, "X"),)),
+        lambda: PauliSum(2.0, (PauliTerm(1.0, "XX"),)),
+        lambda: StateVector(1.0, [1.0, 0.0]),
+        lambda: schwinger_hamiltonian(2.0, 1.0),
     ],
     ids=[
         "shots", "backend-steps", "ancillas", "round-ancillas", "round-float-ancillas",
         "profile-ancillas", "profile-float-ancillas", "ramp-steps", "evolve-steps", "error-steps",
+        "active", "float-active", "operator-qubits", "operator-float-qubits",
+        "state-float-qubits", "hamiltonian-float-qubits",
     ],
 )
 def test_counts_reject_booleans(build):
     # a bool is an int and 2.0 compares equal to 2, but neither is a count
-    with pytest.raises(ValueError, match="positive"):
+    # the message names the rule and ends with the value refused
+    with pytest.raises(ValueError, match=r"(positive|non-negative) integer.*, got (True|\d+\.\d)$"):
         build()
 
 
