@@ -194,7 +194,8 @@ _TERMS = [
 # on |010> a Z term reads +1 or -1: p at 1 and at 0
 _BASIS = StateVector.basis("010")
 _EDGE_TERMS = [("E", PauliSum(3, [PauliTerm(1.0, "ZII"), PauliTerm(0.5, "IZI")]))]
-SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 + 3, 2**130 + 7]
+# 2**128 is the first seed of five words, where the hash constant after the seed moves on
+SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**130 + 7]
 
 
 def _oracle_hits(seed, round_index, stream, n, p):
@@ -241,10 +242,14 @@ def _oracle_start(seed, round_index, stream):
 def test_stream_starts_match_numpy_seeding(seed):
     # rounds and streams on both sides of 2**32 mix one- and two-word grid points
     straddle = [0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
-    for rounds, streams in ((straddle, range(4)), (range(3), straddle), (straddle, straddle)):
-        got = stream_starts(seed, rounds, streams)
-        want = [[_oracle_start(seed, r, s) for s in streams] for r in rounds]
-        assert got == want
+    shapes = ((straddle, range(4)), (range(3), straddle), (straddle, straddle))
+    # every shape again under a second seed and then the first, each time after
+    # the other shapes: a repeated grid shape must seed as it did the first time
+    for current in (seed, seed + 1, seed):
+        for rounds, streams in shapes:
+            got = stream_starts(current, rounds, streams)
+            want = [[_oracle_start(current, r, s) for s in streams] for r in rounds]
+            assert got == want, (current, rounds, streams)
 
 
 def test_numpy_integer_coordinates_draw_like_ints():
