@@ -48,6 +48,7 @@ class AdiabaticSchedule:
 
 def staggered_start(n_qubits: int) -> PauliSum:
     """Alternating-sign Z chain whose ground state is a basis state."""
+    n_qubits = _check_count(n_qubits, "operator qubit count")
     terms = []
     for qubit in range(n_qubits):
         axes = "".join("Z" if q == qubit else "I" for q in range(n_qubits))

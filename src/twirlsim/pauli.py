@@ -282,6 +282,7 @@ def hamiltonian_by_name(name: str, coupling: float) -> PauliSum:
 
 def single_z(n_qubits: int, qubit: int) -> PauliSum:
     """Z on one qubit of an ``n_qubits`` register."""
+    n_qubits = _check_count(n_qubits, "operator qubit count")
     qubit = _check_count(qubit, "qubit", low=0)
     if qubit >= n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubit(s)")
@@ -305,8 +306,15 @@ def named_observable(name: str, n_qubits: int) -> PauliSum:
     """Resolve an observable name used in manifests and CLI output.
 
     "H" is resolved by the caller (it depends on the Hamiltonian); this
-    handles "Z" (single qubit), "Z0".."Z9", and "Zbar".
+    handles "Z" (single qubit), "Z0".."Z9", and "Zbar". Each operator is
+    built once per name and register size and then shared.
     """
+    # checked before the cache: True and 2.0 would hit the entries of 1 and 2
+    return _named_observable(name, _check_count(n_qubits, "operator qubit count"))
+
+
+@lru_cache(maxsize=64)
+def _named_observable(name: str, n_qubits: int) -> PauliSum:
     if name == "Zbar":
         if n_qubits != 3:
             raise ValueError("Zbar is defined on three qubits")

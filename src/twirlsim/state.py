@@ -43,6 +43,19 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
+    def _trusted(cls, n_qubits: int, amplitudes: np.ndarray) -> StateVector:
+        """A state around a fresh unit-norm complex array of the right shape.
+
+        For engine results normalized by their maker: the array is frozen
+        in place, with no copy and no norm check.
+        """
+        amplitudes.setflags(write=False)
+        state = object.__new__(cls)
+        object.__setattr__(state, "n_qubits", n_qubits)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        return state
+
+    @classmethod
     def basis(cls, label: str) -> StateVector:
         """Computational basis state from a bit string such as "101"."""
         if not label or any(c not in "01" for c in label):

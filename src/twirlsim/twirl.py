@@ -29,13 +29,17 @@ the current state. Each draw comes from its own PCG64 stream, the one
 so a full protocol is reproducible from its seed alone and insensitive
 to evaluation order. Before its first round a protocol computes the
 start states of every stream it can draw from, rounds 0..R by streams
-0..S-1, in one seeding pass: numpy's SeedSequence hashing is written out
-once for the seed and then as array steps over the whole grid, since
-its hash constants do not depend on the data. Each draw sets its start
-on one generator per thread; building a SeedSequence and a Generator
-per draw would cost about 15 times the draw itself. A draw at p = 0 or
-p = 1 does not touch its stream: numpy returns 0 or n there whatever the
-stream holds, and no stream is drawn twice.
+0..S-1, in one seeding pass. The seed's pool is numpy's own, from
+``SeedSequence(seed)``: a spawn key only pads the seed to the pool size
+and goes on hashing its words in. The hash constants of that hashing do
+not depend on the data, so the round and stream words are hashed into
+per-shape tables once, kept read-only, and each protocol only mixes them
+into its seed's pool, one array step per word over the whole grid. Each
+draw sets its start on one generator per thread; building a
+SeedSequence and a Generator per draw would cost about 15 times the
+draw itself. A draw at p = 0 or p = 1 does not touch its stream: numpy
+returns 0 or n there whatever the stream holds, and no stream is drawn
+twice.
 
 A state's outcome probabilities are computed once per distinct Pauli
 string. Each thread keeps those of the last state it sampled, so a
@@ -52,6 +56,7 @@ import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -164,7 +169,8 @@ def twirl_round(
             )
         current = mixed / math.sqrt(kept)
         probability *= kept
-    return StateVector(state.n_qubits, current), probability
+    # a fresh array of unit norm by construction, so the posterior skips the checks
+    return StateVector._trusted(state.n_qubits, current), probability
 
 
 @dataclass(frozen=True)
@@ -231,19 +237,16 @@ _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _POOL_SIZE = 4
-# a word mixed into the pool takes the hash constant through _POOL_SIZE
-# steps: h, h * A, h * A**2, ... (mod 2**32)
-_STEP_A = np.array([_HASH_MULT_A**i & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint64)
-_STEP_A_WORD = _HASH_MULT_A**_POOL_SIZE & _MASK32
 # generate_state(4, uint64) hashes eight words cycling twice over the pool;
-# its hash constants run the same course for every pool
+# its hash constants, and the multipliers they step to, are the same for every pool
 _STATE_HASH = np.array(
     [_HASH_INIT_B * _HASH_MULT_B**i & _MASK32 for i in range(2 * _POOL_SIZE)], dtype=np.uint64
 ).reshape(2, _POOL_SIZE)
+_STATE_MULT = _STATE_HASH * _HASH_MULT_B & _MASK32
 _local = threading.local()
 
 
-def _words(value: int) -> list[int]:
+def _words(value: int) -> tuple[int, ...]:
     """Little-endian 32-bit words of a non-negative integer; 0 is one word."""
     # as a Python int: a numpy integer would wrap in the hashing
     value = _check_count(value, "stream coordinate", low=0)
@@ -252,67 +255,85 @@ def _words(value: int) -> list[int]:
     while value:
         words.append(value & _MASK32)
         value >>= 32
-    return words
+    return tuple(words)
 
 
-# The two hashing steps take Python ints or, elementwise, uint64 arrays of
-# 32-bit values: a product of two such values fits in 64 bits, and a wrapped
-# subtraction is masked back to 32.
-def _hashmix(value, h, mult=_HASH_MULT_A):
-    """Xor the hash constant ``h``, step it, multiply by it, fold the high half."""
-    value = (value ^ h) * (h * mult & _MASK32) & _MASK32
-    return value ^ value >> 16
+def _after(h: int, n_words: int) -> int:
+    """The hash constant after ``n_words`` words, each mixed into every pool entry."""
+    return h * pow(_HASH_MULT_A, _POOL_SIZE * n_words, 2**32) & _MASK32
 
 
+# The hashing works elementwise on uint64 arrays of 32-bit values: a product
+# of two such values fits in 64 bits, and a wrapped subtraction is masked
+# back to 32.
 def _mix(x, y):
     r = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return r ^ r >> 16
 
 
-def _absorb(pool: np.ndarray, h: int, words: np.ndarray) -> tuple[np.ndarray, int]:
-    """Mix each word along the last axis of ``words`` into every pool entry.
+@lru_cache(maxsize=64)
+def _word_hashes(rows: tuple[tuple[int, ...], ...], h: int) -> np.ndarray:
+    """Hashed words of equal-length rows, ready to mix into pools: ``(rows, words, pool)``.
+
+    Word k of a row meets pool entry i under the hash constant h * A**(4k + i),
+    so the table depends only on the words and ``h``, and one grid shape is
+    hashed once. The rows must be validated ints: ``(True,) == (1,)`` as keys.
+    The table is shared between calls, so it is read-only.
+    """
+    n_words = len(rows[0])
+    consts = np.array(
+        [h * _HASH_MULT_A**j & _MASK32 for j in range(_POOL_SIZE * n_words)], dtype=np.uint64
+    ).reshape(n_words, _POOL_SIZE)
+    # numpy's hashmix: xor the constant, multiply by its next step, fold the high half
+    value = np.array(rows, dtype=np.uint64)[..., None] ^ consts
+    value = value * (consts * _HASH_MULT_A & _MASK32) & _MASK32
+    table = value ^ value >> 16
+    table.flags.writeable = False
+    return table
+
+
+def _absorb(pool: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Mix each row's hashed words (see ``_word_hashes``) into every pool entry.
 
     Pools lie along the last axis of ``pool``; the other axes broadcast
-    against those of ``words``. Returns the pools and the next hash constant.
+    against the rows of ``table``.
     """
-    for k in range(words.shape[-1]):
-        pool = _mix(pool, _hashmix(words[..., k, None], h * _STEP_A & _MASK32))
-        h = h * _STEP_A_WORD & _MASK32
-    return pool, h
+    for k in range(table.shape[-2]):
+        pool = _mix(pool, table[..., k, :])
+    return pool
 
 
-def _seed_prefix(seed: int) -> tuple[tuple[int, ...], int]:
+def _seed_prefix(seed: int) -> tuple[np.ndarray, int]:
     """SeedSequence pool and hash constant after every word of the seed.
 
     A nonempty spawn key pads the seed to the pool size, so every stream
     of a seed starts from this prefix and goes on with its round and
-    stream words.
+    stream words. numpy's pool for the bare seed is that prefix: with no
+    spawn key it hashes zero words in place of the padding.
     """
-    words = _words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    pool, h = [], _HASH_INIT_A
-    for word in words[:_POOL_SIZE]:
-        pool.append(_hashmix(word, h))
-        h = h * _HASH_MULT_A & _MASK32
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h))
-                h = h * _HASH_MULT_A & _MASK32
-    extra = np.array(words[_POOL_SIZE:], dtype=np.uint64)
-    pool, h = _absorb(np.array(pool, dtype=np.uint64), h, extra)
-    return tuple(pool.tolist()), h
+    n_words = len(_words(seed))
+    pool = np.random.SeedSequence(int(seed)).pool.astype(np.uint64)
+    return pool, _after(_HASH_INIT_A, max(_POOL_SIZE, n_words))
 
 
-def _word_groups(values: Sequence[int]) -> list[tuple[list[int], np.ndarray]]:
-    """Positions and ``(n, words)`` arrays of the values, grouped by word count."""
-    groups: dict[int, tuple[list[int], list[list[int]]]] = {}
+def _group_words(values: Sequence[int]) -> tuple:
+    """``(positions, word rows)`` of the values, one pair per word count, as tuples."""
+    groups: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
     for index, value in enumerate(values):
         words = _words(value)
         positions, rows = groups.setdefault(len(words), ([], []))
         positions.append(index)
         rows.append(words)
-    return [(positions, np.array(rows, dtype=np.uint64)) for positions, rows in groups.values()]
+    return tuple((tuple(positions), tuple(rows)) for positions, rows in groups.values())
+
+
+# a range holds only ints, and equal ranges hold the same ones, so the
+# ranges a protocol passes are grouped once
+_range_groups = lru_cache(maxsize=64)(_group_words)
+
+
+def _word_groups(values: Sequence[int]) -> tuple:
+    return _range_groups(values) if isinstance(values, range) else _group_words(values)
 
 
 def stream_starts(
@@ -325,22 +346,24 @@ def stream_starts(
     are non-negative integers. ``sample_shots`` takes one row's starts for
     its terms, and ``run_protocol`` draws round k's survivors from stream
     0 and its observables' terms from streams 1 onward. The hash
-    constants do not depend on the data, so each word of a round or
-    stream is one array step over every grid point with the same word
-    counts.
+    constants do not depend on the data, so the rounds' and streams'
+    words are hashed once per grid shape, and each word is one array
+    step over every grid point with the same word counts.
     """
     prefix, h0 = _seed_prefix(seed)
     stream_groups = _word_groups(streams)
     starts = [[(0, 0)] * len(streams) for _ in rounds]
     for rows, round_words in _word_groups(rounds):
-        round_pool, h1 = _absorb(np.array(prefix, dtype=np.uint64), h0, round_words)
+        round_pool = _absorb(prefix, _word_hashes(round_words, h0))
+        h1 = _after(h0, len(round_words[0]))
         for cols, stream_words in stream_groups:
-            pool, _ = _absorb(round_pool[:, None], h1, stream_words[None])
-            w = _hashmix(pool[..., None, :], _STATE_HASH, _HASH_MULT_B)
+            pool = _absorb(round_pool[:, None], _word_hashes(stream_words, h1))
+            w = (pool[..., None, :] ^ _STATE_HASH) * _STATE_MULT & _MASK32
             # generate_state's eight words read as four little-endian uint64
             # values: PCG64 seeds with the first two as its state and the
             # last two as its stream
-            values = w.astype("<u4").reshape(*w.shape[:-2], 8).view("<u8").tolist()
+            w = (w ^ w >> 16).astype("<u4").reshape(*pool.shape[:-1], 2 * _POOL_SIZE)
+            values = w.view("<u8").tolist()
             for i, row in zip(rows, values):
                 for j, (a, b, c, d) in zip(cols, row):
                     inc = (c << 65 | d << 1 | 1) & _MASK128
@@ -358,7 +381,8 @@ def _draw(start: tuple[int, int], n: int, p: float) -> int:
         return n
     generator = getattr(_local, "generator", None)
     if generator is None:
-        # made on the first draw, so runs without shots never import numpy.random
+        # made on the first draw; numpy.random itself first loads in stream_starts,
+        # so runs without shots never import it
         generator = _local.generator = np.random.Generator(np.random.PCG64(0))
     state, inc = start
     generator.bit_generator.state = {

@@ -583,7 +583,7 @@ def test_argparse_usage_error_exits_two():
 
 @pytest.mark.parametrize("module", ["jsonschema", "numpy.random"])
 def test_cli_import_leaves_module_out(module):
-    # jsonschema is a test-only oracle; numpy.random loads at the first shot draw
+    # jsonschema is a test-only oracle; numpy.random loads when a shot run seeds its streams
     code = f"import sys, twirlsim.cli; sys.exit({module!r} in sys.modules)"
     subprocess.run([sys.executable, "-c", code], check=True)
 

@@ -99,6 +99,15 @@ def test_named_observable_resolution():
         named_observable("Z3", 3)
 
 
+def test_named_observables_are_shared_but_counted_first():
+    for n_qubits in (1, 2):
+        assert named_observable("Z0", n_qubits) is named_observable("Z0", n_qubits)
+    # True == 1 and 2.0 == 2 would hit those cache entries without the count rule
+    for n_qubits in (True, 2.0):
+        with pytest.raises(ValueError, match=rf"positive integer, got {n_qubits!r}$"):
+            named_observable("Z0", n_qubits)
+
+
 def test_expectation_hand_values():
     # alternating charge of |101> is (-1 - 1 - 1) / 3, its energy -2J
     state = StateVector.basis("101")

@@ -250,6 +250,17 @@ def test_stream_starts_match_numpy_seeding(seed):
             got = stream_starts(current, rounds, streams)
             want = [[_oracle_start(current, r, s) for s in streams] for r in rounds]
             assert got == want, (current, rounds, streams)
+    # the hashed words are shared between calls
+    assert not twirl._word_hashes(((0,), (1,)), twirl._HASH_INIT_A).flags.writeable
+
+
+def test_resolved_observables_are_built_once():
+    op = schwinger_hamiltonian(3, 1.0)
+    names = ("H", "Z0", "Z2", "Zbar")
+    first, second = resolve_observables(names, op), resolve_observables(names, op)
+    assert [name for name, _ in first] == list(names)
+    assert all(a is b for (_, a), (_, b) in zip(first, second))
+    assert first[0][1] is op
 
 
 def test_numpy_integer_coordinates_draw_like_ints():

@@ -34,7 +34,7 @@ from twirlsim import (
 )
 from twirlsim import spectral
 from twirlsim.pauli import apply_axes
-from twirlsim.state import StateVector
+from twirlsim.state import NORM_TOL, StateVector
 
 ROOT2 = math.sqrt(2.0)
 
@@ -267,6 +267,15 @@ def test_rounds_match_state_per_ancilla_oracle(seed):
                 assert np.float64(p).tobytes() == np.float64(p_expected).tobytes()
 
 
+@pytest.mark.parametrize("backend", [Backend(), Backend(4)], ids=["exact", "trotter:4"])
+def test_posterior_is_frozen_and_normalized(backend):
+    op = schwinger_hamiltonian(3, 1.3)
+    posterior, _ = twirl_round(StateVector.basis("101"), op, 0.9, 1.0j, 2, backend)
+    assert not posterior.amplitudes.flags.writeable
+    assert abs(np.linalg.norm(posterior.amplitudes) - 1.0) <= NORM_TOL
+    assert posterior.amplitudes.dtype == complex and posterior.n_qubits == 3
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_split_step_ramp_matches_state_per_slice_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -361,12 +370,15 @@ def test_config_validation():
         lambda: PauliSum(2.0, (PauliTerm(1.0, "XX"),)),
         lambda: StateVector(1.0, [1.0, 0.0]),
         lambda: schwinger_hamiltonian(2.0, 1.0),
+        lambda: single_z(2.0, 1),
+        lambda: staggered_start(2.0),
     ],
     ids=[
         "shots", "backend-steps", "ancillas", "round-ancillas", "round-float-ancillas",
         "profile-ancillas", "profile-float-ancillas", "ramp-steps", "evolve-steps", "error-steps",
         "active", "float-active", "operator-qubits", "operator-float-qubits",
-        "state-float-qubits", "hamiltonian-float-qubits",
+        "state-float-qubits", "hamiltonian-float-qubits", "z-float-qubits",
+        "staggered-float-qubits",
     ],
 )
 def test_counts_reject_booleans(build):
