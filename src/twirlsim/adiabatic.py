@@ -84,5 +84,6 @@ def adiabatic_prepare(
         # the terms, order and coefficients of dense_matrix((1 - s) * start_op + s * target_op)
         weighted = [((1.0 - s) * c, p) for c, p in start] + [(s * c, p) for c, p in target]
         for values, vectors in zip(*_canonical_eigh(_scatter(state.n_qubits, weighted))):
-            amplitudes = _propagate(amplitudes, values, vectors, dt)
+            phases = np.exp(-1.0j * dt * values)
+            amplitudes = _propagate(amplitudes, phases, vectors.conj().T, vectors)
     return StateVector(state.n_qubits, amplitudes)

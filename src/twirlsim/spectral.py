@@ -90,12 +90,20 @@ def _canonical_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _propagate(
-    amplitudes: np.ndarray, values: np.ndarray, vectors: np.ndarray, tau: float
+    amplitudes: np.ndarray, phases: np.ndarray, adjoint: np.ndarray, vectors: np.ndarray
 ) -> np.ndarray:
-    """Amplitudes after exp(-i tau H) for H with the given eigensystem."""
-    coords = vectors.conj().T @ amplitudes
-    coords *= np.exp(-1.0j * tau * values)
-    return vectors @ coords
+    """Amplitudes after exp(-i tau H) for H with eigenvector columns ``vectors``.
+
+    ``phases`` holds exp(-i tau e) for each eigenvalue e. ``adjoint`` must
+    be laid out as ``vectors.conj().T`` is: the transposed view of a
+    C-contiguous conjugate, such as one slice of a conjugated stack
+    transposed on its last two axes. Given that layout, ``ndarray.dot``
+    makes the same BLAS call as ``@``, so the bytes match, at about half
+    the cost per call on small matrices.
+    """
+    coords = adjoint.dot(amplitudes)
+    coords *= phases
+    return vectors.dot(coords)
 
 
 # A protocol reuses one operator; at the 12-qubit dense cap an entry holds 268 MB.
@@ -193,7 +201,9 @@ def evolve_exact(amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray
         raise ValueError("amplitudes and operator act on different registers")
     _check_real(tau, "evolution time")
     dec = _eigensystem(op)
-    return _propagate(amplitudes, dec.eigenvalues, dec.eigenvectors, float(tau))
+    vectors = dec.eigenvectors
+    phases = np.exp(-1.0j * float(tau) * dec.eigenvalues)
+    return _propagate(amplitudes, phases, vectors.conj().T, vectors)
 
 
 def overlap_weights(state: StateVector, dec: SpectralDecomposition) -> np.ndarray:

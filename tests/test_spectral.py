@@ -289,6 +289,56 @@ def test_evolution_composes_and_preserves_norm():
     np.testing.assert_allclose(frozen, state.amplitudes, atol=1e-12)
 
 
+def _matmul_propagate(amplitudes, values, vectors, tau):
+    """The propagation as one ``@`` expression, computing its own phases and adjoint.
+
+    The coordinates come first in the product: with fused multiply-adds a
+    complex product can differ in its last bit when its operands swap.
+    """
+    return vectors @ ((vectors.conj().T @ amplitudes) * np.exp(-1j * tau * values))
+
+
+def test_propagation_helper_matches_the_matmul_expression():
+    rng = np.random.default_rng(2026)
+    for n_qubits in range(1, 11):
+        dim = 2**n_qubits
+        raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        matrices = [raw + raw.conj().T]
+        if n_qubits <= 5:
+            # Pauli sums bring degenerate levels and eigenvectors with exact zeros
+            matrices += [dense_matrix(_random_pauli_sum(rng, n_qubits)) for _ in range(4)]
+        random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        states = [np.eye(dim, dtype=complex)[k] for k in {0, dim - 1, int(rng.integers(dim))}]
+        states.append(random / np.linalg.norm(random))
+        for matrix in matrices:
+            values, vectors = spectral._canonical_eigh(matrix)
+            for tau in (0.37, -1.3, float(rng.uniform(-20.0, 20.0))):
+                phases = np.exp(-1.0j * tau * values)
+                for amplitudes in states:
+                    expected = _matmul_propagate(amplitudes, values, vectors, tau)
+                    evolved = spectral._propagate(amplitudes, phases, vectors.conj().T, vectors)
+                    assert evolved.tobytes() == expected.tobytes()
+
+
+def test_stacked_phases_and_adjoints_match_each_slice():
+    rng = np.random.default_rng(2027)
+    for n_qubits in range(1, 6):
+        dim = 2**n_qubits
+        matrices = np.stack([dense_matrix(_random_pauli_sum(rng, n_qubits)) for _ in range(20)])
+        values, vectors = spectral._canonical_eigh(matrices)
+        amplitudes = np.eye(dim, dtype=complex)[int(rng.integers(dim))]
+        for dt in (0.05, -2.5):
+            phases = np.exp(-1.0j * dt * values)
+            adjoints = vectors.conj().transpose(0, 2, 1)
+            for k in range(len(matrices)):
+                assert phases[k].tobytes() == np.exp(-1.0j * dt * values[k]).tobytes()
+                assert adjoints[k].strides == vectors[k].conj().T.strides
+                expected = _matmul_propagate(amplitudes, values[k], vectors[k], dt)
+                evolved = spectral._propagate(amplitudes, phases[k], adjoints[k], vectors[k])
+                assert evolved.tobytes() == expected.tobytes()
+                amplitudes = evolved
+
+
 def test_evolution_validation():
     op = schwinger_hamiltonian(2, 1.0)
     with pytest.raises(ValueError, match="different registers"):

@@ -208,7 +208,8 @@ def _oracle_sweep(amplitudes, op, tau, steps):
 def _oracle_evolve(state, op, tau, steps):
     if steps is None:
         dec = spectral._eigensystem(op)
-        amps = spectral._propagate(state.amplitudes, dec.eigenvalues, dec.eigenvectors, tau)
+        values, vectors = dec.eigenvalues, dec.eigenvectors
+        amps = vectors @ ((vectors.conj().T @ state.amplitudes) * np.exp(-1j * tau * values))
     else:
         amps = _oracle_sweep(state.amplitudes, op, tau, steps)
     return StateVector(state.n_qubits, amps)
