@@ -10,9 +10,12 @@ they are built in chunks: each chunk's slices are scattered straight
 from the compiled terms into one ``(k, d, d)`` stack of at most
 ``RAMP_STACK_BYTES``, diagonalized by one stacked ``eigh`` and put into
 the canonical eigenbasis in one stack-aware pass, the same one the
-eigensystem cache uses. Only the propagation through the slices is
-sequential. Nothing enters the cache: every slice is a distinct
-operator, used once, and caching it would only evict reusable entries.
+eigensystem cache uses. Each chunk's phases exp(-i dt e) and conjugated
+eigenvectors are then computed in one array call each. Only the
+propagation through the slices is sequential, three calls per slice:
+into the eigenbasis, the phases, and back. Nothing enters the cache:
+every slice is a distinct operator, used once, and caching it would
+only evict reusable entries.
 The split-step backend evolves the frozen ``PauliSum`` of each slice.
 """
 
@@ -83,7 +86,8 @@ def adiabatic_prepare(
         s = midpoints[first : first + chunk]
         # the terms, order and coefficients of dense_matrix((1 - s) * start_op + s * target_op)
         weighted = [((1.0 - s) * c, p) for c, p in start] + [(s * c, p) for c, p in target]
-        for values, vectors in zip(*_canonical_eigh(_scatter(state.n_qubits, weighted))):
-            phases = np.exp(-1.0j * dt * values)
-            amplitudes = _propagate(amplitudes, phases, vectors.conj().T, vectors)
+        values, vectors = _canonical_eigh(_scatter(state.n_qubits, weighted))
+        phases = np.exp(-1.0j * dt * values)
+        for k, adjoint in enumerate(vectors.conj().transpose(0, 2, 1)):
+            amplitudes = _propagate(amplitudes, phases[k], adjoint, vectors[k])
     return StateVector(state.n_qubits, amplitudes)
