@@ -94,8 +94,9 @@ class PauliTerm:
     def __post_init__(self) -> None:
         _check_real(self.coeff, "coefficient")
         object.__setattr__(self, "coeff", float(self.coeff))
-        if not self.axes or any(c not in AXES for c in self.axes):
-            raise ValueError(f"axes {self.axes!r} must be a nonempty string over {AXES!r}")
+        axes = self.axes
+        if not isinstance(axes, str) or not axes or any(c not in AXES for c in axes):
+            raise ValueError(f"axes {axes!r} must be a nonempty string over {AXES!r}")
 
     @property
     def n_qubits(self) -> int:

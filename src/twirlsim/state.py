@@ -8,6 +8,7 @@ on amplitudes ordered by that index. Amplitude arrays held by a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ class StateVector:
                 f"expected ({2**self.n_qubits},) for {self.n_qubits} qubit(s)"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails this too
             raise ValueError(f"state norm {norm!r} is not 1 within {NORM_TOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -74,6 +75,8 @@ class StateVector:
         norm = float(np.linalg.norm(amps))
         if norm == 0.0:
             raise ValueError("cannot normalize the zero vector")
+        if not math.isfinite(norm):
+            raise ValueError(f"cannot normalize amplitudes of norm {norm!r}")
         return cls(int(amps.size).bit_length() - 1, amps / norm)
 
     def fidelity(self, other: StateVector) -> float:

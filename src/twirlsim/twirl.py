@@ -129,6 +129,12 @@ class Backend:
         return evolve_trotter(amplitudes, op, tau, self.steps)
 
 
+def _check_prefactor(prefactor: complex) -> None:
+    # written so that a NaN modulus fails the comparison too
+    if not abs(abs(prefactor) - 1.0) <= PREFACTOR_TOL:
+        raise ValueError(f"prefactor {prefactor!r} must have unit modulus")
+
+
 def keep_probability(
     state: StateVector, op: PauliSum, tau: float, prefactor: complex, ancillas: int = 1
 ) -> float:
@@ -139,6 +145,7 @@ def keep_probability(
     in theta, so the angle needs no wrapping.
     """
     _check_real(tau, "evolution time")
+    _check_prefactor(prefactor)
     ancillas = _check_count(ancillas, "ancilla count")
     dec = eigendecompose(op)
     angles = np.angle(prefactor) - float(tau) * dec.eigenvalues
@@ -154,8 +161,7 @@ def twirl_round(
     backend: Backend = Backend(),
 ) -> tuple[StateVector, float]:
     """One filtering round; returns the posterior and its keep probability."""
-    if abs(abs(prefactor) - 1.0) > PREFACTOR_TOL:
-        raise ValueError(f"prefactor {prefactor!r} must have unit modulus")
+    _check_prefactor(prefactor)
     ancillas = _check_count(ancillas, "ancilla count")
     current = state.amplitudes
     probability = 1.0

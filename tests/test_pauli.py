@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -179,6 +180,10 @@ def test_term_validation():
         PauliTerm(1.0, "XQ")
     with pytest.raises(ValueError, match="axes"):
         PauliTerm(1.0, "")
+    # a list of letters would pass the letter check and fail later, on hashing
+    for axes in (["X", "Z"], ("X",), b"XZ", 3):
+        with pytest.raises(ValueError, match=re.escape(f"axes {axes!r} must be a nonempty")):
+            PauliTerm(1.0, axes)
 
 
 def test_sum_validation():

@@ -30,6 +30,11 @@ def test_norm_enforced_on_construction():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+def test_nan_amplitudes_rejected_on_construction():
+    with pytest.raises(ValueError, match="norm nan"):
+        StateVector(1, np.array([np.nan, 0.0]))
+
+
 def test_shape_enforced_on_construction():
     with pytest.raises(ValueError, match="shape"):
         StateVector(2, np.array([1.0, 0.0]))
@@ -43,6 +48,12 @@ def test_from_amplitudes_normalizes():
 def test_from_amplitudes_rejects_zero_vector():
     with pytest.raises(ValueError, match="zero vector"):
         StateVector.from_amplitudes(np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_amplitudes_rejects_non_finite_norms(bad):
+    with pytest.raises(ValueError, match="cannot normalize amplitudes of norm"):
+        StateVector.from_amplitudes(np.array([bad, 1.0]))
 
 
 def test_from_amplitudes_rejects_non_power_of_two():
