@@ -102,6 +102,7 @@ def _propagate(
     the cost per call on small matrices.
     """
     coords = adjoint.dot(amplitudes)
+    # coordinates first: numpy's complex product may round differently with the operands swapped
     coords *= phases
     return vectors.dot(coords)
 

@@ -185,15 +185,13 @@ def test_full_extinction_raises():
 def test_round_argument_validation():
     op = schwinger_hamiltonian(1, 1.0)
     state = StateVector.basis("0")
-    with pytest.raises(ValueError, match="unit modulus"):
-        twirl_round(state, op, 1.0, 0.5j)
     # the predicted keep probability refuses what the round refuses, NaN included
     for prefactor in (0.5j, complex("nan"), complex("nan+1j"), complex("inf")):
         message = re.escape(f"prefactor {prefactor!r} must have unit modulus")
         with pytest.raises(ValueError, match=message):
-            twirl_round(state, op, 0.5, prefactor)
+            twirl_round(state, op, 1.0, prefactor)
         with pytest.raises(ValueError, match=message):
-            keep_probability(state, op, 0.5, prefactor)
+            keep_probability(state, op, 1.0, prefactor)
     with pytest.raises(ValueError, match="positive"):
         twirl_round(state, op, 1.0, 1.0j, ancillas=0)
 
