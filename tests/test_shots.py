@@ -18,6 +18,7 @@ from twirlsim import (
     TauMode,
     TwirlConfig,
     dense_matrix,
+    expectation,
     run_protocol,
     sample_shots,
     schwinger_hamiltonian,
@@ -329,7 +330,7 @@ _ENERGIES = pytest.mark.parametrize(
 @_ENERGIES
 @pytest.mark.parametrize("seed, shots", _SEEDS_AND_SHOTS)
 def test_survivor_counts_match_numpy_streams(seed, shots, noisy_energy):
-    _check_survivor_counts(seed, shots, noisy_energy, ancillas=2, n_qubits=3)
+    _check_survivor_counts(seed, shots, noisy_energy, _quarter_rounds(2), n_qubits=3)
 
 
 # the remaining register sizes and ancilla counts; 3 qubits with 2 ancillas is above
@@ -339,14 +340,35 @@ def test_survivor_counts_match_numpy_streams(seed, shots, noisy_energy):
 def test_survivor_counts_match_numpy_streams_on_every_register(
     seed, shots, noisy_energy, n_qubits, ancillas
 ):
-    _check_survivor_counts(seed, shots, noisy_energy, ancillas, n_qubits)
+    _check_survivor_counts(seed, shots, noisy_energy, _quarter_rounds(ancillas), n_qubits)
 
 
-def _check_survivor_counts(seed, shots, noisy_energy, ancillas, n_qubits):
+# overrides between estimated rounds: records 0 and 2 feed no estimate
+# forward, records 1 and 3 do, and the last record has no round after it
+_MIXED_ROUNDS = (
+    RoundSpec(TauMode.FULL, energy_override=2.2),
+    RoundSpec(TauMode.QUARTER, ancillas=2),
+    RoundSpec(TauMode.QUARTER, energy_override=-0.9),
+    RoundSpec(TauMode.QUARTER),
+)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+@_ENERGIES
+@pytest.mark.parametrize("seed, shots", _SEEDS_AND_SHOTS)
+def test_mixed_schedules_match_numpy_streams(seed, shots, noisy_energy, n_qubits):
+    _check_survivor_counts(seed, shots, noisy_energy, _MIXED_ROUNDS, n_qubits)
+
+
+def _quarter_rounds(ancillas):
+    return (RoundSpec(TauMode.QUARTER, ancillas=ancillas),) * 3
+
+
+def _check_survivor_counts(seed, shots, noisy_energy, rounds, n_qubits):
     initial, names = _PROTOCOLS[n_qubits]
     op = schwinger_hamiltonian(n_qubits, 1.3)
     config = TwirlConfig(
-        rounds=(RoundSpec(TauMode.QUARTER, ancillas=ancillas),) * 3,
+        rounds=rounds,
         shots=shots,
         seed=seed,
         observables=names,
@@ -361,10 +383,15 @@ def _check_survivor_counts(seed, shots, noisy_energy, ancillas, n_qubits):
     assert records[0].expectations == _oracle_estimates(state, observables, shots, seed, 0, 1)
     for before, record in zip(records, records[1:]):
         k = record.round_index
-        if noisy_energy:
+        spec = rounds[k - 1]
+        if spec.energy_override is not None:
+            assert record.energy_used == spec.energy_override, k
+        elif noisy_energy:
             energy = _oracle_estimates(state, [("H", op)], before.active_count, seed, k, energy_base)
             assert record.energy_used == energy["H"], k
-        state, _ = twirl_round(state, op, record.tau, record.prefactor, ancillas=ancillas)
+        else:
+            assert record.energy_used == expectation(state, op), k
+        state, _ = twirl_round(state, op, record.tau, record.prefactor, ancillas=spec.ancillas)
         p = min(1.0, record.p_cumulative)
         assert record.active_count == _oracle_hits(seed, k, 0, shots, p)
         want = _oracle_estimates(state, observables, record.active_count, seed, k, 1)

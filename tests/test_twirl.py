@@ -24,6 +24,7 @@ from twirlsim import (
     evolve_trotter,
     expectation,
     keep_probability,
+    named_observable,
     run_protocol,
     sample_shots,
     schwinger_hamiltonian,
@@ -442,6 +443,40 @@ def test_protocol_replay_is_consistent():
         state, p = twirl_round(state, op, record.tau, record.prefactor, ancillas=2)
         assert p == pytest.approx(record.p_round, abs=1e-12)
         assert expectation(state, op) == pytest.approx(record.expectations["H"], abs=1e-12)
+
+
+def test_exact_protocol_without_h_matches_a_round_by_round_replay():
+    # no record lists H, so each estimated round computes <H> itself; the
+    # overrides between them take no estimate
+    op = schwinger_hamiltonian(3, 1.3)
+    rounds = (
+        RoundSpec(TauMode.QUARTER, ancillas=2),
+        RoundSpec(TauMode.FULL, energy_override=2.2),
+        RoundSpec(TauMode.QUARTER),
+        RoundSpec(TauMode.QUARTER, energy_override=-0.9, ancillas=3),
+        RoundSpec(TauMode.QUARTER),
+    )
+    observables = {name: named_observable(name, 3) for name in ("Z0", "Zbar")}
+    config = TwirlConfig(rounds=rounds, observables=tuple(observables))
+    records = run_protocol("100", op, config)
+    state = StateVector.basis("100")
+    want = [(0, None, None, None, 1.0, 1.0)]
+    p_cumulative = 1.0
+    for index, spec in enumerate(rounds, start=1):
+        energy = expectation(state, op) if spec.energy_override is None else spec.energy_override
+        tau, prefactor = choose_tau(energy, spec.mode)
+        state, p_round = twirl_round(state, op, tau, prefactor, spec.ancillas)
+        p_cumulative *= p_round
+        want.append((index, energy, tau, prefactor, p_round, p_cumulative))
+        assert records[index].expectations == {
+            name: expectation(state, obs) for name, obs in observables.items()
+        }, index
+    got = [
+        (r.round_index, r.energy_used, r.tau, r.prefactor, r.p_round, r.p_cumulative)
+        for r in records
+    ]
+    assert got == want
+    assert all(r.active_count is None for r in records)
 
 
 def test_energy_override_takes_precedence():
