@@ -35,6 +35,7 @@ from .pauli import (
     schwinger_hamiltonian,
     single_z,
 )
+from .shots import PostSelectionError, sample_shots, stream_starts
 from .spectral import (
     SpectralDecomposition,
     closed_form_spectrum,
@@ -46,7 +47,6 @@ from .state import StateVector
 from .trotter import evolve_trotter, trotter_error
 from .twirl import (
     Backend,
-    PostSelectionError,
     RoundRecord,
     RoundSpec,
     TauMode,
@@ -55,8 +55,6 @@ from .twirl import (
     choose_tau,
     keep_probability,
     run_protocol,
-    sample_shots,
-    stream_starts,
     twirl_round,
 )
 

@@ -128,6 +128,10 @@ class PauliSum:
                     f"term {term.axes!r} acts on {term.n_qubits} qubit(s), "
                     f"operator is on {self.n_qubits}"
                 )
+        # evolution and dense builds add the terms up, so their sum must stay finite
+        total = sum(abs(term.coeff) for term in self.terms)
+        if not math.isfinite(total):
+            raise ValueError(f"summed |coefficient| of the terms is {total}, not finite")
 
     def __add__(self, other: PauliSum) -> PauliSum:
         if not isinstance(other, PauliSum):

@@ -323,6 +323,21 @@ def test_run_large_coefficients_leave_rounding_in_the_expectation(tmp_path, caps
     assert [r["round"] for r in json.loads(captured.out)["rounds"]] == [0, 1, 2, 3]
 
 
+def test_run_refuses_a_coupling_that_overflows_the_hamiltonian(tmp_path, capsys):
+    # J = 1e308 keeps every coefficient finite, but their sum overflows
+    payload = {
+        "name": "overflow",
+        "hamiltonian": {"name": "schwinger-3q", "J": 1e308},
+        "initial": "000",
+        "rounds": [{"mode": "quarter", "energy_override": 1.0}],
+    }
+    path = _write(tmp_path, "overflow.json", payload)
+    assert main(["run", "--config", path, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error at /hamiltonian: summed |coefficient|")
+
+
 def _table_rows(text, first):
     """The header and rows of the text table whose header starts with ``first``."""
     lines = text.splitlines()

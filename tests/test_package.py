@@ -13,6 +13,7 @@ _IMPORT_FIRST = """
 import importlib, importlib.util, sys
 sys.modules["twirlsim"] = importlib.util.module_from_spec(importlib.util.find_spec("twirlsim"))
 importlib.import_module(sys.argv[1])
+assert "twirlsim.twirl" not in sys.modules, "imported the protocol layer"
 """
 
 
@@ -22,9 +23,10 @@ def test_every_export_resolves_once():
     assert [name for name in names if not hasattr(twirlsim, name)] == []
 
 
-@pytest.mark.parametrize("module", ["twirlsim.state", "twirlsim.pauli"])
+@pytest.mark.parametrize("module", ["twirlsim.state", "twirlsim.pauli", "twirlsim.shots"])
 def test_state_and_pauli_import_without_a_cycle(module):
-    # state takes the count rule from pauli; pauli names StateVector only in annotations
+    # state takes the count rule from pauli; pauli names StateVector only in
+    # annotations; shots draws on both and twirl imports it, never the reverse
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_FIRST, module], capture_output=True, text=True, timeout=60
     )

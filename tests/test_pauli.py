@@ -191,6 +191,15 @@ def test_sum_validation():
         PauliSum(1, ())
     with pytest.raises(ValueError, match="acts on"):
         PauliSum(2, (PauliTerm(1.0, "X"),))
+    # each coefficient is finite, but a dense build or an evolution adds them up
+    big = PauliSum(1, (PauliTerm(1e308, "Z"),))
+    message = re.escape("summed |coefficient| of the terms is inf, not finite")
+    with pytest.raises(ValueError, match=message):
+        PauliSum(1, big.terms * 2 + (PauliTerm(1.0, "X"),))
+    with pytest.raises(ValueError, match=message):
+        big + PauliSum(1, (PauliTerm(-1e308, "X"),))
+    with pytest.raises(ValueError, match=message):
+        schwinger_hamiltonian(3, 1e308)
 
 
 def test_arithmetic_preserves_order():

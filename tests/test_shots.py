@@ -1,9 +1,11 @@
 """Tests for the shot-noise emulation layer."""
 
 import argparse
+import gc
 import math
 import re
 import sys
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,11 +27,12 @@ from twirlsim import (
     stream_starts,
     twirl_round,
 )
-from twirlsim import twirl
+from twirlsim import shots
 from twirlsim.cli import _run_overrides
 from twirlsim.pauli import single_z
+from twirlsim.shots import _draw
 from twirlsim.state import StateVector
-from twirlsim.twirl import _draw, resolve_observables
+from twirlsim.twirl import resolve_observables
 
 
 def _config(**overrides):
@@ -252,7 +255,7 @@ def test_stream_starts_match_numpy_seeding(seed):
             want = [[_oracle_start(current, r, s) for s in streams] for r in rounds]
             assert got == want, (current, rounds, streams)
     # the hashed words are shared between calls
-    assert not twirl._word_hashes(((0,), (1,)), twirl._HASH_INIT_A).flags.writeable
+    assert not shots._word_hashes(((0,), (1,)), shots._HASH_INIT_A).flags.writeable
 
 
 def test_resolved_observables_are_built_once():
@@ -285,13 +288,13 @@ def test_each_string_is_evaluated_once_per_state(monkeypatch):
     # sampled on round k's state: 8 distinct strings on each of 5 states,
     # against 12 per record and 6 per energy estimate, 84 in all, without reuse
     calls = []
-    evaluate = twirl._outcome_probability
+    evaluate = shots._outcome_probability
 
     def counted(amplitudes, axes):
         calls.append(axes)
         return evaluate(amplitudes, axes)
 
-    monkeypatch.setattr(twirl, "_outcome_probability", counted)
+    monkeypatch.setattr(shots, "_outcome_probability", counted)
     config = TwirlConfig(
         rounds=(RoundSpec(TauMode.QUARTER, ancillas=2),) * 4,
         shots=10**5,
@@ -302,6 +305,15 @@ def test_each_string_is_evaluated_once_per_state(monkeypatch):
     run_protocol("100", schwinger_hamiltonian(3, 1.3), config)
     assert len(calls) == 40
     assert len(set(calls)) == 8
+
+
+def test_sampling_keeps_no_state_alive():
+    state = StateVector.from_amplitudes([1, 1])
+    alive = weakref.ref(state)
+    sample_shots(state, [("Z", single_z(1, 0))], 10, stream_starts(1, [0], [1])[0])
+    del state
+    gc.collect()
+    assert alive() is None
 
 
 def test_sample_shots_names_both_registers():

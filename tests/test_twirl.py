@@ -195,6 +195,14 @@ def test_round_argument_validation():
             keep_probability(state, op, 1.0, prefactor)
     with pytest.raises(ValueError, match="positive"):
         twirl_round(state, op, 1.0, 1.0j, ancillas=0)
+    # tau * e is 1e400, so the phases, and with them the keep probability, are NaN
+    op = PauliSum(1, (PauliTerm(1e200, "Z"),))
+    message = re.escape("keep probability nan at tau = 1e+200: the evolution overflows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            twirl_round(state, op, 1e200, 1j)
+        with pytest.raises(ValueError, match=message):
+            keep_probability(state, op, 1e200, 1j)
 
 
 # ---------------------------------------------------------------------------
