@@ -5,6 +5,7 @@ import json
 import math
 import random
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +39,12 @@ EXPECTED_BUNDLED = [
     "table-12",
     "table-13",
 ]
+
+# Every message of the oracle test's mutation corpus, byte for byte. Regenerate
+# it only for a deliberate change of wording:
+#
+#     PYTHONPATH=src python tests/test_manifest.py
+MESSAGES_GOLDEN = Path(__file__).parent / "golden" / "manifest_errors.json"
 
 
 def _base(**overrides):
@@ -351,6 +358,17 @@ def _reported_pointers(data):
     return set()
 
 
+def _corpus(name):
+    """100 seeded mutations of a bundled manifest, each with one to three edits."""
+    text = (resources.files("twirlsim") / "manifests" / f"{name}.json").read_text(encoding="utf-8")
+    rng = random.Random(EXPECTED_BUNDLED.index(name))
+    for _ in range(100):
+        data = json.loads(text)
+        for _ in range(rng.randint(1, 3)):
+            _mutate(rng, data)
+        yield data
+
+
 @pytest.mark.parametrize("name", EXPECTED_BUNDLED)
 def test_validation_matches_json_schema_oracle(name):
     import jsonschema
@@ -360,13 +378,8 @@ def test_validation_matches_json_schema_oracle(name):
     def pointer(path):
         return "/" + "/".join(str(p) for p in path)
 
-    text = (resources.files("twirlsim") / "manifests" / f"{name}.json").read_text(encoding="utf-8")
-    rng = random.Random(EXPECTED_BUNDLED.index(name))
     verdicts = set()
-    for _ in range(100):
-        data = json.loads(text)
-        for _ in range(rng.randint(1, 3)):
-            _mutate(rng, data)
+    for data in _corpus(name):
         expected, branch, branch_pointers = set(), None, set()
         for error in oracle.iter_errors(data):
             leaf = jsonschema.exceptions.best_match([error])
@@ -396,6 +409,25 @@ def test_validation_matches_json_schema_oracle(name):
             # the oracle names one error of the branch: the best match
             assert expected_h <= got_h <= branch_pointers, context
     assert verdicts == {False, True}
+
+
+def _messages(name):
+    """The ManifestError text of each corpus case, None where it validates."""
+    texts = []
+    for data in _corpus(name):
+        try:
+            validate_manifest(data)
+        except ManifestError as exc:
+            texts.append(str(exc))
+        else:
+            texts.append(None)
+    return texts
+
+
+@pytest.mark.parametrize("name", EXPECTED_BUNDLED)
+def test_validation_messages_match_golden(name):
+    golden = json.loads(MESSAGES_GOLDEN.read_text(encoding="utf-8"))
+    assert _messages(name) == golden[name]
 
 
 # ---------------------------------------------------------------------------
@@ -503,3 +535,8 @@ def test_manifest_named_hamiltonian_builds():
     op = manifest.build_hamiltonian()
     assert op.n_qubits == 3
     assert (op.terms[-1].axes, op.terms[-1].coeff) == ("ZZI", 0.5)
+
+
+if __name__ == "__main__":
+    pinned = {name: _messages(name) for name in EXPECTED_BUNDLED}
+    MESSAGES_GOLDEN.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
