@@ -4,19 +4,24 @@ A manifest names a Hamiltonian (built-in by name, or inline as a term
 list), an initial basis state, the round schedule, and optional targets
 used as pass/fail checks. A set of ready-made scenarios ships with the
 package and can be addressed by bare name from the command line.
+
+Validation runs a checker compiled from ``RULES`` once, at import: one
+closure per rule, making only the tests that rule declares, with the
+closures of an array's items and an object's fields under it. A value's
+JSON pointer is built only when the value fails a test.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
 
 from .adiabatic import AdiabaticSchedule
-from .pauli import PauliSum, hamiltonian_by_name, named_observable
+from .pauli import PauliSum, _is_finite, hamiltonian_by_name, named_observable
 from .twirl import BACKEND_PATTERN, Backend, RoundSpec, TauMode, TwirlConfig
 
 
@@ -45,7 +50,9 @@ _LABEL = {"type": "string", "nonempty": True}
 # element ("items"), and the "fields" of an object with the "required"
 # ones (any other key is an error). The hamiltonian is "named" when it
 # has a "name" key and "inline" otherwise, the same choice
-# Manifest.build_hamiltonian makes.
+# Manifest.build_hamiltonian makes. _compile turns the rules into the
+# checker validate_manifest runs, and refuses a key it does not know, so a
+# misspelled bound cannot pass as no bound.
 RULES = _object(
     ("name", "hamiltonian", "initial", "rounds"),
     name={"type": "string", "pattern": "[A-Za-z0-9][A-Za-z0-9._-]*"},
@@ -127,64 +134,130 @@ def _hamiltonian(spec: dict) -> PauliSum:
     return PauliSum.from_dict(spec)
 
 
-# JSON type -> Python types; a boolean is no integer and a number is finite
+# A compiled rule: check(value, where, errors) appends a (where, message) pair to
+# errors for each broken rule, where is None at the root and (parent's where,
+# key) below it, so a JSON pointer is only built for a value that fails.
+_Check = Callable[[object, tuple | None, list], None]
+
+# JSON type -> (test, what a failure expects); a boolean is no integer, and a
+# number is finite, so an int too large for a float is refused too
 _TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "boolean": bool,
-    "integer": int,
-    "number": (int, float),
+    "object": (lambda value: isinstance(value, dict), "a JSON object"),
+    "array": (lambda value: isinstance(value, list), "a JSON array"),
+    "string": (lambda value: isinstance(value, str), "a JSON string"),
+    "boolean": (lambda value: isinstance(value, bool), "a JSON boolean"),
+    "integer": (
+        lambda value: isinstance(value, int) and not isinstance(value, bool),
+        "a JSON integer",
+    ),
+    "number": (
+        lambda value: (
+            isinstance(value, (int, float)) and not isinstance(value, bool) and _is_finite(value)
+        ),
+        "a finite number",
+    ),
 }
 
+_RULE_KEYS = frozenset(
+    {"type", "null", "enum", "pattern", "min", "above", "max", "nonempty", "items"}
+    | {"fields", "required", "named", "inline"}
+)
 
-def _check(value: object, rule: dict, path: str, errors: list) -> None:
-    """Append a (JSON pointer, message) pair to ``errors`` for each broken rule."""
 
-    def fail(expected: str) -> None:
-        errors.append((path, f"expected {expected}, got {value!r}"))
+def _compile(rule: dict) -> _Check:
+    """The check of ``rule``, running only the tests it declares; raises on an unknown key."""
+    inner = _inner(rule)
+    nullable = rule.get("null", False)
+    is_type, type_text = _TYPES[rule["type"]] if "type" in rule else (None, "")
+    # (broken(value), what a failure expects), run once the type test passed
+    tests = []
+    if "enum" in rule:
+        allowed = rule["enum"]
+        tests.append((lambda value: value not in allowed, f"one of {list(allowed)}"))
+    if "pattern" in rule:
+        fullmatch = re.compile(rule["pattern"]).fullmatch
+        tests.append((lambda value: fullmatch(value) is None, f"a match for {rule['pattern']!r}"))
+    if "min" in rule:
+        low = rule["min"]
+        tests.append((lambda value: value < low, f"at least {low}"))
+    if "above" in rule:
+        floor = rule["above"]
+        tests.append((lambda value: value <= floor, f"more than {floor}"))
+    if "max" in rule:
+        high = rule["max"]
+        tests.append((lambda value: value > high, f"at most {high}"))
+    if rule.get("nonempty"):
+        tests.append((lambda value: not value, "a non-empty value"))
 
-    if value is None and rule.get("null"):
-        return
-    kind = rule.get("type")
-    if kind is not None and not (
-        isinstance(value, _TYPES[kind])
-        and isinstance(value, bool) == (kind == "boolean")
-        and (kind != "number" or math.isfinite(value))
-    ):
-        fail("a finite number" if kind == "number" else f"a JSON {kind}")
-        return
-    if "enum" in rule and value not in rule["enum"]:
-        fail(f"one of {list(rule['enum'])}")
-    if "pattern" in rule and not re.fullmatch(rule["pattern"], value):
-        fail(f"a match for {rule['pattern']!r}")
-    if "min" in rule and value < rule["min"]:
-        fail(f"at least {rule['min']}")
-    if "above" in rule and value <= rule["above"]:
-        fail(f"more than {rule['above']}")
-    if "max" in rule and value > rule["max"]:
-        fail(f"at most {rule['max']}")
-    if rule.get("nonempty") and not value:
-        fail("a non-empty value")
-    for index, item in enumerate(value if "items" in rule else ()):
-        _check(item, rule["items"], f"{path}/{index}", errors)
+    def check(value: object, where: tuple | None, errors: list) -> None:
+        if value is None and nullable:
+            return
+        if is_type is not None and not is_type(value):
+            errors.append((where, f"expected {type_text}, got {value!r}"))
+            return
+        for broken, expected in tests:
+            if broken(value):
+                errors.append((where, f"expected {expected}, got {value!r}"))
+        if inner is not None:
+            inner(value, where, errors)
+
+    return check
+
+
+def _inner(rule: dict) -> _Check | None:
+    """The check of an array's items or an object's keys, None for a scalar rule."""
+    unknown = rule.keys() - _RULE_KEYS
+    if unknown:
+        raise ValueError(f"unknown rule key(s) {sorted(unknown)} in {rule!r}")
+    if "items" in rule:
+        item_check = _compile(rule["items"])
+
+        def items(value: list, where: tuple | None, errors: list) -> None:
+            for index, item in enumerate(value):
+                item_check(item, (where, index), errors)
+
+        return items
     if "named" in rule:
-        rule = rule["named"] if "name" in value else rule["inline"]
-    for key in rule.get("required", ()):
-        if key not in value:
-            errors.append((path, f"missing required property {key!r}"))
-    for key, item in value.items() if "fields" in rule else ():
-        if key in rule["fields"]:
-            _check(item, rule["fields"][key], f"{path}/{key}", errors)
-        else:
-            errors.append((path, f"unexpected property {key!r}"))
+        named, inline = _inner(rule["named"]), _inner(rule["inline"])
+        return lambda value, where, errors: (named if "name" in value else inline)(
+            value, where, errors
+        )
+    if "fields" not in rule:
+        return None
+    required = rule.get("required", ())
+    field_checks = {key: _compile(field) for key, field in rule["fields"].items()}
+
+    def keys(value: dict, where: tuple | None, errors: list) -> None:
+        for key in required:
+            if key not in value:
+                errors.append((where, f"missing required property {key!r}"))
+        for key, item in value.items():
+            field_check = field_checks.get(key)
+            if field_check is None:
+                errors.append((where, f"unexpected property {key!r}"))
+            else:
+                field_check(item, (where, key), errors)
+
+    return keys
+
+
+def _pointer(where: tuple | None) -> str:
+    keys = []
+    while where is not None:
+        where, key = where
+        keys.append(f"/{key}")
+    return "".join(reversed(keys))
+
+
+_CHECK = _compile(RULES)
 
 
 def validate_manifest(data: object) -> None:
     """Check raw manifest data against RULES, naming the offending JSON pointer."""
-    errors: list = []
-    _check(data, RULES, "", errors)
-    if errors:
+    found: list = []
+    _CHECK(data, None, found)
+    if found:
+        errors = [(_pointer(where), message) for where, message in found]
         errors.sort(key=lambda e: (e[0].split("/"), e[1]))
         lines = [f"config error at {path or '/'}: {message}" for path, message in errors]
         raise ManifestError("\n".join(dict.fromkeys(lines)))
@@ -267,13 +340,10 @@ def bundled_names() -> list[str]:
 def load_manifest(source: str | os.PathLike) -> Manifest:
     """Load a manifest from a file path or a bundled scenario name."""
     path = os.fspath(source)
-    if os.path.exists(path):
-        try:
-            with open(path, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise ManifestError(f"config error in {path}: {exc}") from None
-    else:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+    except FileNotFoundError:
         name = path[: -len(".json")] if path.endswith(".json") else path
         entry = resources.files(__package__) / "manifests" / f"{name}.json"
         if not entry.is_file():
@@ -281,8 +351,10 @@ def load_manifest(source: str | os.PathLike) -> Manifest:
             raise ManifestError(
                 f"config error: {path!r} is neither a file nor a bundled scenario; "
                 f"bundled scenarios: {known}"
-            )
+            ) from None
         data = json.loads(entry.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ManifestError(f"config error in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ManifestError("config error at /: manifest must be a JSON object")
     return parse_manifest(data)

@@ -45,9 +45,17 @@ DENSE_LIMIT_DEFAULT = 12
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
+def _is_finite(value: int | float) -> bool:
+    """``math.isfinite``, but False for an int too large for a float, not OverflowError."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _is_finite_real(value: object) -> bool:
     """Times, energies, couplings and coefficients: finite reals, never a bool."""
-    return isinstance(value, _REAL_TYPES) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, _REAL_TYPES) and not isinstance(value, bool) and _is_finite(value)
 
 
 def _check_real(value: object, what: str) -> None:
@@ -95,7 +103,7 @@ class PauliTerm:
         _check_real(self.coeff, "coefficient")
         object.__setattr__(self, "coeff", float(self.coeff))
         axes = self.axes
-        if not isinstance(axes, str) or not axes or any(c not in AXES for c in axes):
+        if not isinstance(axes, str) or not axes or axes.strip(AXES):
             raise ValueError(f"axes {axes!r} must be a nonempty string over {AXES!r}")
 
     @property

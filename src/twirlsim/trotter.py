@@ -34,17 +34,26 @@ import numpy as np
 from .pauli import PauliSum, PauliTerm, _check_count, _check_real, _compiled, dense_matrix
 
 
+def _half_angles(op: PauliSum, tau: float, steps: int) -> list[float]:
+    """Each term's rotation angle ``c_k dt / 2`` for ``dt = tau / steps``, all finite."""
+    dt = tau / steps
+    angles = [term.coeff * dt / 2.0 for term in op.terms]
+    for angle in angles:
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation angle {angle} at tau = {tau!r}: the evolution overflows")
+    return angles
+
+
 def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int) -> np.ndarray:
     """Amplitudes after ``steps`` symmetric sweeps approximating exp(-i tau op)."""
     steps = _check_count(steps, "step count")
     if np.shape(amplitudes) != (2**op.n_qubits,):
         raise ValueError("amplitudes and operator act on different registers")
     _check_real(tau, "evolution time")
-    dt = float(tau) / steps  # a float32 tau would keep float32 angles
     rotations = []
-    for term in op.terms:
+    # a float32 tau would keep float32 angles
+    for term, angle in zip(op.terms, _half_angles(op, float(tau), steps)):
         # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
-        angle = term.coeff * dt / 2.0
         source, phase = _compiled(term.axes)
         cos = np.complex128(math.cos(angle))
         if not any(axis in "XY" for axis in term.axes):
@@ -68,15 +77,14 @@ def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
     steps = _check_count(steps, "step count")
     _check_real(tau, "evolution time")
     tau = float(tau)
+    angles = _half_angles(op, tau, steps)
     matrix = dense_matrix(op)
     values, vectors = np.linalg.eigh(matrix)
     exact = (vectors * np.exp(-1.0j * tau * values)) @ vectors.conj().T
-    dt = tau / steps
     dim = matrix.shape[0]
     factors = []
-    for term in op.terms:
+    for term, angle in zip(op.terms, angles):
         dense_term = dense_matrix(PauliSum(op.n_qubits, (PauliTerm(1.0, term.axes),)))
-        angle = term.coeff * dt / 2.0
         factors.append(math.cos(angle) * np.eye(dim) - 1.0j * math.sin(angle) * dense_term)
     step = reduce(np.matmul, factors + factors[::-1])
     approx = np.linalg.matrix_power(step, steps)

@@ -338,6 +338,24 @@ def test_run_refuses_a_coupling_that_overflows_the_hamiltonian(tmp_path, capsys)
     assert captured.err.startswith("config error at /hamiltonian: summed |coefficient|")
 
 
+def test_run_refuses_an_integer_beyond_float_range(tmp_path, capsys):
+    big = 10**400
+    payload = {
+        "name": "huge",
+        "hamiltonian": {"name": "schwinger-1q", "J": big},
+        "initial": "0",
+        "rounds": [{"mode": "full", "energy_override": big}],
+    }
+    path = _write(tmp_path, "huge.json", payload)
+    assert main(["run", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error at /hamiltonian/J: expected a finite number, got {big}\n"
+        f"config error at /rounds/0/energy_override: expected a finite number, got {big}\n"
+    )
+
+
 def _table_rows(text, first):
     """The header and rows of the text table whose header starts with ``first``."""
     lines = text.splitlines()

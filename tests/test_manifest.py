@@ -21,6 +21,7 @@ from twirlsim import (
     parse_manifest,
     validate_manifest,
 )
+from twirlsim.manifest import RULES, _compile, _object
 
 EXPECTED_BUNDLED = [
     "table-01-ket0",
@@ -156,6 +157,9 @@ def test_valid_data_passes_silently():
         ),
         # numpy's binomial takes the shot count as a 64-bit C long
         ({"shots": 2**63}, "/shots"),
+        # an int beyond float range is no finite number
+        ({"hamiltonian": {"name": "schwinger-1q", "J": 10**400}}, "/hamiltonian/J"),
+        ({"rounds": [{"mode": "full", "energy_override": -(10**400)}]}, "/rounds/0/energy_override"),
     ],
 )
 def test_schema_errors_name_the_pointer(mutation, pointer):
@@ -185,6 +189,15 @@ def test_multiple_errors_are_all_reported():
     with pytest.raises(ManifestError) as info:
         validate_manifest(data)
     assert str(info.value).count("config error") == 2
+
+
+def test_rules_compile_and_unknown_rule_keys_are_refused():
+    _compile(RULES)
+    # a misspelled bound would otherwise check nothing
+    with pytest.raises(ValueError, match=r"unknown rule key\(s\) \['minimum'\]"):
+        _compile({"type": "number", "minimum": 0})
+    with pytest.raises(ValueError, match="'maximum'"):
+        _compile(_object(("n",), n={"type": "array", "items": {"type": "integer", "maximum": 3}}))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,10 @@ def test_unsupported_system_size_rejected():
         schwinger_hamiltonian(4, 1.0)
 
 
-@pytest.mark.parametrize("coupling", [-0.1, float("nan"), float("inf"), True, "1", 1j])
+@pytest.mark.parametrize(
+    "coupling",
+    [-0.1, float("nan"), float("inf"), True, "1", 1j, pytest.param(10**400, id="10**400")],
+)
 def test_bad_coupling_rejected(coupling):
     with pytest.raises(ValueError, match=f"coupling.*{coupling!r}"):
         schwinger_hamiltonian(1, coupling)
@@ -172,7 +175,8 @@ def test_json_round_trip_preserves_order_and_values():
 def test_term_validation():
     with pytest.raises(ValueError, match="finite"):
         PauliTerm(float("nan"), "X")
-    for coeff in (True, "1", 1j):
+    # an int beyond float range is refused, not an OverflowError
+    for coeff in (True, "1", 1j, 10**400):
         with pytest.raises(ValueError, match=f"coefficient {coeff!r} must be a finite real number"):
             PauliTerm(coeff, "Z")
     assert PauliTerm(np.float32(0.5), "Z") == PauliTerm(0.5, "Z")

@@ -1,6 +1,7 @@
 """Tests for the split-step integrator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ def test_plan_and_argument_validation():
         trotter_error(op, float("nan"), 4)
     with pytest.raises(ValueError, match="different registers"):
         evolve_trotter(StateVector.basis("00").amplitudes, op, 1.0, 4)
+    # a finite coefficient and time whose half-step angle overflows
+    big = PauliSum(1, (PauliTerm(1e200, "X"), PauliTerm(1.0, "Z")))
+    message = re.escape("rotation angle inf at tau = 1e+200: the evolution overflows")
+    with pytest.raises(ValueError, match=message):
+        evolve_trotter(state, big, 1e200, 2)
+    with pytest.raises(ValueError, match=message):
+        trotter_error(big, 1e200, 2)
     # a time is a real number: not a bool, a string or a complex
     for tau in (True, "1", 1j):
         with pytest.raises(ValueError, match=f"time {tau!r} must be a finite real number"):

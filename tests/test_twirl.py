@@ -91,7 +91,7 @@ def test_choose_tau_rejects_zero_and_junk():
         choose_tau(float("nan"), TauMode.QUARTER)
     with pytest.raises(ValueError, match="finite"):
         choose_tau("2", TauMode.QUARTER)
-    for energy in (True, 1j):
+    for energy in (True, 1j, 10**400):
         with pytest.raises(ValueError, match=f"estimate {energy!r} must be a finite real number"):
             choose_tau(energy, TauMode.QUARTER)
     assert choose_tau(np.float64(2.0), TauMode.QUARTER) == choose_tau(2.0, TauMode.QUARTER)
@@ -203,6 +203,10 @@ def test_round_argument_validation():
             twirl_round(state, op, 1e200, 1j)
         with pytest.raises(ValueError, match=message):
             keep_probability(state, op, 1e200, 1j)
+    # split-step: the rotation angle c * tau / (2 steps) overflows before any cos
+    message = re.escape("rotation angle inf at tau = 1e+200: the evolution overflows")
+    with pytest.raises(ValueError, match=message):
+        twirl_round(state, op, 1e200, 1j, backend=Backend(4))
 
 
 # ---------------------------------------------------------------------------
