@@ -80,6 +80,10 @@ def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
     angles = _half_angles(op, tau, steps)
     matrix = dense_matrix(op)
     values, vectors = np.linalg.eigh(matrix)
+    # with many steps the angles can stay finite while tau * e overflows
+    phase = abs(tau) * float(np.abs(values).max())
+    if not math.isfinite(phase):
+        raise ValueError(f"phase {phase} at tau = {tau!r}: the evolution overflows")
     exact = (vectors * np.exp(-1.0j * tau * values)) @ vectors.conj().T
     dim = matrix.shape[0]
     factors = []

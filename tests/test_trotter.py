@@ -87,6 +87,11 @@ def test_plan_and_argument_validation():
         evolve_trotter(state, big, 1e200, 2)
     with pytest.raises(ValueError, match=message):
         trotter_error(big, 1e200, 2)
+    # 10**10 steps keep each angle finite, but the exact phase tau * e overflows
+    big = PauliSum(1, (PauliTerm(1e300, "X"), PauliTerm(1.0, "Z")))
+    message = re.escape("phase inf at tau = 10000000000.0: the evolution overflows")
+    with pytest.raises(ValueError, match=message):
+        trotter_error(big, 1e10, 10**10)
     # a time is a real number: not a bool, a string or a complex
     for tau in (True, "1", 1j):
         with pytest.raises(ValueError, match=f"time {tau!r} must be a finite real number"):
