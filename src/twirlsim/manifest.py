@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .adiabatic import AdiabaticSchedule
-from .pauli import PauliSum, _is_finite, hamiltonian_by_name, named_observable
+from .pauli import PauliSum, _is_finite_real, hamiltonian_by_name, named_observable
 from .twirl import BACKEND_PATTERN, Backend, RoundSpec, TauMode, TwirlConfig
 
 
@@ -140,7 +140,7 @@ def _hamiltonian(spec: dict) -> PauliSum:
 _Check = Callable[[object, tuple | None, list], None]
 
 # JSON type -> (test, what a failure expects); a boolean is no integer, and a
-# number is finite, so an int too large for a float is refused too
+# number is a finite int or float, by the engine's rule for real numbers
 _TYPES = {
     "object": (lambda value: isinstance(value, dict), "a JSON object"),
     "array": (lambda value: isinstance(value, list), "a JSON array"),
@@ -151,9 +151,7 @@ _TYPES = {
         "a JSON integer",
     ),
     "number": (
-        lambda value: (
-            isinstance(value, (int, float)) and not isinstance(value, bool) and _is_finite(value)
-        ),
+        lambda value: isinstance(value, (int, float)) and _is_finite_real(value),
         "a finite number",
     ),
 }

@@ -45,17 +45,12 @@ DENSE_LIMIT_DEFAULT = 12
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
-def _is_finite(value: int | float) -> bool:
-    """``math.isfinite``, but False for an int too large for a float, not OverflowError."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _is_finite_real(value: object) -> bool:
     """Times, energies, couplings and coefficients: finite reals, never a bool."""
-    return isinstance(value, _REAL_TYPES) and not isinstance(value, bool) and _is_finite(value)
+    try:
+        return isinstance(value, _REAL_TYPES) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float is not finite either
+        return False
 
 
 def _check_real(value: object, what: str) -> None:
