@@ -48,7 +48,9 @@ _REAL_TYPES = (int, float, np.integer, np.floating)
 def _is_finite_real(value: object) -> bool:
     """Times, energies, couplings and coefficients: finite reals, never a bool."""
     try:
-        return isinstance(value, _REAL_TYPES) and not isinstance(value, bool) and math.isfinite(value)
+        return (
+            isinstance(value, _REAL_TYPES) and not isinstance(value, bool) and math.isfinite(value)
+        )
     except OverflowError:  # an int too large for a float is not finite either
         return False
 

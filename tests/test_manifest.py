@@ -159,7 +159,10 @@ def test_valid_data_passes_silently():
         ({"shots": 2**63}, "/shots"),
         # an int beyond float range is no finite number
         ({"hamiltonian": {"name": "schwinger-1q", "J": 10**400}}, "/hamiltonian/J"),
-        ({"rounds": [{"mode": "full", "energy_override": -(10**400)}]}, "/rounds/0/energy_override"),
+        (
+            {"rounds": [{"mode": "full", "energy_override": -(10**400)}]},
+            "/rounds/0/energy_override",
+        ),
     ],
 )
 def test_schema_errors_name_the_pointer(mutation, pointer):
@@ -437,10 +440,14 @@ def _messages(name):
     return texts
 
 
+@pytest.fixture(scope="module")
+def golden_messages():
+    return json.loads(MESSAGES_GOLDEN.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("name", EXPECTED_BUNDLED)
-def test_validation_messages_match_golden(name):
-    golden = json.loads(MESSAGES_GOLDEN.read_text(encoding="utf-8"))
-    assert _messages(name) == golden[name]
+def test_validation_messages_match_golden(name, golden_messages):
+    assert _messages(name) == golden_messages[name]
 
 
 # ---------------------------------------------------------------------------
