@@ -209,6 +209,18 @@ def test_round_argument_validation():
         twirl_round(state, op, 1e200, 1j, backend=Backend(4))
 
 
+def test_large_finite_time_still_evolves():
+    # |tau| * sum |c| is 1e300, far from the float range's edge
+    op = schwinger_hamiltonian(1, 0.0)
+    state = StateVector.basis("0")
+    for evolved in (
+        evolve_exact(state.amplitudes, op, 1e300),
+        evolve_trotter(state.amplitudes, op, 1e300, 4),
+    ):
+        assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
+    assert math.isfinite(keep_probability(state, op, 1e300, 1j))
+
+
 # ---------------------------------------------------------------------------
 # loop oracle: a validated state around every evolution, one per ancilla
 
