@@ -25,7 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, _check_count, _compiled, _is_finite_real, _scatter
+from .pauli import (
+    PauliSum,
+    PauliTerm,
+    _check_count,
+    _check_time,
+    _compiled,
+    _is_finite_real,
+    _scatter,
+)
 from .spectral import _canonical_eigh, _propagate
 from .state import StateVector
 from .twirl import Backend
@@ -72,7 +80,9 @@ def adiabatic_prepare(
         raise ValueError("start and target operators act on different registers")
     if state.n_qubits != start_op.n_qubits:
         raise ValueError("initial state and operators act on different registers")
-    dt = float(schedule.total_time) / schedule.steps
+    # a slice's summed |coefficient| is at most the larger of the two ends'
+    dt = _check_time(float(schedule.total_time) / schedule.steps, start_op)
+    _check_time(dt, target_op)
     midpoints = (np.arange(schedule.steps) + 0.5) / schedule.steps
     amplitudes = state.amplitudes
     if backend.steps is not None:

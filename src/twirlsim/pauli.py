@@ -4,7 +4,7 @@ A :class:`PauliTerm` is one coefficient times a tensor product of
 single-qubit Paulis written as a string over "IXYZ", with position 0
 acting on qubit 0 (the most significant bit of the basis index). A
 :class:`PauliSum` is an ordered sum of such terms; term order is part of
-the value and is preserved by arithmetic and JSON round-trips.
+the value and is preserved by arithmetic and by :meth:`PauliSum.from_dict`.
 
 Each axes string is compiled once into its symplectic (X mask, Z mask)
 form (Aaronson and Gottesman, arXiv:quant-ph/0406196): with ``x``
@@ -60,6 +60,22 @@ def _check_real(value: object, what: str) -> None:
         raise ValueError(f"{what} {value!r} must be a finite real number")
 
 
+def _check_time(tau: object, op: PauliSum) -> float:
+    """An evolution time under ``op``, returned as its ``float()``.
+
+    Every Pauli string has operator norm 1, so |tau| times the summed
+    |coefficient| bounds each phase tau e and each split-step angle: while
+    that product is finite, no evolution of ``op`` over ``tau`` overflows.
+    """
+    _check_real(tau, "evolution time")
+    tau = float(tau)  # a float32 time would keep float32 arithmetic
+    if not math.isfinite(tau * op._norm_bound):
+        raise ValueError(
+            f"evolution time {tau!r} times summed |coefficient| {op._norm_bound!r} overflows"
+        )
+    return tau
+
+
 def _check_count(value: object, what: str, low: int = 1, below: int | None = None) -> int:
     """Counts, seeds, indices and register sizes: ints or numpy integers, never a bool.
 
@@ -107,13 +123,6 @@ class PauliTerm:
     def n_qubits(self) -> int:
         return len(self.axes)
 
-    def to_dict(self) -> dict:
-        return {"coeff": self.coeff, "axes": self.axes}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> PauliTerm:
-        return cls(coeff=data["coeff"], axes=data["axes"])
-
 
 @dataclass(frozen=True)
 class PauliSum:
@@ -137,6 +146,8 @@ class PauliSum:
         total = sum(abs(term.coeff) for term in self.terms)
         if not math.isfinite(total):
             raise ValueError(f"summed |coefficient| of the terms is {total}, not finite")
+        # the operator-norm bound of _check_time; not a field, so equality and hashing ignore it
+        object.__setattr__(self, "_norm_bound", total)
 
     def __add__(self, other: PauliSum) -> PauliSum:
         if not isinstance(other, PauliSum):
@@ -155,17 +166,11 @@ class PauliSum:
 
     __rmul__ = __mul__
 
-    def to_dict(self) -> dict:
-        return {
-            "n_qubits": self.n_qubits,
-            "terms": [t.to_dict() for t in self.terms],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> PauliSum:
         return cls(
             n_qubits=data["n_qubits"],
-            terms=tuple(PauliTerm.from_dict(t) for t in data["terms"]),
+            terms=tuple(PauliTerm(t["coeff"], t["axes"]) for t in data["terms"]),
         )
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliSum, _check_real, dense_matrix, schwinger_hamiltonian
+from .pauli import PauliSum, _check_time, dense_matrix, schwinger_hamiltonian
 from .state import StateVector
 
 DEGENERACY_TOL = 1e-8
@@ -200,10 +200,10 @@ def evolve_exact(amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray
     """Amplitudes after exp(-i tau op), through the cached eigensystem."""
     if np.shape(amplitudes) != (2**op.n_qubits,):
         raise ValueError("amplitudes and operator act on different registers")
-    _check_real(tau, "evolution time")
+    tau = _check_time(tau, op)
     dec = _eigensystem(op)
     vectors = dec.eigenvectors
-    phases = np.exp(-1.0j * float(tau) * dec.eigenvalues)
+    phases = np.exp(-1.0j * tau * dec.eigenvalues)
     return _propagate(amplitudes, phases, vectors.conj().T, vectors)
 
 

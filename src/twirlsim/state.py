@@ -84,9 +84,3 @@ class StateVector:
         if self.n_qubits != other.n_qubits:
             raise ValueError("fidelity needs states on the same register")
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
-    def overlap(self, other: StateVector) -> complex:
-        """Inner product <self|other>."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("overlap needs states on the same register")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))

@@ -273,6 +273,18 @@ def test_run_bad_prepare_flag(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["exact", "trotter:2"])
+def test_run_refuses_a_ramp_time_that_overflows(backend, capsys):
+    # one slice of 1.7e308 times the start chain's summed |coefficient| of 3
+    argv = ["run", "--config", "table-04", "--prepare", "adiabatic:T=1.7e308,steps=1"]
+    assert main(argv + ["--backend", backend]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: evolution time 1.7e+308 times summed |coefficient| 3.0 overflows\n"
+    )
+
+
 def test_run_unknown_scenario(capsys):
     assert main(["run", "--config", "table-99"]) == 2
     assert "bundled scenarios" in capsys.readouterr().err

