@@ -118,14 +118,6 @@ def eigendecompose(op: PauliSum) -> SpectralDecomposition:
     return _eigensystem(op)
 
 
-def _assemble(pairs: list[tuple[float, np.ndarray]], dim: int) -> SpectralDecomposition:
-    values = np.array([e for e, _ in pairs], dtype=float)
-    vectors = np.zeros((dim, len(pairs)), dtype=complex)
-    for i, (_, vec) in enumerate(pairs):
-        vectors[:, i] = vec / np.linalg.norm(vec)
-    return SpectralDecomposition(*_canonical_basis(values, vectors))
-
-
 def closed_form_spectrum(n_qubits: int, coupling: float) -> SpectralDecomposition:
     """Analytic eigensystem of the built-in chain at coupling J.
 
@@ -138,62 +130,38 @@ def closed_form_spectrum(n_qubits: int, coupling: float) -> SpectralDecompositio
     # coupling validation matches the operator builder
     schwinger_hamiltonian(n_qubits, coupling)
     j = float(coupling)
+    # each level: its energy and the unnormalized amplitudes it supports, by basis index
     if n_qubits == 1:
         root = math.sqrt(1.0 + j * j)
-        pairs = [
-            (-root, np.array([1.0, -j - root], dtype=complex)),
-            (root, np.array([1.0, root - j], dtype=complex)),
-        ]
-        return _assemble(pairs, 2)
-    if n_qubits == 2:
+        levels = [(-root, {0: 1.0, 1: -j - root}), (root, {0: 1.0, 1: root - j})]
+    elif n_qubits == 2:
         root = math.sqrt(1.0 + j * j)
-
-        def pair_state(second: float) -> np.ndarray:
-            vec = np.zeros(4, dtype=complex)
-            vec[1] = 1.0
-            vec[2] = second
-            return vec
-
-        corner00 = np.zeros(4, dtype=complex)
-        corner00[0] = 1.0
-        corner11 = np.zeros(4, dtype=complex)
-        corner11[3] = 1.0
-        pairs = [
-            (-root, pair_state(-j - root)),
-            (-j, corner11),
-            (j, corner00),
-            (root, pair_state(root - j)),
+        levels = [
+            (-root, {1: 1.0, 2: -j - root}),
+            (-j, {3: 1.0}),
+            (j, {0: 1.0}),
+            (root, {1: 1.0, 2: root - j}),
         ]
-        return _assemble(pairs, 4)
-    # three qubits: hopping acts inside {001, 010, 100} and {011, 101, 110}
-    c = math.sqrt(2.0 + j * j)
-    s = math.sqrt(2.0 + 4.0 * j * j)
-
-    def odd_triple(a: float, b: float, d: float) -> np.ndarray:
-        vec = np.zeros(8, dtype=complex)
-        vec[1], vec[2], vec[4] = a, b, d
-        return vec
-
-    def even_triple(a: float, b: float, d: float) -> np.ndarray:
-        vec = np.zeros(8, dtype=complex)
-        vec[3], vec[5], vec[6] = a, b, d
-        return vec
-
-    corner000 = np.zeros(8, dtype=complex)
-    corner000[0] = 1.0
-    corner111 = np.zeros(8, dtype=complex)
-    corner111[7] = 1.0
-    pairs = [
-        (-(j + c), even_triple(1.0, -(j + c), 1.0)),
-        (-s, odd_triple(2.0 * j - s, 2.0, -(s + 2.0 * j))),
-        (0.0, odd_triple(1.0, -2.0 * j, -1.0)),
-        (0.0, even_triple(1.0, 0.0, -1.0)),
-        (0.0, corner111),
-        (c - j, even_triple(1.0, c - j, 1.0)),
-        (2.0 * j, corner000),
-        (s, odd_triple(s + 2.0 * j, 2.0, s - 2.0 * j)),
-    ]
-    return _assemble(pairs, 8)
+    else:
+        # hopping acts inside {001, 010, 100} and {011, 101, 110}
+        c = math.sqrt(2.0 + j * j)
+        s = math.sqrt(2.0 + 4.0 * j * j)
+        levels = [
+            (-(j + c), {3: 1.0, 5: -(j + c), 6: 1.0}),
+            (-s, {1: 2.0 * j - s, 2: 2.0, 4: -(s + 2.0 * j)}),
+            (0.0, {1: 1.0, 2: -2.0 * j, 4: -1.0}),
+            (0.0, {3: 1.0, 6: -1.0}),
+            (0.0, {7: 1.0}),
+            (c - j, {3: 1.0, 5: c - j, 6: 1.0}),
+            (2.0 * j, {0: 1.0}),
+            (s, {1: s + 2.0 * j, 2: 2.0, 4: s - 2.0 * j}),
+        ]
+    vectors = np.zeros((2**n_qubits, len(levels)), dtype=complex)
+    for vec, (_, amplitudes) in zip(vectors.T, levels):
+        vec[list(amplitudes)] = list(amplitudes.values())
+        vec /= np.linalg.norm(vec)
+    values = np.array([energy for energy, _ in levels])
+    return SpectralDecomposition(*_canonical_basis(values, vectors))
 
 
 def evolve_exact(amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray:
