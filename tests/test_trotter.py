@@ -89,9 +89,7 @@ def test_plan_and_argument_validation():
         trotter_error(big, 1e200, 2)
     # 10**10 steps keep each angle finite, but the exact phase tau * e overflows
     big = PauliSum(1, (PauliTerm(1e300, "X"), PauliTerm(1.0, "Z")))
-    message = re.escape(
-        "evolution time 10000000000.0 times summed |coefficient| 1e+300 overflows"
-    )
+    message = re.escape("evolution time 10000000000.0 times summed |coefficient| 1e+300 overflows")
     with pytest.raises(ValueError, match=message):
         trotter_error(big, 1e10, 10**10)
     # a time is a real number: not a bool, a string or a complex

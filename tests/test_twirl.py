@@ -221,38 +221,29 @@ def test_large_finite_time_still_evolves():
 
 _BIG_Z = PauliSum(1, (PauliTerm(1e200, "Z"),))
 _ZERO = StateVector.basis("0")
+# each evolution entry point at a time whose product with the summed |coefficient| overflows
+_OVERFLOW_ENTRY_POINTS = {
+    "evolve_exact": lambda: evolve_exact(_ZERO.amplitudes, _BIG_Z, 1e200),
+    "evolve_trotter": lambda: evolve_trotter(_ZERO.amplitudes, _BIG_Z, 1e200, 4),
+    "trotter_error": lambda: trotter_error(_BIG_Z, 1e200, 4),
+    "keep_probability": lambda: keep_probability(_ZERO, _BIG_Z, 1e200, 1j),
+    "twirl_round-exact": lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j),
+    "twirl_round-trotter": lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j, backend=Backend(4)),
+    "adiabatic-start": lambda: adiabatic_prepare(
+        _ZERO, _BIG_Z, single_z(1, 0), AdiabaticSchedule(1e200, 1)
+    ),
+    "adiabatic-target": lambda: adiabatic_prepare(
+        _ZERO, single_z(1, 0), _BIG_Z, AdiabaticSchedule(1e200, 1), Backend(4)
+    ),
+}
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        lambda: evolve_exact(_ZERO.amplitudes, _BIG_Z, 1e200),
-        lambda: evolve_trotter(_ZERO.amplitudes, _BIG_Z, 1e200, 4),
-        lambda: trotter_error(_BIG_Z, 1e200, 4),
-        lambda: keep_probability(_ZERO, _BIG_Z, 1e200, 1j),
-        lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j),
-        lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j, backend=Backend(4)),
-        lambda: adiabatic_prepare(_ZERO, _BIG_Z, single_z(1, 0), AdiabaticSchedule(1e200, 1)),
-        lambda: adiabatic_prepare(
-            _ZERO, single_z(1, 0), _BIG_Z, AdiabaticSchedule(1e200, 1), Backend(4)
-        ),
-    ],
-    ids=[
-        "evolve_exact",
-        "evolve_trotter",
-        "trotter_error",
-        "keep_probability",
-        "twirl_round-exact",
-        "twirl_round-trotter",
-        "adiabatic-start",
-        "adiabatic-target",
-    ],
-)
+@pytest.mark.parametrize("entry", sorted(_OVERFLOW_ENTRY_POINTS))
 def test_every_evolution_refuses_an_overflowing_time(entry):
     # |tau| * sum |c| is 1e400; a warning would fail the test, as pytest turns it into an error
     message = re.escape("evolution time 1e+200 times summed |coefficient| 1e+200 overflows")
     with pytest.raises(ValueError, match=f"^{message}$"):
-        entry()
+        _OVERFLOW_ENTRY_POINTS[entry]()
 
 
 # ---------------------------------------------------------------------------
