@@ -320,6 +320,26 @@ def test_propagation_helper_matches_the_matmul_expression():
                     assert evolved.tobytes() == expected.tobytes()
 
 
+def test_cached_eigensystem_routes_match_the_per_call_adjoint():
+    # evolve_exact and overlap_weights against conj().T taken afresh on every call
+    rng = np.random.default_rng(2028)
+    for n_qubits in range(1, 11):
+        dim = 2**n_qubits
+        random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        states = [np.eye(dim, dtype=complex)[k] for k in {0, dim - 1, int(rng.integers(dim))}]
+        states.append(random / np.linalg.norm(random))
+        for op in [_random_pauli_sum(rng, n_qubits) for _ in range(2 if n_qubits > 8 else 4)]:
+            dec = eigendecompose(op)
+            values, vectors = dec.eigenvalues, dec.eigenvectors
+            for amplitudes in states:
+                for tau in (0.37, -1.3, float(rng.uniform(-20.0, 20.0))):
+                    expected = _matmul_propagate(amplitudes, values, vectors, tau)
+                    assert evolve_exact(amplitudes, op, tau).tobytes() == expected.tobytes()
+                weights = overlap_weights(StateVector(n_qubits, amplitudes), dec)
+                expected = np.abs(vectors.conj().T @ amplitudes) ** 2
+                assert weights.tobytes() == expected.tobytes()
+
+
 def test_stacked_phases_and_adjoints_match_each_slice():
     rng = np.random.default_rng(2027)
     for n_qubits in range(1, 6):
