@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,6 +43,13 @@ class SpectralDecomposition:
             raise ValueError("dimension must be a power of two of at least one qubit")
         values.setflags(write=False)
         vectors.setflags(write=False)
+
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        """``eigenvectors.conj().T``, computed on first use and kept with the eigensystem."""
+        adjoint = self.eigenvectors.conj().T
+        adjoint.setflags(write=False)
+        return adjoint
 
     @property
     def dim(self) -> int:
@@ -170,15 +177,14 @@ def evolve_exact(amplitudes: np.ndarray, op: PauliSum, tau: float) -> np.ndarray
         raise ValueError("amplitudes and operator act on different registers")
     tau = _check_time(tau, op)
     dec = _eigensystem(op)
-    vectors = dec.eigenvectors
     phases = np.exp(-1.0j * tau * dec.eigenvalues)
-    return _propagate(amplitudes, phases, vectors.conj().T, vectors)
+    return _propagate(amplitudes, phases, dec.adjoint, dec.eigenvectors)
 
 
 def overlap_weights(state: StateVector, dec: SpectralDecomposition) -> np.ndarray:
     """Read-only weight of each eigenlevel in a state; they sum to its squared norm."""
     if state.n_qubits != dec.n_qubits:
         raise ValueError("state and decomposition act on different registers")
-    weights = np.abs(dec.eigenvectors.conj().T @ state.amplitudes) ** 2
+    weights = np.abs(dec.adjoint @ state.amplitudes) ** 2
     weights.setflags(write=False)
     return weights
