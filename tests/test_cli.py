@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -624,6 +625,52 @@ def test_argparse_usage_error_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["spectrum"])
     assert info.value.code == 2
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    assert main(["spectrum", "--qubits", "1", "--j", "1"]) == 0
+    assert main(["run", "--config", "table-04"]) == 0
+    with pytest.raises(SystemExit):
+        main(["run"])
+    assert main(["trotter-scan", "--qubits", "1", "--j", "1"]) == 0
+    assert len(builds) == 1
+
+
+def test_cli_import_builds_no_parser():
+    code = "import sys, twirlsim.cli as cli; sys.exit(cli._parser.cache_info().currsize)"
+    subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _golden_entry(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return {"code": code, "stdout": captured.out, "stderr": captured.err}
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
+OVERRIDDEN = ["run", "--config", "table-04", "--shots", "1000", "--seed", "3", "--format", "csv"]
+PLAIN = ["run", "--config", "table-04", "--format", "csv"]
+
+
+def test_flags_of_one_call_do_not_reach_the_next(capsys):
+    for argv in (OVERRIDDEN, PLAIN, OVERRIDDEN, PLAIN):
+        assert _golden_entry(argv, capsys) == GOLDEN[" ".join(argv)]
+
+
+@pytest.mark.parametrize(
+    "refused",
+    [["run"], ["run", "--config", "table-04", "--shots", "9", "--seed", "x"], ["--version"]],
+    ids=" ".join,
+)
+def test_an_argparse_exit_leaves_the_next_call_unchanged(refused, capsys):
+    with pytest.raises(SystemExit):
+        main(refused)
+    capsys.readouterr()
+    assert _golden_entry(PLAIN, capsys) == GOLDEN[" ".join(PLAIN)]
 
 
 @pytest.mark.parametrize("module", ["jsonschema", "numpy.random"])
