@@ -72,7 +72,8 @@ def choose_tau(energy: float, mode: TauMode) -> tuple[float, complex]:
             "needs an explicit energy_override (full mode) instead"
         )
     if mode is TauMode.QUARTER:
-        return math.pi / (2.0 * energy), 1.0j
+        # 2.0 * energy overflows above ~9e307; pi / 2.0 is exact, so this rounds the same quotient once
+        return math.pi / 2.0 / energy, 1.0j
     if mode is TauMode.FULL:
         return 2.0 * math.pi / energy, 1.0 + 0.0j
     raise ValueError(f"unknown mode {mode!r}")

@@ -54,6 +54,16 @@ def test_choose_tau_quarter_and_full():
     assert prefactor == 1.0 + 0.0j
     tau, _ = choose_tau(-2.0, TauMode.QUARTER)
     assert tau == pytest.approx(-math.pi / 4.0)
+    # twice 1e308 is beyond float range, a quarter period of it is not
+    assert choose_tau(1e308, TauMode.QUARTER) == (1.5707963267948964e-308, 1.0j)
+    assert choose_tau(-1e308, TauMode.QUARTER) == (-1.5707963267948964e-308, 1.0j)
+
+
+def test_choose_tau_quarter_keeps_the_bits_of_one_division():
+    rng = np.random.default_rng(2029)
+    energies = np.exp(rng.uniform(math.log(1e-11), math.log(1e300), 20_000))
+    for energy in (energies * rng.choice([-1.0, 1.0], energies.size)).tolist():
+        assert choose_tau(energy, TauMode.QUARTER)[0] == math.pi / (2.0 * energy)
 
 
 _CHAIN = schwinger_hamiltonian(3, 1.3)
