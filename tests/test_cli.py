@@ -645,15 +645,15 @@ def test_cli_import_builds_no_parser():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
+OVERRIDDEN = ["run", "--config", "table-04", "--shots", "1000", "--seed", "3", "--format", "csv"]
+PLAIN = ["run", "--config", "table-04", "--format", "csv"]
+
+
 def _golden_entry(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return {"code": code, "stdout": captured.out, "stderr": captured.err}
-
-
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
-OVERRIDDEN = ["run", "--config", "table-04", "--shots", "1000", "--seed", "3", "--format", "csv"]
-PLAIN = ["run", "--config", "table-04", "--format", "csv"]
 
 
 def test_flags_of_one_call_do_not_reach_the_next(capsys):
