@@ -15,6 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import scipy.stats
 
+from oracles import group_slices, projector
 from test_properties import run_pauli_cases, run_spectral_cases, run_twirl_cases
 from twirlsim import (
     RoundSpec,
@@ -47,21 +48,6 @@ def criterion(label):
     print(f"acceptance {label}: PASS")
 
 
-def _group_slices(values, tol=1e-8):
-    slices = []
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > tol:
-            slices.append(slice(start, k))
-            start = k
-    return slices
-
-
-def _projector(vectors, block):
-    cols = vectors[:, block]
-    return cols @ cols.conj().T
-
-
 def test_criterion_01_spectrum_oracle():
     with criterion("01 spectrum-oracle"):
         _eigensystem.cache_clear()
@@ -74,8 +60,8 @@ def test_criterion_01_spectrum_oracle():
                     float(np.max(np.abs(numeric.eigenvalues - closed.eigenvalues)))
                     < 1e-10
                 )
-                for block in _group_slices(closed.eigenvalues):
-                    delta = _projector(numeric.eigenvectors, block) - _projector(
+                for block in group_slices(closed.eigenvalues):
+                    delta = projector(numeric.eigenvectors, block) - projector(
                         closed.eigenvectors, block
                     )
                     assert float(np.max(np.abs(delta))) < 1e-10

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import group_slices, projector
 from twirlsim import (
     PauliSum,
     PauliTerm,
@@ -20,22 +21,6 @@ from twirlsim import (
 )
 from twirlsim.cli import main
 from twirlsim.pauli import dense_matrix
-
-
-def _group_slices(values, tol=1e-8):
-    """Slices of near-degenerate runs in an ascending eigenvalue list."""
-    slices = []
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > tol:
-            slices.append(slice(start, k))
-            start = k
-    return slices
-
-
-def _projector(vectors, block):
-    cols = vectors[:, block]
-    return cols @ cols.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +130,8 @@ def test_numeric_matches_closed_form_projectors():
             np.testing.assert_allclose(
                 numeric.eigenvalues, closed.eigenvalues, atol=1e-10
             )
-            for block in _group_slices(closed.eigenvalues):
-                delta = _projector(numeric.eigenvectors, block) - _projector(
+            for block in group_slices(closed.eigenvalues):
+                delta = projector(numeric.eigenvectors, block) - projector(
                     closed.eigenvectors, block
                 )
                 assert float(np.max(np.abs(delta))) < 1e-8
@@ -163,7 +148,7 @@ def _oracle_canonical(values, vectors, tol=1e-8):
     values = values[order]
     vectors = vectors[:, order]
     perm = []
-    for block in _group_slices(values, tol):
+    for block in group_slices(values, tol):
         members = range(block.start, block.stop)
         perm.extend(sorted(members, key=lambda i: _oracle_first_support(vectors[:, i])))
     values, vectors = values[perm], vectors[:, perm]
@@ -198,7 +183,7 @@ def test_canonical_eigenbasis_matches_loop_oracle():
         assert dec.eigenvalues.tobytes() == values.tobytes()
         assert dec.eigenvectors.tobytes() == vectors.tobytes()
         assert dec.eigenvectors.flags.c_contiguous
-        degenerate += len(_group_slices(values)) < values.size
+        degenerate += len(group_slices(values)) < values.size
     assert degenerate > 1000
 
 
@@ -240,7 +225,7 @@ def test_canonical_basis_on_a_stack_matches_each_slice():
             assert canonical_values[k].tobytes() == expected_values.tobytes()
             assert canonical_vectors[k].tobytes() == expected_vectors.tobytes()
             assert canonical_vectors[k].flags.c_contiguous
-            degenerate += len(_group_slices(expected_values)) < expected_values.size
+            degenerate += len(group_slices(expected_values)) < expected_values.size
     assert degenerate > 100
 
 

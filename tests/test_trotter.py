@@ -1,11 +1,11 @@
 """Tests for the split-step integrator."""
 
-import math
 import re
 
 import numpy as np
 import pytest
 
+from oracles import split_step_sweep
 from twirlsim import (
     Backend,
     PauliSum,
@@ -16,7 +16,6 @@ from twirlsim import (
     schwinger_hamiltonian,
     trotter_error,
 )
-from twirlsim.pauli import apply_axes
 
 
 def test_single_term_is_exact():
@@ -103,17 +102,6 @@ def test_plan_and_argument_validation():
         assert np.array_equal(evolve_trotter(state, op, tau, 4), want)
 
 
-def _textbook_sweep(amplitudes, op, tau, steps):
-    """The symmetric sweep written out: exp(-i a P) psi = cos(a) psi - i sin(a) P psi."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    dt = tau / steps
-    for _ in range(steps):
-        for term in op.terms + op.terms[::-1]:
-            angle = term.coeff * dt / 2.0
-            amps = math.cos(angle) * amps - 1.0j * math.sin(angle) * apply_axes(amps, term.axes)
-    return amps
-
-
 def _random_axes(rng, n_qubits, alphabet="IXYZ"):
     return "".join(rng.choice(list(alphabet), n_qubits))
 
@@ -180,7 +168,7 @@ def test_sweep_matches_textbook_rotations():
     """
     for case, (op, amps, tau, steps) in enumerate(_sweep_cases(np.random.default_rng(11))):
         got = evolve_trotter(amps, op, tau, steps)
-        want = _textbook_sweep(amps, op, tau, steps)
+        want = split_step_sweep(amps, op, tau, steps)
         assert np.array_equal(got, want), (case, op, tau, steps)
 
 

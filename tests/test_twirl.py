@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from oracles import split_step_sweep
 from twirlsim import (
     AdiabaticSchedule,
     Backend,
@@ -35,7 +36,6 @@ from twirlsim import (
     twirl_round,
 )
 from twirlsim import spectral
-from twirlsim.pauli import apply_axes
 from twirlsim.state import NORM_TOL, StateVector
 
 ROOT2 = math.sqrt(2.0)
@@ -260,24 +260,13 @@ def test_every_evolution_refuses_an_overflowing_time(entry):
 # loop oracle: a validated state around every evolution, one per ancilla
 
 
-def _oracle_sweep(amplitudes, op, tau, steps):
-    """The symmetric split-step sweep, term by term."""
-    dt = tau / steps
-    amps = np.array(amplitudes, dtype=complex)
-    for _ in range(steps):
-        for term in op.terms + op.terms[::-1]:
-            angle = term.coeff * dt / 2.0
-            amps = math.cos(angle) * amps - 1.0j * math.sin(angle) * apply_axes(amps, term.axes)
-    return amps
-
-
 def _oracle_evolve(state, op, tau, steps):
     if steps is None:
         dec = spectral._eigensystem(op)
         values, vectors = dec.eigenvalues, dec.eigenvectors
         amps = vectors @ ((vectors.conj().T @ state.amplitudes) * np.exp(-1j * tau * values))
     else:
-        amps = _oracle_sweep(state.amplitudes, op, tau, steps)
+        amps = split_step_sweep(state.amplitudes, op, tau, steps)
     return StateVector(state.n_qubits, amps)
 
 
@@ -361,7 +350,7 @@ def test_split_step_ramp_matches_state_per_slice_oracle(seed):
         dt = schedule.total_time / schedule.steps
         for k in range(schedule.steps):
             s = (k + 0.5) / schedule.steps
-            amps = _oracle_sweep(expected.amplitudes, (1.0 - s) * start + s * target, dt, steps)
+            amps = split_step_sweep(expected.amplitudes, (1.0 - s) * start + s * target, dt, steps)
             expected = StateVector(expected.n_qubits, amps)
         prepared = adiabatic_prepare(initial, start, target, schedule, Backend(steps))
         assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
