@@ -27,9 +27,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -62,9 +61,10 @@ def _failure(exc: Exception) -> tuple[str, int]:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    # write to a sibling temp file, then rename over the destination
-    directory = os.path.dirname(path) or "."
-    handle, tmp_path = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    # write to a sibling temp file, then rename over the destination; the file is
+    # made with 0o666 for the umask to cut, as open(path, "w") would make it
+    tmp_path = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}")
+    handle = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as tmp:
             tmp.write(text)
@@ -206,7 +206,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 @dataclass(frozen=True)
 class TargetResult:
     observable: str
-    round_index: int
+    round: int
     value: float
     tol: float
     actual: float
@@ -226,7 +226,7 @@ class RunResult:
 
 def execute_manifest(manifest: Manifest) -> RunResult:
     """Run one scenario and check its targets."""
-    op = manifest.build_hamiltonian()
+    op = manifest.operator
     config = manifest.config
     if manifest.prepare is None:
         initial: StateVector | str = manifest.initial
@@ -241,14 +241,12 @@ def execute_manifest(manifest: Manifest) -> RunResult:
     records = run_protocol(initial, op, config)
     checks = []
     for target in manifest.targets:
-        round_index = (
-            len(config.rounds) if target.round_index is None else target.round_index
-        )
+        round_index = len(config.rounds) if target.round is None else target.round
         actual = records[round_index].expectations[target.observable]
         checks.append(
             TargetResult(
                 observable=target.observable,
-                round_index=round_index,
+                round=round_index,
                 value=target.value,
                 tol=target.tol,
                 actual=actual,
@@ -262,6 +260,17 @@ def _hamiltonian_label(manifest: Manifest) -> str:
     if "name" in manifest.hamiltonian:
         return f"{manifest.hamiltonian['name']} J={manifest.hamiltonian.get('J', 1.0):g}"
     return f"inline ({manifest.hamiltonian['n_qubits']} qubits)"
+
+
+# The scalar round columns: the RoundRecord field (also the JSON key), the CSV
+# header, the text header, width and cell. Text drops active_count without shots.
+_ROUND_COLUMNS = (
+    ("energy_used", "E_used", "energy_used", 13, functools.partial(_fmt, tiny=True)),
+    ("tau", "tau", "tau", 11, functools.partial(_fmt, tiny=True)),
+    ("p_round", "p_round", "p_round", 10, "{:.6f}".format),
+    ("p_cumulative", "p_cum", "p_cum", 10, "{:.6f}".format),
+    ("active_count", "active_count", "active", 10, str),
+)
 
 
 def _run_text(result: RunResult, check: bool) -> str:
@@ -286,23 +295,12 @@ def _run_text(result: RunResult, check: bool) -> str:
     lines.append(f"  rounds: {modes}")
     lines.append("")
     obs_names = list(config.observables)
-    header = ["energy_used", "tau", "p_round", "p_cum"]
-    widths = [13, 11, 10, 10]
-    if config.shots is not None:
-        header.append("active")
-        widths.append(10)
-    header += [f"<{name}>" for name in obs_names]
-    widths += [12] * len(obs_names)
+    columns = [c for c in _ROUND_COLUMNS if config.shots is not None or c[0] != "active_count"]
+    header = [c[2] for c in columns] + [f"<{name}>" for name in obs_names]
+    widths = [c[3] for c in columns] + [12] * len(obs_names)
     lines.append(_row("round", header, widths))
     for record in result.records:
-        cells = [
-            _fmt(record.energy_used, tiny=True),
-            _fmt(record.tau, tiny=True),
-            f"{record.p_round:.6f}",
-            f"{record.p_cumulative:.6f}",
-        ]
-        if config.shots is not None:
-            cells.append(str(record.active_count))
+        cells = [cell(getattr(record, field)) for field, _, _, _, cell in columns]
         cells += [_fmt(record.expectations[name]) for name in obs_names]
         lines.append(_row(record.round_index, cells, widths))
     if check and result.targets:
@@ -310,7 +308,7 @@ def _run_text(result: RunResult, check: bool) -> str:
         for target in result.targets:
             verdict = "ok" if target.ok else "VIOLATED"
             lines.append(
-                f"check <{target.observable}> @ round {target.round_index}: "
+                f"check <{target.observable}> @ round {target.round}: "
                 f"{target.actual:.6f} vs {target.value:.6f} +/- {target.tol:g}  {verdict}"
             )
         bad = sum(not t.ok for t in result.targets)
@@ -323,9 +321,10 @@ def _run_text(result: RunResult, check: bool) -> str:
 def _run_csv(result: RunResult) -> str:
     obs_names = list(result.manifest.config.observables)
     return _csv(
-        ["round", "E_used", "tau", "p_round", "p_cum", "active_count"] + obs_names,
+        ["round"] + [c[1] for c in _ROUND_COLUMNS] + obs_names,
         (
-            [r.round_index, r.energy_used, r.tau, r.p_round, r.p_cumulative, r.active_count]
+            [r.round_index]
+            + [getattr(r, c[0]) for c in _ROUND_COLUMNS]
             + [r.expectations[name] for name in obs_names]
             for r in result.records
         ),
@@ -354,15 +353,11 @@ def _run_json(result: RunResult, check: bool) -> str:
                 "mode": None
                 if record.round_index == 0
                 else config.rounds[record.round_index - 1].mode.value,
-                "energy_used": record.energy_used,
-                "tau": record.tau,
                 "prefactor": None
                 if record.prefactor is None
                 else [record.prefactor.real, record.prefactor.imag],
-                "p_round": record.p_round,
-                "p_cumulative": record.p_cumulative,
-                "active_count": record.active_count,
                 "expectations": record.expectations,
+                **{c[0]: getattr(record, c[0]) for c in _ROUND_COLUMNS},
             }
             for record in result.records
         ],
@@ -370,17 +365,7 @@ def _run_json(result: RunResult, check: bool) -> str:
     if manifest.notes:
         payload["notes"] = manifest.notes
     if check:
-        payload["targets"] = [
-            {
-                "observable": t.observable,
-                "round": t.round_index,
-                "value": t.value,
-                "tol": t.tol,
-                "actual": t.actual,
-                "ok": t.ok,
-            }
-            for t in result.targets
-        ]
+        payload["targets"] = [asdict(t) for t in result.targets]
         payload["ok"] = result.ok
     return _json(payload)
 
@@ -425,6 +410,11 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--prepare", help='"none", "adiabatic", or "adiabatic:T=<time>,steps=<n>"'
     )
+
+
+def _add_output_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
+    parser.add_argument("--out", help="directory to write the output file into")
 
 
 def _run_overrides(args: argparse.Namespace) -> dict:
@@ -472,7 +462,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if not target.ok:
                 sys.stderr.write(
                     f"{manifest.name}: <{target.observable}> @ round "
-                    f"{target.round_index} = {target.actual:.6f}, wanted "
+                    f"{target.round} = {target.actual:.6f}, wanted "
                     f"{target.value:.6f} +/- {target.tol:g}\n"
                 )
     return EXIT_TARGET
@@ -599,15 +589,13 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser("spectrum", help="eigenvalues of a built-in chain")
     spectrum.add_argument("--qubits", type=int, required=True, choices=(1, 2, 3))
     spectrum.add_argument("--j", type=float, required=True, help="coupling J")
-    spectrum.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    spectrum.add_argument("--out", help="directory to write the output file into")
+    _add_output_flags(spectrum)
     spectrum.set_defaults(func=cmd_spectrum)
 
     run = sub.add_parser("run", help="run one scenario manifest")
     run.add_argument("--config", required=True, help="manifest path or bundled name")
     _add_override_flags(run)
-    run.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    run.add_argument("--out", help="directory to write the output file into")
+    _add_output_flags(run)
     run.add_argument(
         "--no-check", action="store_true", help="skip target checks and always exit 0"
     )
@@ -618,8 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--j", type=float, required=True, help="coupling J")
     scan.add_argument("--tau", type=float, default=math.pi / 2)
     scan.add_argument("--steps", default="8,16,32,64", help="comma-separated step counts")
-    scan.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    scan.add_argument("--out", help="directory to write the output file into")
+    _add_output_flags(scan)
     scan.set_defaults(func=cmd_trotter_scan)
 
     batch = sub.add_parser("batch", help="run every manifest in a directory, in order")

@@ -49,10 +49,10 @@ _LABEL = {"type": "string", "nonempty": True}
 # upper bound "max" (inclusive), "nonempty", the rule of each array
 # element ("items"), and the "fields" of an object with the "required"
 # ones (any other key is an error). The hamiltonian is "named" when it
-# has a "name" key and "inline" otherwise, the same choice
-# Manifest.build_hamiltonian makes. _compile turns the rules into the
-# checker validate_manifest runs, and refuses a key it does not know, so a
-# misspelled bound cannot pass as no bound.
+# has a "name" key and "inline" otherwise, the same choice _hamiltonian
+# makes. _compile turns the rules into the checker validate_manifest runs,
+# and refuses a key it does not know, so a misspelled bound cannot pass as
+# no bound.
 RULES = _object(
     ("name", "hamiltonian", "initial", "rounds"),
     name={"type": "string", "pattern": "[A-Za-z0-9][A-Za-z0-9._-]*"},
@@ -108,24 +108,23 @@ class TargetSpec:
     observable: str
     value: float
     tol: float
-    round_index: int | None = None
+    round: int | None = None
 
 
 @dataclass(frozen=True)
 class Manifest:
-    """A validated scenario ready to run, its protocol settings in ``config``."""
+    """A validated scenario ready to run, its protocol settings in ``config``,
+    its Hamiltonian in ``operator`` and, as written, in ``hamiltonian``."""
 
     name: str
     hamiltonian: dict
     initial: str
     config: TwirlConfig
+    operator: PauliSum
     prepare: AdiabaticSchedule | None = None
     targets: tuple[TargetSpec, ...] = ()
     description: str = ""
     notes: str = ""
-
-    def build_hamiltonian(self) -> PauliSum:
-        return _hamiltonian(self.hamiltonian)
 
 
 def _hamiltonian(spec: dict) -> PauliSum:
@@ -269,7 +268,7 @@ def parse_manifest(data: dict) -> Manifest:
     or Manifest.
     """
     validate_manifest(data)
-    _check_consistency(data)
+    operator = _check_consistency(data)
     settings = _given(data, "shots", "seed", "observables", "noisy_energy")
     if "backend" in data:
         settings["backend"] = Backend.parse(data["backend"])
@@ -278,20 +277,17 @@ def parse_manifest(data: dict) -> Manifest:
     if "prepare" in data:
         fields["prepare"] = AdiabaticSchedule(**_given(data["prepare"], "total_time", "steps"))
     if "expected" in data:
-        fields["targets"] = tuple(
-            TargetSpec(**{"round_index" if k == "round" else k: v for k, v in t.items()})
-            for t in data["expected"]
-        )
+        fields["targets"] = tuple(TargetSpec(**t) for t in data["expected"])
     config = TwirlConfig(rounds, **settings)
-    return Manifest(data["name"], data["hamiltonian"], data["initial"], config, **fields)
+    return Manifest(data["name"], data["hamiltonian"], data["initial"], config, operator, **fields)
 
 
 def _given(data: dict, *keys: str) -> dict:
     return {key: data[key] for key in keys if key in data}
 
 
-def _check_consistency(data: dict) -> None:
-    """Cross-field checks on validated data, made before the TwirlConfig is built."""
+def _check_consistency(data: dict) -> PauliSum:
+    """Cross-field checks on validated data; returns the Hamiltonian they built."""
     try:
         op = _hamiltonian(data["hamiltonian"])
     except ValueError as exc:
@@ -323,6 +319,7 @@ def _check_consistency(data: dict) -> None:
             )
     if data.get("noisy_energy") and data.get("shots") is None:
         raise ManifestError("config error at /noisy_energy: needs a shot count")
+    return op
 
 
 def bundled_names() -> list[str]:

@@ -1,6 +1,8 @@
 """Tests for the command line front end."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from twirlsim import AdiabaticSchedule, Backend, __version__, cli, load_manifest
+from twirlsim import AdiabaticSchedule, Backend, __version__, bundled_names, cli, load_manifest
+from twirlsim import manifest as manifest_module
 from twirlsim.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
 
 VIOLATING = {
     "name": "doomed",
@@ -601,6 +606,54 @@ def test_run_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+def test_out_files_get_the_mode_open_would_give(umask, tmp_path, capsys):
+    out = tmp_path / "out"
+    previous = os.umask(umask)
+    try:
+        assert main(["run", "--config", "table-04", "--format", "json", "--out", str(out)]) == 0
+        assert main(["batch", "--config-dir", _batch_dir(tmp_path), "--out", str(out)]) == 0
+        with open(tmp_path / "reference", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(previous)
+    wanted = 0o666 & ~umask
+    assert stat.S_IMODE((tmp_path / "reference").stat().st_mode) == wanted
+    assert sorted(path.name for path in out.iterdir()) == ["fine.json", "table-04.json"]
+    for path in out.iterdir():
+        assert stat.S_IMODE(path.stat().st_mode) == wanted, path.name
+
+
+def _batch_dir(tmp_path):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    _write(configs, "fine.json", dict(VIOLATING, name="fine", expected=[]))
+    return str(configs)
+
+
+def test_batch_out_writes_each_bundled_scenario_as_run_json_prints_it(tmp_path, capsys):
+    assert main(["batch", "--bundled", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    names = bundled_names()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [f"{name}.json" for name in names]
+    for name in names:
+        golden = GOLDEN[f"run --config {name} --format json"]["stdout"]
+        assert (tmp_path / f"{name}.json").read_bytes() == golden.encode("utf-8"), name
+
+
+def test_each_scenario_builds_its_hamiltonian_once(tmp_path, monkeypatch, capsys):
+    builds = []
+    build = manifest_module._hamiltonian
+    monkeypatch.setattr(manifest_module, "_hamiltonian", lambda spec: builds.append(1) or build(spec))
+    inline = dict(
+        VIOLATING, hamiltonian={"n_qubits": 1, "terms": [{"coeff": 1.0, "axes": "Z"}]}, expected=[]
+    )
+    for config in ("table-04", _write(tmp_path, "inline.json", inline)):
+        builds.clear()
+        assert main(["run", "--config", config]) == 0
+        assert len(builds) == 1, config
+
+
 def test_run_directory_config_is_a_config_error(tmp_path, capsys):
     (tmp_path / "sub.json").mkdir()
     assert main(["run", "--config", str(tmp_path / "sub.json")]) == 2
@@ -645,7 +698,6 @@ def test_cli_import_builds_no_parser():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text(encoding="utf-8"))
 OVERRIDDEN = ["run", "--config", "table-04", "--shots", "1000", "--seed", "3", "--format", "csv"]
 PLAIN = ["run", "--config", "table-04", "--format", "csv"]
 

@@ -17,6 +17,7 @@ from twirlsim import (
     TauMode,
     TwirlConfig,
     bundled_names,
+    hamiltonian_by_name,
     load_manifest,
     parse_manifest,
     validate_manifest,
@@ -71,7 +72,7 @@ def test_every_bundled_scenario_parses():
     for name in bundled_names():
         manifest = load_manifest(name)
         assert manifest.name == name
-        manifest.build_hamiltonian()
+        assert manifest.operator.n_qubits == len(manifest.initial)
 
 
 def test_load_accepts_bare_name_and_suffix():
@@ -494,7 +495,11 @@ def test_defaults_after_parse():
     assert manifest.config == TwirlConfig(rounds=manifest.config.rounds)
     assert manifest.config.rounds == (RoundSpec(TauMode.QUARTER), RoundSpec(TauMode.FULL))
     assert manifest == Manifest(
-        name="unit", hamiltonian=data["hamiltonian"], initial="0", config=manifest.config
+        name="unit",
+        hamiltonian=data["hamiltonian"],
+        initial="0",
+        config=manifest.config,
+        operator=hamiltonian_by_name("schwinger-1q", 1.0),
     )
 
 
@@ -531,7 +536,7 @@ def test_inline_hamiltonian_builds():
         },
         initial="01",
     )
-    op = parse_manifest(data).build_hamiltonian()
+    op = parse_manifest(data).operator
     assert op.n_qubits == 2
     assert [(t.coeff, t.axes) for t in op.terms] == [(0.5, "XX"), (1.0, "ZI")]
 
@@ -546,13 +551,8 @@ def test_inline_hamiltonian_axis_length_mismatch():
 
 
 def test_manifest_named_hamiltonian_builds():
-    manifest = Manifest(
-        name="x",
-        hamiltonian={"name": "schwinger-3q", "J": 0.5},
-        initial="000",
-        config=TwirlConfig(rounds=(RoundSpec(TauMode.QUARTER),)),
-    )
-    op = manifest.build_hamiltonian()
+    manifest = parse_manifest(_base(hamiltonian={"name": "schwinger-3q", "J": 0.5}, initial="000"))
+    op = manifest.operator
     assert op.n_qubits == 3
     assert (op.terms[-1].axes, op.terms[-1].coeff) == ("ZZI", 0.5)
 
