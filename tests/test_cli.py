@@ -608,11 +608,13 @@ def test_run_out_naming_a_file_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
 def test_out_files_get_the_mode_open_would_give(umask, tmp_path, capsys):
-    out = tmp_path / "out"
+    configs, out = tmp_path / "configs", tmp_path / "out"
+    configs.mkdir()
+    _write(configs, "fine.json", dict(VIOLATING, name="fine", expected=[]))
     previous = os.umask(umask)
     try:
         assert main(["run", "--config", "table-04", "--format", "json", "--out", str(out)]) == 0
-        assert main(["batch", "--config-dir", _batch_dir(tmp_path), "--out", str(out)]) == 0
+        assert main(["batch", "--config-dir", str(configs), "--out", str(out)]) == 0
         with open(tmp_path / "reference", "w", encoding="utf-8"):
             pass
     finally:
@@ -622,13 +624,6 @@ def test_out_files_get_the_mode_open_would_give(umask, tmp_path, capsys):
     assert sorted(path.name for path in out.iterdir()) == ["fine.json", "table-04.json"]
     for path in out.iterdir():
         assert stat.S_IMODE(path.stat().st_mode) == wanted, path.name
-
-
-def _batch_dir(tmp_path):
-    configs = tmp_path / "configs"
-    configs.mkdir()
-    _write(configs, "fine.json", dict(VIOLATING, name="fine", expected=[]))
-    return str(configs)
 
 
 def test_batch_out_writes_each_bundled_scenario_as_run_json_prints_it(tmp_path, capsys):
@@ -644,7 +639,9 @@ def test_batch_out_writes_each_bundled_scenario_as_run_json_prints_it(tmp_path, 
 def test_each_scenario_builds_its_hamiltonian_once(tmp_path, monkeypatch, capsys):
     builds = []
     build = manifest_module._hamiltonian
-    monkeypatch.setattr(manifest_module, "_hamiltonian", lambda spec: builds.append(1) or build(spec))
+    monkeypatch.setattr(
+        manifest_module, "_hamiltonian", lambda spec: builds.append(1) or build(spec)
+    )
     inline = dict(
         VIOLATING, hamiltonian={"n_qubits": 1, "terms": [{"coeff": 1.0, "axes": "Z"}]}, expected=[]
     )

@@ -551,8 +551,8 @@ def test_inline_hamiltonian_axis_length_mismatch():
 
 
 def test_manifest_named_hamiltonian_builds():
-    manifest = parse_manifest(_base(hamiltonian={"name": "schwinger-3q", "J": 0.5}, initial="000"))
-    op = manifest.operator
+    data = _base(hamiltonian={"name": "schwinger-3q", "J": 0.5}, initial="000")
+    op = parse_manifest(data).operator
     assert op.n_qubits == 3
     assert (op.terms[-1].axes, op.terms[-1].coeff) == ("ZZI", 0.5)
 
