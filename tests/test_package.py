@@ -1,7 +1,10 @@
 """Tests for the package's public namespace and its import graph."""
 
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,3 +34,14 @@ def test_state_and_pauli_import_without_a_cycle(module):
         [sys.executable, "-c", _IMPORT_FIRST, module], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_python_example_runs():
+    repo = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```$", (repo / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", blocks[0]], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert (result.returncode, result.stderr) == (0, "")

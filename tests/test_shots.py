@@ -199,7 +199,7 @@ _TERMS = [
 _BASIS = StateVector.basis("010")
 _EDGE_TERMS = [("E", PauliSum(3, [PauliTerm(1.0, "ZII"), PauliTerm(0.5, "IZI")]))]
 # 2**128 is the first seed of five words, where the hash constant after the seed moves on
-SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**130 + 7]
+SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**130 + 7, 2**200 + 1]
 
 
 def _oracle_hits(seed, round_index, stream, n, p):
@@ -256,6 +256,25 @@ def test_stream_starts_match_numpy_seeding(seed):
             assert got == want, (current, rounds, streams)
     # the hashed words are shared between calls
     assert not shots._word_hashes(((0,), (1,)), shots._HASH_INIT_A).flags.writeable
+
+
+# the grids run_protocol seeds: rounds 0..R for one to five rounds, by stream 0
+# for the survivors, then every observable term of a 3-qubit chain and H's terms
+_CHAIN = schwinger_hamiltonian(3, 1.0)
+_CHAIN_OBSERVABLES = resolve_observables(("H", "Z0", "Z1", "Z2", "Zbar"), _CHAIN)
+_GRID_STREAMS = 1 + sum(len(obs.terms) for _, obs in _CHAIN_OBSERVABLES) + len(_CHAIN.terms)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_protocol_grids_match_numpy_seeding(seed):
+    # each shape under a second seed as well, after every shape of the first
+    for current in (seed, seed + 1):
+        want = [[_oracle_start(current, r, s) for s in range(_GRID_STREAMS)] for r in range(6)]
+        for n_rounds in range(2, 7):
+            for n_streams in range(1, _GRID_STREAMS + 1):
+                got = stream_starts(current, range(n_rounds), range(n_streams))
+                grid = [row[:n_streams] for row in want[:n_rounds]]
+                assert got == grid, (current, n_rounds, n_streams)
 
 
 def test_resolved_observables_are_built_once():
