@@ -484,8 +484,9 @@ def cmd_trotter_scan(args: argparse.Namespace) -> int:
         raise ValueError("step counts must be positive")
     errors = [trotter_error(op, args.tau, s) for s in steps]
     order = None
-    # errors at rounding level (zero in exact arithmetic) carry no order to fit
-    if len(steps) >= 2 and all(e > 1e-12 for e in errors):
+    # a fit needs two distinct step counts, and errors at rounding level (zero
+    # in exact arithmetic) carry no order to fit
+    if len(set(steps)) >= 2 and all(e > 1e-12 for e in errors):
         slope, _ = np.polyfit(np.log(np.array(steps, float)), np.log(errors), 1)
         order = float(-slope)
     title = f"schwinger-{args.qubits}q"

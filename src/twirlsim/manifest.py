@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .adiabatic import AdiabaticSchedule
-from .pauli import PauliSum, _is_finite_real, hamiltonian_by_name, named_observable
+from .pauli import CHAINS, PauliSum, _is_finite_real, hamiltonian_by_name, named_observable
 from .twirl import BACKEND_PATTERN, Backend, RoundSpec, TauMode, TwirlConfig
 
 
@@ -61,7 +61,7 @@ RULES = _object(
         "type": "object",
         "named": _object(
             ("name",),
-            name={"enum": ("schwinger-1q", "schwinger-2q", "schwinger-3q")},
+            name={"enum": tuple(CHAINS)},
             J={"type": "number", "min": 0},
         ),
         "inline": _object(

@@ -286,13 +286,16 @@ def schwinger_hamiltonian(n_qubits: int, coupling: float) -> PauliSum:
     return PauliSum(n_qubits, tuple(terms))
 
 
+# the built-in chains by name, each with its register size
+CHAINS = {"schwinger-1q": 1, "schwinger-2q": 2, "schwinger-3q": 3}
+
+
 def hamiltonian_by_name(name: str, coupling: float) -> PauliSum:
     """Resolve a built-in Hamiltonian name such as "schwinger-3q"."""
-    sizes = {"schwinger-1q": 1, "schwinger-2q": 2, "schwinger-3q": 3}
-    if name not in sizes:
-        known = ", ".join(sorted(sizes))
+    if name not in CHAINS:
+        known = ", ".join(sorted(CHAINS))
         raise ValueError(f"unknown hamiltonian {name!r}, known names: {known}")
-    return schwinger_hamiltonian(sizes[name], coupling)
+    return schwinger_hamiltonian(CHAINS[name], coupling)
 
 
 def single_z(n_qubits: int, qubit: int) -> PauliSum:

@@ -7,13 +7,14 @@ Each draw comes from its own PCG64 stream, the one
 ``default_rng(SeedSequence(seed, spawn_key=(round, stream)))`` starts,
 so a full protocol is reproducible from its seed alone and insensitive
 to evaluation order. Before its first round a protocol computes the
-start states of every stream it can draw from, rounds 0..R by streams
-0..S-1, in one seeding pass. The seed's pool is numpy's own, from
-``SeedSequence(seed)``: a spawn key only pads the seed to the pool size
-and goes on hashing its words in. The hash constants of that hashing do
-not depend on the data, so the round and stream words are hashed into
-per-shape tables once, kept read-only, and each protocol only mixes them
-into its seed's pool, one array step per word over the whole grid. Each
+start states of every stream it can draw from, the grid of rounds
+0..R by streams 0..S-1, in one seeding pass. The seed's pool is numpy's
+own, from ``SeedSequence(seed)``: a spawn key only pads the seed to the
+pool size and goes on hashing its words in. Every round and stream
+index on the grid is one 32-bit word, and the hash constants do not
+depend on the data, so the indices 0..n-1 are hashed into one read-only
+table per length, and each protocol mixes the round table and then the
+stream table into its seed's pool, one array step each. Each
 draw sets its start on one generator per thread; building a
 SeedSequence and a Generator per draw would cost about 15 times the
 draw itself. A draw at p = 0 or p = 1 does not touch its stream: numpy
@@ -29,7 +30,6 @@ every operator it is read for.
 from __future__ import annotations
 
 import threading
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -59,18 +59,6 @@ _STATE_MULT = _STATE_HASH * _HASH_MULT_B & _MASK32
 _local = threading.local()
 
 
-def _words(value: int) -> tuple[int, ...]:
-    """Little-endian 32-bit words of a non-negative integer; 0 is one word."""
-    # as a Python int: a numpy integer would wrap in the hashing
-    value = _check_count(value, "stream coordinate", low=0)
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return tuple(words)
-
-
 def _after(h: int, n_words: int) -> int:
     """The hash constant after ``n_words`` words, each mixed into every pool entry."""
     return h * pow(_HASH_MULT_A, _POOL_SIZE * n_words, 2**32) & _MASK32
@@ -85,35 +73,20 @@ def _mix(x, y):
 
 
 @lru_cache(maxsize=64)
-def _word_hashes(rows: tuple[tuple[int, ...], ...], h: int) -> np.ndarray:
-    """Hashed words of equal-length rows, ready to mix into pools: ``(rows, words, pool)``.
+def _index_hashes(n: int, h: int) -> np.ndarray:
+    """Hashed indices 0..n-1, each one word, ready to mix into pools: ``(n, pool)``.
 
-    Word k of a row meets pool entry i under the hash constant h * A**(4k + i),
-    so the table depends only on the words and ``h``, and one grid shape is
-    hashed once. The rows must be validated ints: ``(True,) == (1,)`` as keys.
-    The table is shared between calls, so it is read-only.
+    The word meets pool entry i under the hash constant h * A**i, so the
+    table depends only on ``n`` and ``h``. It is shared between calls, so
+    it is read-only.
     """
-    n_words = len(rows[0])
-    consts = np.array(
-        [h * _HASH_MULT_A**j & _MASK32 for j in range(_POOL_SIZE * n_words)], dtype=np.uint64
-    ).reshape(n_words, _POOL_SIZE)
+    consts = np.array([h * _HASH_MULT_A**i & _MASK32 for i in range(_POOL_SIZE)], dtype=np.uint64)
     # numpy's hashmix: xor the constant, multiply by its next step, fold the high half
-    value = np.array(rows, dtype=np.uint64)[..., None] ^ consts
+    value = np.arange(n, dtype=np.uint64)[:, None] ^ consts
     value = value * (consts * _HASH_MULT_A & _MASK32) & _MASK32
     table = value ^ value >> 16
     table.flags.writeable = False
     return table
-
-
-def _absorb(pool: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Mix each row's hashed words (see ``_word_hashes``) into every pool entry.
-
-    Pools lie along the last axis of ``pool``; the other axes broadcast
-    against the rows of ``table``.
-    """
-    for k in range(table.shape[-2]):
-        pool = _mix(pool, table[..., k, :])
-    return pool
 
 
 def _seed_prefix(seed: int) -> tuple[np.ndarray, int]:
@@ -124,63 +97,37 @@ def _seed_prefix(seed: int) -> tuple[np.ndarray, int]:
     stream words. numpy's pool for the bare seed is that prefix: with no
     spawn key it hashes zero words in place of the padding.
     """
-    n_words = len(_words(seed))
-    pool = np.random.SeedSequence(int(seed)).pool.astype(np.uint64)
-    return pool, _after(_HASH_INIT_A, max(_POOL_SIZE, n_words))
+    # as a Python int: a numpy integer would wrap in the hashing
+    seed = _check_count(seed, "seed", low=0)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
+    return pool, _after(_HASH_INIT_A, max(_POOL_SIZE, -(-seed.bit_length() // 32)))
 
 
-def _group_words(values: Sequence[int]) -> tuple:
-    """``(positions, word rows)`` of the values, one pair per word count, as tuples."""
-    groups: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-    for index, value in enumerate(values):
-        words = _words(value)
-        positions, rows = groups.setdefault(len(words), ([], []))
-        positions.append(index)
-        rows.append(words)
-    return tuple((tuple(positions), tuple(rows)) for positions, rows in groups.values())
-
-
-# a range holds only ints, and equal ranges hold the same ones, so the
-# ranges a protocol passes are grouped once
-_range_groups = lru_cache(maxsize=64)(_group_words)
-
-
-def _word_groups(values: Sequence[int]) -> tuple:
-    return _range_groups(values) if isinstance(values, range) else _group_words(values)
-
-
-def stream_starts(
-    seed: int, rounds: Sequence[int], streams: Sequence[int]
-) -> list[list[tuple[int, int]]]:
+def stream_starts(seed: int, n_rounds: int, n_streams: int) -> list[list[tuple[int, int]]]:
     """PCG64 ``(state, inc)`` starts of the streams (seed, round, stream).
 
-    Row i, column j is the start of ``default_rng(SeedSequence(seed,
-    spawn_key=(rounds[i], streams[j])))``; the seed, rounds and streams
-    are non-negative integers. ``sample_shots`` takes one row's starts for
-    its terms, and ``run_protocol`` draws round k's survivors from stream
-    0 and its observables' terms from streams 1 onward. The hash
-    constants do not depend on the data, so the rounds' and streams'
-    words are hashed once per grid shape, and each word is one array
-    step over every grid point with the same word counts.
+    Row r, column s is the start of ``default_rng(SeedSequence(seed,
+    spawn_key=(r, s)))`` for r below ``n_rounds`` and s below
+    ``n_streams``; the seed is a non-negative integer and both counts
+    are positive integers below 2**32. ``sample_shots`` takes one row's
+    starts for its terms, and ``run_protocol`` draws round k's survivors
+    from stream 0 and its observables' terms from streams 1 onward.
     """
-    prefix, h0 = _seed_prefix(seed)
-    stream_groups = _word_groups(streams)
-    starts = [[(0, 0)] * len(streams) for _ in rounds]
-    for rows, round_words in _word_groups(rounds):
-        round_pool = _absorb(prefix, _word_hashes(round_words, h0))
-        h1 = _after(h0, len(round_words[0]))
-        for cols, stream_words in stream_groups:
-            pool = _absorb(round_pool[:, None], _word_hashes(stream_words, h1))
-            w = (pool[..., None, :] ^ _STATE_HASH) * _STATE_MULT & _MASK32
-            # generate_state's eight words read as four little-endian uint64
-            # values: PCG64 seeds with the first two as its state and the
-            # last two as its stream
-            w = (w ^ w >> 16).astype("<u4").reshape(*pool.shape[:-1], 2 * _POOL_SIZE)
-            values = w.view("<u8").tolist()
-            for i, row in zip(rows, values):
-                for j, (a, b, c, d) in zip(cols, row):
-                    inc = (c << 65 | d << 1 | 1) & _MASK128
-                    starts[i][j] = ((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc
+    prefix, h = _seed_prefix(seed)
+    n_rounds = _check_count(n_rounds, "round count", below=2**32)
+    n_streams = _check_count(n_streams, "stream count", below=2**32)
+    rounds = _mix(prefix, _index_hashes(n_rounds, h))
+    pool = _mix(rounds[:, None], _index_hashes(n_streams, _after(h, 1)))
+    w = (pool[..., None, :] ^ _STATE_HASH) * _STATE_MULT & _MASK32
+    # generate_state's eight words read as four little-endian uint64 values:
+    # PCG64 seeds with the first two as its state and the last two as its stream
+    w = (w ^ w >> 16).astype("<u4").reshape(n_rounds, n_streams, 2 * _POOL_SIZE)
+    starts = []
+    for row in w.view("<u8").tolist():
+        starts.append([])
+        for a, b, c, d in row:
+            inc = (c << 65 | d << 1 | 1) & _MASK128
+            starts[-1].append((((inc + (a << 64 | b)) * _PCG_MULT + inc) & _MASK128, inc))
     return starts
 
 

@@ -163,6 +163,13 @@ def closed_form_spectrum(n_qubits: int, coupling: float) -> SpectralDecompositio
             (2.0 * j, {0: 1.0}),
             (s, {1: s + 2.0 * j, 2: 2.0, 4: s - 2.0 * j}),
         ]
+    # every level's energy is in its vector, so finite squared norms hold the
+    # levels too; a coupling past about 1e154 overflows its square
+    if not all(math.isfinite(sum(a * a for a in amps.values())) for _, amps in levels):
+        raise ValueError(
+            f"coupling J={coupling!r} overflows the closed-form spectrum "
+            f"of the {n_qubits}-qubit chain"
+        )
     vectors = np.zeros((2**n_qubits, len(levels)), dtype=complex)
     for vec, (_, amplitudes) in zip(vectors.T, levels):
         vec[list(amplitudes)] = list(amplitudes.values())

@@ -242,7 +242,7 @@ def run_protocol(
         # per round: stream 0 draws the survivors, the observables' terms
         # follow, then H's terms for a sampled energy estimate
         n_streams = 1 + n_obs + (len(op.terms) if config.noisy_energy else 0)
-        starts = stream_starts(config.seed, range(len(config.rounds) + 1), range(n_streams))
+        starts = stream_starts(config.seed, len(config.rounds) + 1, n_streams)
 
     def measure(current: StateVector, k: int, active: int | None) -> tuple[dict, float | None]:
         """Record k's expectations, and round k + 1's energy estimate unless it has an override."""

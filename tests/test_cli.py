@@ -72,6 +72,17 @@ def test_spectrum_json_and_out_dir(tmp_path, capsys):
     assert written == streamed
 
 
+@pytest.mark.parametrize("qubits, coupling", [("1", "1e200"), ("3", "1e154")])
+def test_spectrum_refuses_a_coupling_that_overflows(qubits, coupling, capsys):
+    assert main(["spectrum", "--qubits", qubits, "--j", coupling]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: coupling J={float(coupling)!r} overflows the closed-form spectrum "
+        f"of the {qubits}-qubit chain\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -475,6 +486,19 @@ def test_trotter_scan_fits_no_order_to_rounding_noise(qubits, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert max(p["error"] for p in payload["points"]) < 1e-12
     assert payload["estimated_order"] is None
+
+
+def test_trotter_scan_fits_an_order_to_distinct_step_counts_only(capsys):
+    # two errors at one step count carry no slope
+    assert main(["trotter-scan", "--qubits", "2", "--j", "1", "--steps", "8,8"]) == 0
+    captured = capsys.readouterr()
+    assert "estimated order" not in captured.out and captured.err == ""
+    args = ["trotter-scan", "--qubits", "2", "--j", "1", "--steps", "8,8", "--format", "json"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["estimated_order"] is None
+    assert main(["trotter-scan", "--qubits", "2", "--j", "1", "--steps", "8,8,16"]) == 0
+    order = float(capsys.readouterr().out.splitlines()[-1].removeprefix("estimated order:"))
+    assert 1.7 < order < 2.3
 
 
 def test_trotter_scan_rejects_bad_steps(capsys):

@@ -67,7 +67,7 @@ def test_deterministic_outcome_is_estimated_exactly():
     # <Z0> = 1 on |00> pins the per-term binomial at its ceiling
     state = StateVector.basis("00")
     ops = [("Z0", single_z(2, 0)), ("Z1", single_z(2, 1))]
-    estimates = sample_shots(state, ops, 17, stream_starts(5, [1], [1, 2])[0])
+    estimates = sample_shots(state, ops, 17, stream_starts(5, 2, 3)[1][1:])
     assert estimates["Z0"] == 1.0
     assert estimates["Z1"] == 1.0
 
@@ -80,22 +80,30 @@ def test_config_rejects_seeds_the_streams_cannot_take(seed):
 
 
 @pytest.mark.parametrize(
-    "seed, round_index, stream",
-    [(-1, 0, 1), (0, -1, 1), (0, 0, -1)],
+    "seed, n_rounds, n_streams",
+    [(-1, 1, 1), (0, -1, 1), (0, 1, -1)],
     ids=["seed", "round", "stream"],
 )
-def test_negative_stream_coordinates_are_rejected(seed, round_index, stream):
-    with pytest.raises(ValueError, match="non-negative"):
-        stream_starts(seed, [round_index], [stream])
+def test_negative_stream_coordinates_are_rejected(seed, n_rounds, n_streams):
+    with pytest.raises(ValueError, match="must be a (non-negative|positive) integer"):
+        stream_starts(seed, n_rounds, n_streams)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 0, 2**32])
+@pytest.mark.parametrize("what", ["round count", "stream count"])
+def test_grid_counts_are_positive_and_below_2_32(what, value):
+    # every index on the grid is one 32-bit word
+    counts = {"round count": 1, "stream count": 1, what: value}
+    message = f"{what} must be a positive integer below 2**32, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        stream_starts(0, counts["round count"], counts["stream count"])
 
 
 _NON_NEGATIVE_SITES = {
     "config-seed": lambda value: _config(seed=value),
-    "streams-seed": lambda value: stream_starts(value, [0], [1]),
-    "streams-round": lambda value: stream_starts(0, [value], [1]),
-    "streams-stream": lambda value: stream_starts(0, [0], [value]),
+    "streams-seed": lambda value: stream_starts(value, 1, 1),
     "active": lambda value: sample_shots(
-        StateVector.basis("0"), [("Z", single_z(1, 0))], value, stream_starts(1, [2], [1])[0]
+        StateVector.basis("0"), [("Z", single_z(1, 0))], value, stream_starts(1, 3, 2)[2][1:]
     ),
     "qubit": lambda value: single_z(2, value),
     "cli-seed": lambda value: _run_overrides(
@@ -136,13 +144,13 @@ def test_sample_shots_needs_active_runs():
     state = StateVector.basis("0")
     ops = [("Z", single_z(1, 0))]
     with pytest.raises(PostSelectionError, match="no active runs left"):
-        sample_shots(state, ops, 0, stream_starts(1, [2], [1])[0])
+        sample_shots(state, ops, 0, stream_starts(1, 3, 2)[2][1:])
 
 
 def test_sample_shots_bounds_the_active_count():
     # |0> reads Z = +1 on every run, so no draw would catch the count
     ops = [("Z", single_z(1, 0))]
-    starts = stream_starts(1, [2], [1])[0]
+    starts = stream_starts(1, 3, 2)[2][1:]
     assert sample_shots(StateVector.basis("0"), ops, 2**63 - 1, starts) == {"Z": 1.0}
     with pytest.raises(ValueError, match=re.escape("below 2**63, got 9223372036854775808")):
         sample_shots(StateVector.basis("0"), ops, 2**63, starts)
@@ -151,7 +159,7 @@ def test_sample_shots_bounds_the_active_count():
 def test_sample_shots_needs_one_start_per_term():
     ops = [("Z", single_z(1, 0))]
     with pytest.raises(ValueError, match="one stream start per term: 1 terms, 2 starts"):
-        sample_shots(StateVector.basis("0"), ops, 10, stream_starts(1, [2], [1, 2])[0])
+        sample_shots(StateVector.basis("0"), ops, 10, stream_starts(1, 3, 3)[2][1:])
 
 
 def test_starved_post_selection_raises():
@@ -226,10 +234,10 @@ def _oracle_estimates(state, ops, active, seed, round_index, stream_base):
 def test_sample_shots_matches_numpy_streams(seed):
     for state, ops in ((_DYADIC, _TERMS), (_BASIS, _EDGE_TERMS)):
         n_terms = sum(len(op.terms) for _, op in ops)
-        for round_index in (0, 1, 7, 2**32 + 1):
-            for stream_base in (1, 2**33):
-                streams = range(stream_base, stream_base + n_terms)
-                starts = stream_starts(seed, [round_index], streams)[0]
+        grid = stream_starts(seed, 8, 4 + n_terms)
+        for round_index in (0, 1, 7):
+            for stream_base in (1, 4):
+                starts = grid[round_index][stream_base : stream_base + n_terms]
                 for active in (1, 1000, 2**63 - 1):
                     got = sample_shots(state, ops, active, starts)
                     want = _oracle_estimates(state, ops, active, seed, round_index, stream_base)
@@ -244,18 +252,18 @@ def _oracle_start(seed, round_index, stream):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_stream_starts_match_numpy_seeding(seed):
-    # rounds and streams on both sides of 2**32 mix one- and two-word grid points
-    straddle = [0, 1, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1]
-    shapes = ((straddle, range(4)), (range(3), straddle), (straddle, straddle))
+    shapes = ((1, 1), (3, 7), (5, 12), (1, 30))
     # every shape again under a second seed and then the first, each time after
     # the other shapes: a repeated grid shape must seed as it did the first time
     for current in (seed, seed + 1, seed):
-        for rounds, streams in shapes:
-            got = stream_starts(current, rounds, streams)
-            want = [[_oracle_start(current, r, s) for s in streams] for r in rounds]
-            assert got == want, (current, rounds, streams)
-    # the hashed words are shared between calls
-    assert not shots._word_hashes(((0,), (1,)), shots._HASH_INIT_A).flags.writeable
+        for n_rounds, n_streams in shapes:
+            got = stream_starts(current, n_rounds, n_streams)
+            want = [
+                [_oracle_start(current, r, s) for s in range(n_streams)] for r in range(n_rounds)
+            ]
+            assert got == want, (current, n_rounds, n_streams)
+    # the hashed indices are shared between calls
+    assert not shots._index_hashes(2, shots._HASH_INIT_A).flags.writeable
 
 
 # the grids run_protocol seeds: rounds 0..R for one to five rounds, by stream 0
@@ -272,7 +280,7 @@ def test_protocol_grids_match_numpy_seeding(seed):
         want = [[_oracle_start(current, r, s) for s in range(_GRID_STREAMS)] for r in range(6)]
         for n_rounds in range(2, 7):
             for n_streams in range(1, _GRID_STREAMS + 1):
-                got = stream_starts(current, range(n_rounds), range(n_streams))
+                got = stream_starts(current, n_rounds, n_streams)
                 grid = [row[:n_streams] for row in want[:n_rounds]]
                 assert got == grid, (current, n_rounds, n_streams)
 
@@ -287,15 +295,18 @@ def test_resolved_observables_are_built_once():
 
 
 def test_numpy_integer_coordinates_draw_like_ints():
-    got = stream_starts(np.int64(2**62 + 5), [np.uint32(7)], [np.int16(3), np.uint64(2**40)])
-    assert got == stream_starts(2**62 + 5, [7], [3, 2**40])
+    got = stream_starts(np.int64(2**62 + 5), np.uint32(7), np.int16(3))
+    assert got == stream_starts(2**62 + 5, 7, 3)
+    assert stream_starts(np.uint64(2**64 - 1), np.int8(2), np.uint64(5)) == stream_starts(
+        2**64 - 1, 2, 5
+    )
 
 
 def test_fixed_outcome_draws_match_numpy_streams():
     # p of 0 or 1 fixes the outcome whatever the stream holds
     for seed in (0, 2**64 + 3):
-        for round_index, stream in ((0, 0), (3, 2**33)):
-            start = stream_starts(seed, [round_index], [stream])[0][0]
+        for round_index, stream in ((0, 0), (3, 5)):
+            start = stream_starts(seed, 4, 6)[round_index][stream]
             for n in (1, 1000, 2**63 - 1):
                 for p in (0.0, 1.0):
                     want = _oracle_hits(seed, round_index, stream, n, p)
@@ -329,7 +340,7 @@ def test_each_string_is_evaluated_once_per_state(monkeypatch):
 def test_sampling_keeps_no_state_alive():
     state = StateVector.from_amplitudes([1, 1])
     alive = weakref.ref(state)
-    sample_shots(state, [("Z", single_z(1, 0))], 10, stream_starts(1, [0], [1])[0])
+    sample_shots(state, [("Z", single_z(1, 0))], 10, stream_starts(1, 1, 2)[0][1:])
     del state
     gc.collect()
     assert alive() is None
@@ -339,7 +350,7 @@ def test_sample_shots_names_both_registers():
     ops = [("Z0", single_z(2, 0))]
     message = "state on 3 qubit(s) does not match observable 'Z0' on 2"
     with pytest.raises(ValueError, match=re.escape(message)):
-        sample_shots(StateVector.basis("000"), ops, 10, stream_starts(1, [0], [1])[0])
+        sample_shots(StateVector.basis("000"), ops, 10, stream_starts(1, 1, 2)[0][1:])
 
 
 # initial basis state and observables per register size; the observables

@@ -1,6 +1,7 @@
 """Tests for the spectral toolbox: ordering, closed forms, evolution."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,19 @@ def test_numeric_matches_closed_form_projectors():
                     closed.eigenvectors, block
                 )
                 assert float(np.max(np.abs(delta))) < 1e-8
+
+
+@pytest.mark.parametrize(
+    "n_qubits, coupling", [(1, 1e200), (1, 1e154), (2, 1e160), (3, 1e154), (3, 6e153)]
+)
+def test_closed_form_refuses_a_coupling_that_overflows(n_qubits, coupling):
+    # a level, or only the norm of a level's vector, passes the float range
+    message = f"coupling J={coupling!r} overflows the closed-form spectrum of the {n_qubits}-qubit"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        closed_form_spectrum(n_qubits, coupling)
+    # below the overflow the closed form still holds
+    dec = closed_form_spectrum(n_qubits, 1e150)
+    assert np.isfinite(dec.eigenvalues).all() and np.isfinite(dec.eigenvectors).all()
 
 
 def _oracle_first_support(column):

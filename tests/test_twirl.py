@@ -419,9 +419,9 @@ def test_config_validation():
                                1.0, True),
         lambda: trotter_error(schwinger_hamiltonian(1, 1.0), 1.0, True),
         lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], True,
-                             stream_starts(1, [2], [1])[0]),
+                             stream_starts(1, 3, 2)[2][1:]),
         lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], 10.5,
-                             stream_starts(1, [2], [1])[0]),
+                             stream_starts(1, 3, 2)[2][1:]),
         lambda: PauliSum(True, (PauliTerm(1.0, "X"),)),
         lambda: PauliSum(2.0, (PauliTerm(1.0, "XX"),)),
         lambda: StateVector(1.0, [1.0, 0.0]),
