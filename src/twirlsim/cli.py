@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .adiabatic import AdiabaticSchedule, adiabatic_prepare, staggered_start
-from .manifest import Manifest, ManifestError, bundled_names, load_manifest
+from .manifest import BUNDLED_DIR, Manifest, ManifestError, json_entries, load_manifest
 from .pauli import _check_count, expectation, named_observable, schwinger_hamiltonian
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
@@ -521,25 +521,21 @@ def cmd_trotter_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    if args.bundled:
-        sources = bundled_names()
-    else:
-        if args.config_dir is None:
-            raise ManifestError("config error: batch needs --config-dir or --bundled")
-        if not os.path.isdir(args.config_dir):
-            raise ManifestError(f"config error: {args.config_dir!r} is not a directory")
-        sources = sorted(
-            os.path.join(args.config_dir, entry)
-            for entry in os.listdir(args.config_dir)
-            if entry.endswith(".json")
-        )
-        if not sources:
-            raise ManifestError(f"config error: no manifests found in {args.config_dir!r}")
+    directory = BUNDLED_DIR if args.bundled else args.config_dir
+    if directory is None:
+        raise ManifestError("config error: batch needs --config-dir or --bundled")
+    if not os.path.isdir(directory):
+        raise ManifestError(f"config error: {directory!r} is not a directory")
+    paths = [os.path.join(directory, entry) for entry in json_entries(directory)]
+    if not paths:
+        raise ManifestError(f"config error: no manifests found in {directory!r}")
     overrides = _run_overrides(args)
     codes = []
     claimed: dict[str, str] = {}
-    for source in sources:
-        line, code = _batch_verdict(source, overrides, args.out, claimed)
+    for path in paths:
+        # a bundled scenario is labelled by its bare name, as run --config takes it
+        label = os.path.basename(path)[: -len(".json")] if args.bundled else path
+        line, code = _batch_verdict(label, path, overrides, args.out, claimed)
         sys.stdout.write(f"{line}\n")
         codes.append(code)
     sys.stdout.write(f"{codes.count(EXIT_OK)}/{len(codes)} scenario(s) passed\n")
@@ -547,14 +543,15 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _batch_verdict(
-    source: str, overrides: dict, out_dir: str | None, claimed: dict[str, str]
+    label: str, path: str, overrides: dict, out_dir: str | None, claimed: dict[str, str]
 ) -> tuple[str, int]:
-    """One batch line and its exit code; ``claimed`` maps each output name to its source."""
+    """One batch line and its exit code for the manifest file at ``path``, named
+    ``label`` on a failure; ``claimed`` maps each output name to its label."""
     try:
-        manifest = load_manifest(source)
+        manifest = load_manifest(path)
         if out_dir is not None:
-            earlier = claimed.setdefault(manifest.name, source)
-            if earlier != source:
+            earlier = claimed.setdefault(manifest.name, label)
+            if earlier != label:
                 raise ValueError(
                     f"scenario name {manifest.name!r} is taken by {earlier}, "
                     "whose --out file it would overwrite"
@@ -564,11 +561,11 @@ def _batch_verdict(
             _emit(_run_json(result, True), out_dir, f"{result.manifest.name}.json")
     except _FAILURES as exc:
         text, code = _failure(exc)
-        return f"{source}: {text}", code
+        return f"{label}: {text}", code
     except Exception as exc:
         # one broken scenario must not end the batch; keep its traceback on stderr
         sys.stderr.write(traceback.format_exc())
-        return f"{source}: internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
+        return f"{label}: internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
     name = result.manifest.name
     bad = sum(not t.ok for t in result.targets)
     if bad:

@@ -18,11 +18,14 @@ import os
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from importlib import resources
 
 from .adiabatic import AdiabaticSchedule
 from .pauli import CHAINS, PauliSum, _is_finite_real, hamiltonian_by_name, named_observable
+from .shots import SHOT_LIMIT
 from .twirl import BACKEND_PATTERN, Backend, RoundSpec, TauMode, TwirlConfig
+
+
+BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "manifests")
 
 
 class ManifestError(ValueError):
@@ -49,10 +52,10 @@ _LABEL = {"type": "string", "nonempty": True}
 # upper bound "max" (inclusive), "nonempty", the rule of each array
 # element ("items"), and the "fields" of an object with the "required"
 # ones (any other key is an error). The hamiltonian is "named" when it
-# has a "name" key and "inline" otherwise, the same choice _hamiltonian
-# makes. _compile turns the rules into the checker validate_manifest runs,
-# and refuses a key it does not know, so a misspelled bound cannot pass as
-# no bound.
+# has a "name" key and "inline" otherwise, the same choice
+# _check_consistency makes when it builds the operator. _compile turns the
+# rules into the checker validate_manifest runs, and refuses a key it does
+# not know, so a misspelled bound cannot pass as no bound.
 RULES = _object(
     ("name", "hamiltonian", "initial", "rounds"),
     name={"type": "string", "pattern": "[A-Za-z0-9][A-Za-z0-9._-]*"},
@@ -81,8 +84,7 @@ RULES = _object(
         )
     ),
     backend={"type": "string", "pattern": BACKEND_PATTERN},
-    # numpy's binomial draws take the count as a 64-bit C long
-    shots={"type": "integer", "null": True, "min": 1, "max": 2**63 - 1},
+    shots={"type": "integer", "null": True, "min": 1, "max": SHOT_LIMIT - 1},
     seed={"type": "integer", "min": 0},
     observables=_array(_LABEL),
     noisy_energy={"type": "boolean"},
@@ -127,12 +129,6 @@ class Manifest:
     notes: str = ""
 
 
-def _hamiltonian(spec: dict) -> PauliSum:
-    if "name" in spec:
-        return hamiltonian_by_name(spec["name"], spec.get("J", 1.0))
-    return PauliSum.from_dict(spec)
-
-
 # A compiled rule: check(value, where, errors) appends a (where, message) pair to
 # errors for each broken rule, where is None at the root and (parent's where,
 # key) below it, so a JSON pointer is only built for a value that fails.
@@ -162,8 +158,11 @@ _RULE_KEYS = frozenset(
 
 
 def _compile(rule: dict) -> _Check:
-    """The check of ``rule``, running only the tests it declares; raises on an unknown key."""
-    inner = _inner(rule)
+    """The check of ``rule``: the tests it declares, then the checks of its items,
+    its named or inline form, or its fields; raises on an unknown rule key."""
+    unknown = rule.keys() - _RULE_KEYS
+    if unknown:
+        raise ValueError(f"unknown rule key(s) {sorted(unknown)} in {rule!r}")
     nullable = rule.get("null", False)
     is_type, type_text = _TYPES[rule["type"]] if "type" in rule else (None, "")
     # (broken(value), what a failure expects), run once the type test passed
@@ -186,6 +185,11 @@ def _compile(rule: dict) -> _Check:
     if rule.get("nonempty"):
         tests.append((lambda value: not value, "a non-empty value"))
 
+    items = _compile(rule["items"]) if "items" in rule else None
+    forms = {form: _compile(rule[form]) for form in ("named", "inline") if form in rule}
+    required = rule.get("required", ())
+    fields = {key: _compile(f) for key, f in rule["fields"].items()} if "fields" in rule else None
+
     def check(value: object, where: tuple | None, errors: list) -> None:
         if value is None and nullable:
             return
@@ -195,47 +199,23 @@ def _compile(rule: dict) -> _Check:
         for broken, expected in tests:
             if broken(value):
                 errors.append((where, f"expected {expected}, got {value!r}"))
-        if inner is not None:
-            inner(value, where, errors)
+        if items is not None:
+            for index, item in enumerate(value):
+                items(item, (where, index), errors)
+        elif forms:
+            forms["named" if "name" in value else "inline"](value, where, errors)
+        elif fields is not None:
+            for key in required:
+                if key not in value:
+                    errors.append((where, f"missing required property {key!r}"))
+            for key, item in value.items():
+                field_check = fields.get(key)
+                if field_check is None:
+                    errors.append((where, f"unexpected property {key!r}"))
+                else:
+                    field_check(item, (where, key), errors)
 
     return check
-
-
-def _inner(rule: dict) -> _Check | None:
-    """The check of an array's items or an object's keys, None for a scalar rule."""
-    unknown = rule.keys() - _RULE_KEYS
-    if unknown:
-        raise ValueError(f"unknown rule key(s) {sorted(unknown)} in {rule!r}")
-    if "items" in rule:
-        item_check = _compile(rule["items"])
-
-        def items(value: list, where: tuple | None, errors: list) -> None:
-            for index, item in enumerate(value):
-                item_check(item, (where, index), errors)
-
-        return items
-    if "named" in rule:
-        named, inline = _inner(rule["named"]), _inner(rule["inline"])
-        return lambda value, where, errors: (named if "name" in value else inline)(
-            value, where, errors
-        )
-    if "fields" not in rule:
-        return None
-    required = rule.get("required", ())
-    field_checks = {key: _compile(field) for key, field in rule["fields"].items()}
-
-    def keys(value: dict, where: tuple | None, errors: list) -> None:
-        for key in required:
-            if key not in value:
-                errors.append((where, f"missing required property {key!r}"))
-        for key, item in value.items():
-            field_check = field_checks.get(key)
-            if field_check is None:
-                errors.append((where, f"unexpected property {key!r}"))
-            else:
-                field_check(item, (where, key), errors)
-
-    return keys
 
 
 def _pointer(where: tuple | None) -> str:
@@ -288,8 +268,12 @@ def _given(data: dict, *keys: str) -> dict:
 
 def _check_consistency(data: dict) -> PauliSum:
     """Cross-field checks on validated data; returns the Hamiltonian they built."""
+    spec = data["hamiltonian"]
     try:
-        op = _hamiltonian(data["hamiltonian"])
+        if "name" in spec:
+            op = hamiltonian_by_name(spec["name"], spec.get("J", 1.0))
+        else:
+            op = PauliSum.from_dict(spec)
     except ValueError as exc:
         raise ManifestError(f"config error at /hamiltonian: {exc}") from None
     initial = data["initial"]
@@ -322,34 +306,40 @@ def _check_consistency(data: dict) -> PauliSum:
     return op
 
 
+def json_entries(directory: str) -> list[str]:
+    """The ``*.json`` entries of ``directory``, sorted."""
+    return sorted(entry for entry in os.listdir(directory) if entry.endswith(".json"))
+
+
 def bundled_names() -> list[str]:
     """Names of the scenarios shipped with the package."""
-    root = resources.files(__package__) / "manifests"
-    return sorted(
-        entry.name[: -len(".json")]
-        for entry in root.iterdir()
-        if entry.name.endswith(".json")
-    )
+    return [entry[: -len(".json")] for entry in json_entries(BUNDLED_DIR)]
 
 
-def load_manifest(source: str | os.PathLike) -> Manifest:
-    """Load a manifest from a file path or a bundled scenario name."""
-    path = os.fspath(source)
+def _read(path: str) -> dict | None:
+    """The manifest object in the file at ``path``, None when no file is there."""
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except FileNotFoundError:
-        name = path[: -len(".json")] if path.endswith(".json") else path
-        entry = resources.files(__package__) / "manifests" / f"{name}.json"
-        if not entry.is_file():
-            known = ", ".join(bundled_names())
-            raise ManifestError(
-                f"config error: {path!r} is neither a file nor a bundled scenario; "
-                f"bundled scenarios: {known}"
-            ) from None
-        data = json.loads(entry.read_text(encoding="utf-8"))
+        return None
     except (OSError, ValueError) as exc:
         raise ManifestError(f"config error in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ManifestError("config error at /: manifest must be a JSON object")
+    return data
+
+
+def load_manifest(source: str | os.PathLike) -> Manifest:
+    """Load a manifest from a file path or, when no file is there, a bundled scenario name."""
+    path = os.fspath(source)
+    data = _read(path)
+    if data is None:
+        name = path[: -len(".json")] if path.endswith(".json") else path
+        data = _read(os.path.join(BUNDLED_DIR, f"{name}.json"))
+    if data is None:
+        raise ManifestError(
+            f"config error: {path!r} is neither a file nor a bundled scenario; "
+            f"bundled scenarios: {', '.join(bundled_names())}"
+        )
     return parse_manifest(data)

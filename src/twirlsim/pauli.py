@@ -324,7 +324,8 @@ def named_observable(name: str, n_qubits: int) -> PauliSum:
     """Resolve an observable name used in manifests and CLI output.
 
     "H" is resolved by the caller (it depends on the Hamiltonian); this
-    handles "Z" (single qubit), "Z0".."Z9", and "Zbar". Each operator is
+    handles "Z" (single qubit), "Z<k>" for qubit k (in decimal digits with
+    no leading zero, as in "Z0" or "Z10"), and "Zbar". Each operator is
     built once per name and register size and then shared.
     """
     # checked before the cache: True and 2.0 would hit the entries of 1 and 2
@@ -341,6 +342,8 @@ def _named_observable(name: str, n_qubits: int) -> PauliSum:
         if n_qubits != 1:
             raise ValueError('observable "Z" is only unambiguous on one qubit, use "Z<k>"')
         return single_z(1, 0)
-    if len(name) == 2 and name[0] == "Z" and name[1].isdigit():
-        return single_z(n_qubits, int(name[1]))
+    index = name[1:]
+    # ASCII digits with no leading zero; int() would also read "01", "+1" and "\u0661"
+    if name[:1] == "Z" and index.isascii() and index.isdigit() and index[0] != "0" or name == "Z0":
+        return single_z(n_qubits, int(index))
     raise ValueError(f"unknown observable {name!r}")

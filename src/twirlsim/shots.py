@@ -37,6 +37,9 @@ import numpy as np
 from .pauli import PauliSum, _check_count, _compiled
 from .state import StateVector
 
+# numpy's binomial draws take the count as a 64-bit C long, so shot and active counts are below this
+SHOT_LIMIT = 2**63
+
 
 class PostSelectionError(RuntimeError):
     """Raised when post-selection has no surviving probability or shots."""
@@ -176,8 +179,8 @@ def sample_shots(
     Pauli string's outcome probability is computed once per call, so a
     state is sampled in one call with every operator it is read for.
     """
-    # numpy's binomial takes the count as a 64-bit C long, and fixed-outcome draws skip numpy
-    active = _check_count(active, "active count", low=0, below=2**63)
+    # fixed-outcome draws skip numpy, but are held to its bound all the same
+    active = _check_count(active, "active count", low=0, below=SHOT_LIMIT)
     if active == 0:
         raise PostSelectionError("no active runs left")
     n_terms = sum(len(op.terms) for _, op in ops)

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .pauli import PauliSum, _check_count, _check_real, _check_time, expectation, named_observable
-from .shots import PostSelectionError, _draw, sample_shots, stream_starts
+from .shots import SHOT_LIMIT, PostSelectionError, _draw, sample_shots, stream_starts
 from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
 from .trotter import evolve_trotter
@@ -188,8 +188,8 @@ class TwirlConfig:
         if not self.rounds:
             raise ValueError("protocol needs at least one round")
         if self.shots is not None:
-            # numpy's binomial draws take the count as a 64-bit C long
-            object.__setattr__(self, "shots", _check_count(self.shots, "shot count", below=2**63))
+            shots = _check_count(self.shots, "shot count", below=SHOT_LIMIT)
+            object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "seed", _check_count(self.seed, "seed", low=0))
         if not self.observables:
             raise ValueError("protocol needs at least one observable")

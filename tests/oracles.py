@@ -4,7 +4,25 @@ import math
 
 import numpy as np
 
-from twirlsim.pauli import apply_axes
+from twirlsim.pauli import PauliSum, PauliTerm, apply_axes
+from twirlsim.state import StateVector
+
+
+def random_pauli_sum(rng, n_qubits, terms_below):
+    """A sum of 1 to ``terms_below - 1`` random Pauli strings, with coefficients
+    from {0.5, +-1} half of the time, so degenerate levels occur."""
+    terms = []
+    for _ in range(int(rng.integers(1, terms_below))):
+        axes = "".join(rng.choice(list("IXYZ"), n_qubits))
+        coeff = float(rng.choice([0.5, 1.0, -1.0])) if rng.random() < 0.5 else float(rng.normal())
+        terms.append(PauliTerm(coeff, axes))
+    return PauliSum(n_qubits, tuple(terms))
+
+
+def random_state(rng, n_qubits):
+    """A normalized state from complex Gaussian amplitudes."""
+    raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
+    return StateVector.from_amplitudes(raw)
 
 
 def group_slices(values, tol=1e-8):
@@ -22,6 +40,16 @@ def projector(vectors, block):
     """The projector onto the columns ``block`` of ``vectors``."""
     cols = vectors[:, block]
     return cols @ cols.conj().T
+
+
+def exact_propagate(amplitudes, values, vectors, tau):
+    """Exact propagation in the eigenbasis as one ``@`` expression, computing its
+    own phases and adjoint.
+
+    The coordinates come first in the product: with fused multiply-adds a
+    complex product can differ in its last bit when its operands swap.
+    """
+    return vectors @ ((vectors.conj().T @ amplitudes) * np.exp(-1j * tau * values))
 
 
 def split_step_sweep(amplitudes, op, tau, steps):

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import random_pauli_sum, random_state
 from twirlsim import (
     AdiabaticSchedule,
     Backend,
-    PauliSum,
-    PauliTerm,
     adiabatic_prepare,
     eigendecompose,
     evolve_exact,
@@ -94,23 +93,13 @@ def _oracle_ramp(initial, start_op, target_op, schedule):
     return StateVector(state.n_qubits, amplitudes)
 
 
-def _random_op(rng, n_qubits):
-    terms = []
-    for _ in range(int(rng.integers(1, 5))):
-        axes = "".join(rng.choice(list("IXYZ"), n_qubits))
-        coeff = float(rng.choice([0.5, 1.0, -1.0])) if rng.random() < 0.5 else float(rng.normal())
-        terms.append(PauliTerm(coeff, axes))
-    return PauliSum(n_qubits, tuple(terms))
-
-
 @pytest.mark.parametrize("steps", [1, 7, 50])
 def test_ramp_matches_frozen_operator_oracle(steps):
     rng = np.random.default_rng(steps)
     for _ in range(40):
         n_qubits = int(rng.integers(1, 5))
-        start, target = _random_op(rng, n_qubits), _random_op(rng, n_qubits)
-        raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-        initial = StateVector.from_amplitudes(raw)
+        start, target = random_pauli_sum(rng, n_qubits, 5), random_pauli_sum(rng, n_qubits, 5)
+        initial = random_state(rng, n_qubits)
         schedule = AdiabaticSchedule(total_time=float(rng.uniform(0.1, 10.0)), steps=steps)
         expected = _oracle_ramp(initial, start, target, schedule)
         prepared = adiabatic_prepare(initial, start, target, schedule)
@@ -132,9 +121,8 @@ def test_chunked_ramp_matches_frozen_operator_oracle(chunk, monkeypatch):
     for steps in sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 2} - {0}):
         for n_qubits in (1, 2, 3, 4):
             monkeypatch.setattr(adiabatic, "RAMP_STACK_BYTES", chunk * 16 * 4**n_qubits)
-            start, target = _random_op(rng, n_qubits), _random_op(rng, n_qubits)
-            raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-            initial = StateVector.from_amplitudes(raw)
+            start, target = random_pauli_sum(rng, n_qubits, 5), random_pauli_sum(rng, n_qubits, 5)
+            initial = random_state(rng, n_qubits)
             schedule = AdiabaticSchedule(total_time=float(rng.uniform(0.1, 10.0)), steps=steps)
             expected = _oracle_ramp(initial, start, target, schedule)
             prepared = adiabatic_prepare(initial, start, target, schedule)

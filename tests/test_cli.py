@@ -10,7 +10,15 @@ from pathlib import Path
 
 import pytest
 
-from twirlsim import AdiabaticSchedule, Backend, __version__, bundled_names, cli, load_manifest
+from twirlsim import (
+    AdiabaticSchedule,
+    Backend,
+    PauliSum,
+    __version__,
+    bundled_names,
+    cli,
+    load_manifest,
+)
 from twirlsim import manifest as manifest_module
 from twirlsim.cli import main
 
@@ -290,6 +298,35 @@ def test_run_bad_prepare_flag(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_bare_prepare_adiabatic_takes_the_default_schedule(capsys):
+    schedule = AdiabaticSchedule()
+    spelled = f"adiabatic:T={schedule.total_time},steps={schedule.steps}"
+    outputs = []
+    for prepare in ("adiabatic", spelled):
+        assert main(["run", "--config", "table-04", "--prepare", prepare, "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["prepare"] == {
+        "kind": "adiabatic",
+        "total_time": schedule.total_time,
+        "steps": schedule.steps,
+    }
+
+
+@pytest.mark.parametrize(
+    "prepare, message",
+    [
+        ("adiabatic:T", "config error: malformed prepare option 'T'\n"),
+        ("adiabatic:T=5,", "config error: malformed prepare option ''\n"),
+        ("adiabatic:X=1", "config error: unknown prepare option 'X'\n"),
+        ("adiabatic:T=5,step=9", "config error: unknown prepare option 'step'\n"),
+    ],
+)
+def test_run_refuses_malformed_and_unknown_prepare_options(prepare, message, capsys):
+    assert main(["run", "--config", "table-04", "--prepare", prepare]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 @pytest.mark.parametrize("backend", ["exact", "trotter:2"])
 def test_run_refuses_a_ramp_time_that_overflows(backend, capsys):
     # one slice of 1.7e308 times the start chain's summed |coefficient| of 3
@@ -300,6 +337,32 @@ def test_run_refuses_a_ramp_time_that_overflows(backend, capsys):
     assert captured.err == (
         "config error: evolution time 1.7e+308 times summed |coefficient| 3.0 overflows\n"
     )
+
+
+def test_run_reads_a_two_digit_observable_index(tmp_path, capsys):
+    # the split-step backend runs the 11 qubits without a dense matrix
+    manifest = {
+        "name": "eleven",
+        "hamiltonian": {"n_qubits": 11, "terms": [{"coeff": 1.0, "axes": "Z" + "I" * 10}]},
+        "initial": "0" * 10 + "1",
+        "rounds": [{"mode": "quarter"}],
+        "backend": "trotter:1",
+        "observables": ["H", "Z10", "Z0"],
+        "expected": [{"observable": "Z10", "value": -1.0, "tol": 1e-12}],
+    }
+    path = _write(tmp_path, "eleven.json", manifest)
+    assert main(["run", "--config", path, "--format", "json"]) == 0
+    rounds = json.loads(capsys.readouterr().out)["rounds"]
+    assert [r["expectations"]["Z10"] for r in rounds] == [-1.0, -1.0]
+    assert [r["expectations"]["Z0"] for r in rounds] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("name", ["Z01", "Z\u0661", "Z\u00b2", "Z+1"])
+def test_run_refuses_an_observable_index_out_of_plain_digits(name, tmp_path, capsys):
+    path = _write(tmp_path, "odd.json", dict(VIOLATING, observables=[name], expected=[]))
+    assert main(["run", "--config", path]) == 2
+    message = f"config error at /observables/0: unknown observable {name!r}\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_run_unknown_scenario(capsys):
@@ -630,6 +693,18 @@ def test_run_out_naming_a_file_is_a_config_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_failed_out_rename_leaves_no_temp_file(tmp_path, monkeypatch, capsys):
+    def refuse(source, destination):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    out = tmp_path / "out"
+    assert main(["run", "--config", "table-04", "--format", "json", "--out", str(out)]) == 2
+    message = f"config error: cannot write into {str(out)!r}: Permission denied\n"
+    assert capsys.readouterr() == ("", message)
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
 def test_out_files_get_the_mode_open_would_give(umask, tmp_path, capsys):
     configs, out = tmp_path / "configs", tmp_path / "out"
@@ -662,10 +737,12 @@ def test_batch_out_writes_each_bundled_scenario_as_run_json_prints_it(tmp_path, 
 
 def test_each_scenario_builds_its_hamiltonian_once(tmp_path, monkeypatch, capsys):
     builds = []
-    build = manifest_module._hamiltonian
-    monkeypatch.setattr(
-        manifest_module, "_hamiltonian", lambda spec: builds.append(1) or build(spec)
-    )
+    # the named and the inline constructor the manifest module calls
+    for owner, attribute in ((manifest_module, "hamiltonian_by_name"), (PauliSum, "from_dict")):
+        build = getattr(owner, attribute)
+        monkeypatch.setattr(
+            owner, attribute, lambda *args, build=build: builds.append(1) or build(*args)
+        )
     inline = dict(
         VIOLATING, hamiltonian={"n_qubits": 1, "terms": [{"coeff": 1.0, "axes": "Z"}]}, expected=[]
     )
@@ -689,6 +766,27 @@ def test_batch_needs_a_source(capsys):
 def test_batch_rejects_missing_directory(tmp_path, capsys):
     assert main(["batch", "--config-dir", str(tmp_path / "nope")]) == 2
     assert "not a directory" in capsys.readouterr().err
+
+
+def test_batch_refuses_a_directory_without_manifests(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("{}", encoding="utf-8")
+    (tmp_path / "manifest.json.bak").write_text("{}", encoding="utf-8")
+    assert main(["batch", "--config-dir", str(tmp_path)]) == 2
+    message = f"config error: no manifests found in {str(tmp_path)!r}\n"
+    assert capsys.readouterr() == ("", message)
+
+
+def test_bundled_batch_reads_only_the_package_files(tmp_path, monkeypatch, capsys):
+    # a directory and a valid manifest file in the working directory, named
+    # as bundled scenarios are
+    (tmp_path / "table-04").mkdir()
+    _write(tmp_path, "table-05", dict(VIOLATING, name="shadow", expected=[]))
+    monkeypatch.chdir(tmp_path)
+    assert main(["batch", "--bundled"]) == 0
+    assert capsys.readouterr() == (GOLDEN["batch --bundled"]["stdout"], "")
+    # run --config still takes a path first
+    assert main(["run", "--config", "table-05", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["name"] == "shadow"
 
 
 # ---------------------------------------------------------------------------

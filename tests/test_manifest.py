@@ -4,7 +4,6 @@ import copy
 import json
 import math
 import random
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -22,7 +21,8 @@ from twirlsim import (
     parse_manifest,
     validate_manifest,
 )
-from twirlsim.manifest import RULES, _compile, _object
+from twirlsim import manifest as manifest_module
+from twirlsim.manifest import BUNDLED_DIR, RULES, _compile, _object
 
 EXPECTED_BUNDLED = [
     "table-01-ket0",
@@ -77,6 +77,24 @@ def test_every_bundled_scenario_parses():
 
 def test_load_accepts_bare_name_and_suffix():
     assert load_manifest("table-04") == load_manifest("table-04.json")
+
+
+def test_bundled_files_go_through_the_file_read_path(tmp_path, monkeypatch):
+    # a bundled scenario is read and its errors mapped as a user's file is
+    monkeypatch.setattr(manifest_module, "BUNDLED_DIR", str(tmp_path))
+    (tmp_path / "fine.json").write_text(json.dumps(_base(name="fine")), encoding="utf-8")
+    (tmp_path / "broken.json").write_text("{oops", encoding="utf-8")
+    (tmp_path / "sub.json").mkdir()
+    (tmp_path / "list.json").write_text("[1]", encoding="utf-8")
+    assert bundled_names() == ["broken", "fine", "list", "sub"]
+    assert load_manifest("fine").name == "fine"
+    with pytest.raises(ManifestError) as caught:
+        load_manifest("broken")
+    assert str(caught.value).startswith(f"config error in {tmp_path / 'broken.json'}: Expecting")
+    with pytest.raises(ManifestError, match=r"^config error in .*sub\.json: \[Errno 21\]"):
+        load_manifest("sub")
+    with pytest.raises(ManifestError, match="^config error at /: manifest must be a JSON object$"):
+        load_manifest("list")
 
 
 def test_unknown_name_lists_the_alternatives():
@@ -202,6 +220,10 @@ def test_rules_compile_and_unknown_rule_keys_are_refused():
         _compile({"type": "number", "minimum": 0})
     with pytest.raises(ValueError, match="'maximum'"):
         _compile(_object(("n",), n={"type": "array", "items": {"type": "integer", "maximum": 3}}))
+    # the named and the inline form are compiled as rules of their own
+    inline = _object(("n",), n={"type": "integer"})
+    with pytest.raises(ValueError, match="'maximum'"):
+        _compile({"type": "object", "named": {**inline, "maximum": 3}, "inline": inline})
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +399,7 @@ def _reported_pointers(data):
 
 def _corpus(name):
     """100 seeded mutations of a bundled manifest, each with one to three edits."""
-    text = (resources.files("twirlsim") / "manifests" / f"{name}.json").read_text(encoding="utf-8")
+    text = (Path(BUNDLED_DIR) / f"{name}.json").read_text(encoding="utf-8")
     rng = random.Random(EXPECTED_BUNDLED.index(name))
     for _ in range(100):
         data = json.loads(text)

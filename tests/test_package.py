@@ -1,7 +1,9 @@
 """Tests for the package's public namespace and its import graph."""
 
 import os
+import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +47,28 @@ def test_readme_python_example_runs():
         [sys.executable, "-c", blocks[0]], capture_output=True, text=True, timeout=60, env=env
     )
     assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # from a working directory outside the repo, holding the files the examples name
+    from twirlsim.cli import main
+
+    repo = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```sh\n(.*?)^```$", (repo / "README.md").read_text(), re.S | re.M)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [shlex.split(line) for line in lines if line.startswith("twirlsim ")]
+    assert len(commands) == 7
+    scenario = {
+        "name": "my-scenario",
+        "hamiltonian": {"name": "schwinger-2q", "J": 1.0},
+        "initial": "01",
+        "rounds": [{"mode": "quarter"}] * 2,
+    }
+    (tmp_path / "my-scenario.json").write_text(json.dumps(scenario), encoding="utf-8")
+    (tmp_path / "scenarios").mkdir()
+    (tmp_path / "scenarios" / "mine.json").write_text(json.dumps(scenario), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv
+    assert os.listdir("results") == ["my-scenario.json"]

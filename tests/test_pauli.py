@@ -1,7 +1,6 @@
 """Pauli operators against independently built dense matrices."""
 
 import json
-import math
 import re
 
 import numpy as np
@@ -101,6 +100,34 @@ def test_named_observable_resolution():
         named_observable("Q", 3)
     with pytest.raises(ValueError, match="out of range"):
         named_observable("Z3", 3)
+
+
+@pytest.mark.parametrize("n_qubits", [11, 12])
+def test_named_observable_reads_a_multi_digit_qubit_index(n_qubits):
+    assert named_observable("Z10", n_qubits) == single_z(n_qubits, 10)
+    assert named_observable("Z0", n_qubits) == single_z(n_qubits, 0)
+    with pytest.raises(ValueError, match=rf"^qubit 12 out of range for {n_qubits} qubit"):
+        named_observable("Z12", n_qubits)
+
+
+@pytest.mark.parametrize("name", ["Z01", "Z00", "Z\u0661", "Z\u00b2", "Z+1", "Z 1", "Z1 ", "Z1_0"])
+def test_named_observable_takes_only_plain_decimal_indices(name):
+    # int() would read each of these but the superscript, which it fails on with its own message
+    with pytest.raises(ValueError, match=f"^unknown observable {re.escape(repr(name))}$"):
+        named_observable(name, 3)
+
+
+def test_bare_z_needs_a_one_qubit_register():
+    for n_qubits in (2, 3):
+        with pytest.raises(ValueError) as caught:
+            named_observable("Z", n_qubits)
+        assert str(caught.value) == 'observable "Z" is only unambiguous on one qubit, use "Z<k>"'
+
+
+def test_pauli_sum_adds_only_pauli_sums():
+    with pytest.raises(TypeError) as caught:
+        schwinger_hamiltonian(1, 1.0) + 1
+    assert str(caught.value) == "unsupported operand type(s) for +: 'PauliSum' and 'int'"
 
 
 def test_named_observables_are_shared_but_counted_first():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from oracles import random_state
 from twirlsim import (
     PauliSum,
     PauliTerm,
@@ -23,15 +24,8 @@ from twirlsim import (
     twirl_round,
 )
 from twirlsim.pauli import apply_operator, dense_matrix
-from twirlsim.state import StateVector
 
 AXES = "IXYZ"
-
-
-def _random_state(rng, n_qubits):
-    dim = 1 << n_qubits
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector.from_amplitudes(raw)
 
 
 def _random_sum(rng, n_qubits):
@@ -52,7 +46,7 @@ def run_pauli_cases(cases, seed=0):
         n = int(rng.integers(1, 4))
         op = _random_sum(rng, n)
         other = _random_sum(rng, n)
-        state = _random_state(rng, n)
+        state = random_state(rng, n)
         matrix = dense_matrix(op)
         assert np.max(np.abs(matrix - matrix.conj().T)) < 1e-12
         applied = apply_operator(state.amplitudes, op)
@@ -83,7 +77,7 @@ def run_spectral_cases(cases, seed=0):
         assert float(np.max(np.abs(residual))) < 1e-9
         rebuilt = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
         assert float(np.max(np.abs(rebuilt - matrix))) < 1e-9
-        state = _random_state(rng, n)
+        state = random_state(rng, n)
         tau_a = float(rng.uniform(-3.0, 3.0))
         tau_b = float(rng.uniform(-3.0, 3.0))
         stepwise = evolve_exact(evolve_exact(state.amplitudes, op, tau_a), op, tau_b)
@@ -111,7 +105,7 @@ def run_twirl_cases(cases, seed=0):
         n = int(rng.integers(1, 4))
         op = schwinger_hamiltonian(n, float(rng.uniform(0.0, 3.0)))
         dec = eigendecompose(op)
-        state = _random_state(rng, n)
+        state = random_state(rng, n)
         before = overlap_weights(state, dec)
         candidates = [
             j

@@ -29,6 +29,7 @@ from twirlsim import (
 )
 from twirlsim import shots
 from twirlsim.cli import _run_overrides
+from twirlsim.manifest import RULES
 from twirlsim.pauli import single_z
 from twirlsim.shots import _draw
 from twirlsim.state import StateVector
@@ -154,6 +155,16 @@ def test_sample_shots_bounds_the_active_count():
     assert sample_shots(StateVector.basis("0"), ops, 2**63 - 1, starts) == {"Z": 1.0}
     with pytest.raises(ValueError, match=re.escape("below 2**63, got 9223372036854775808")):
         sample_shots(StateVector.basis("0"), ops, 2**63, starts)
+
+
+def test_every_shot_count_bound_is_the_one_limit():
+    # numpy's binomial takes a 64-bit C long; the manifest rule, the protocol
+    # config and the sampler all read that bound from shots.SHOT_LIMIT
+    assert shots.SHOT_LIMIT == 2**63
+    assert RULES["fields"]["shots"]["max"] == shots.SHOT_LIMIT - 1
+    assert _config(shots=shots.SHOT_LIMIT - 1).shots == shots.SHOT_LIMIT - 1
+    with pytest.raises(ValueError, match=re.escape(f"below 2**63, got {shots.SHOT_LIMIT}")):
+        _config(shots=shots.SHOT_LIMIT)
 
 
 def test_sample_shots_needs_one_start_per_term():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from oracles import group_slices, projector
+from oracles import exact_propagate, group_slices, projector, random_pauli_sum, random_state
 from twirlsim import (
     PauliSum,
     PauliTerm,
@@ -174,24 +174,11 @@ def _oracle_canonical(values, vectors, tol=1e-8):
     return values, fixed
 
 
-def _random_pauli_sum(rng, n_qubits):
-    # coefficients from {0.5, +-1} half of the time, so degenerate levels occur
-    terms = []
-    for _ in range(int(rng.integers(1, 7))):
-        axes = "".join(rng.choice(list("IXYZ"), n_qubits))
-        if rng.random() < 0.5:
-            coeff = float(rng.choice([0.5, 1.0, -1.0]))
-        else:
-            coeff = float(rng.normal())
-        terms.append(PauliTerm(coeff, axes))
-    return PauliSum(n_qubits, tuple(terms))
-
-
 def test_canonical_eigenbasis_matches_loop_oracle():
     rng = np.random.default_rng(2024)
     degenerate = 0
     for _ in range(3000):
-        op = _random_pauli_sum(rng, int(rng.integers(1, 6)))
+        op = random_pauli_sum(rng, int(rng.integers(1, 6)), 7)
         values, vectors = _oracle_canonical(*np.linalg.eigh(dense_matrix(op)))
         dec = eigendecompose(op)
         assert dec.eigenvalues.tobytes() == values.tobytes()
@@ -216,7 +203,7 @@ def test_canonical_basis_on_a_stack_matches_each_slice():
     rng = np.random.default_rng(2025)
     degenerate = 0
     for n_qubits in range(1, 6):
-        matrices = np.stack([dense_matrix(_random_pauli_sum(rng, n_qubits)) for _ in range(60)])
+        matrices = np.stack([dense_matrix(random_pauli_sum(rng, n_qubits, 7)) for _ in range(60)])
         outputs = [np.linalg.eigh(matrix) for matrix in matrices]
         values = np.stack([v for v, _ in outputs])
         vectors = np.stack([w for _, w in outputs])
@@ -269,8 +256,7 @@ def test_bundled_batch_builds_each_operator_once(capsys):
 def test_evolution_matches_expm():
     rng = np.random.default_rng(11)
     op = schwinger_hamiltonian(3, 1.0)
-    raw = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    state = StateVector.from_amplitudes(raw)
+    state = random_state(rng, 3)
     tau = 0.37
     propagator = scipy.linalg.expm(-1j * tau * dense_matrix(op))
     evolved = evolve_exact(state.amplitudes, op, tau)
@@ -288,15 +274,6 @@ def test_evolution_composes_and_preserves_norm():
     np.testing.assert_allclose(frozen, state.amplitudes, atol=1e-12)
 
 
-def _matmul_propagate(amplitudes, values, vectors, tau):
-    """The propagation as one ``@`` expression, computing its own phases and adjoint.
-
-    The coordinates come first in the product: with fused multiply-adds a
-    complex product can differ in its last bit when its operands swap.
-    """
-    return vectors @ ((vectors.conj().T @ amplitudes) * np.exp(-1j * tau * values))
-
-
 def test_propagation_helper_matches_the_matmul_expression():
     rng = np.random.default_rng(2026)
     for n_qubits in range(1, 11):
@@ -305,7 +282,7 @@ def test_propagation_helper_matches_the_matmul_expression():
         matrices = [raw + raw.conj().T]
         if n_qubits <= 5:
             # Pauli sums bring degenerate levels and eigenvectors with exact zeros
-            matrices += [dense_matrix(_random_pauli_sum(rng, n_qubits)) for _ in range(4)]
+            matrices += [dense_matrix(random_pauli_sum(rng, n_qubits, 7)) for _ in range(4)]
         random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         states = [np.eye(dim, dtype=complex)[k] for k in {0, dim - 1, int(rng.integers(dim))}]
         states.append(random / np.linalg.norm(random))
@@ -314,7 +291,7 @@ def test_propagation_helper_matches_the_matmul_expression():
             for tau in (0.37, -1.3, float(rng.uniform(-20.0, 20.0))):
                 phases = np.exp(-1.0j * tau * values)
                 for amplitudes in states:
-                    expected = _matmul_propagate(amplitudes, values, vectors, tau)
+                    expected = exact_propagate(amplitudes, values, vectors, tau)
                     evolved = spectral._propagate(amplitudes, phases, vectors.conj().T, vectors)
                     assert evolved.tobytes() == expected.tobytes()
 
@@ -327,12 +304,12 @@ def test_cached_eigensystem_routes_match_the_per_call_adjoint():
         random = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         states = [np.eye(dim, dtype=complex)[k] for k in {0, dim - 1, int(rng.integers(dim))}]
         states.append(random / np.linalg.norm(random))
-        for op in [_random_pauli_sum(rng, n_qubits) for _ in range(2 if n_qubits > 8 else 4)]:
+        for op in [random_pauli_sum(rng, n_qubits, 7) for _ in range(2 if n_qubits > 8 else 4)]:
             dec = eigendecompose(op)
             values, vectors = dec.eigenvalues, dec.eigenvectors
             for amplitudes in states:
                 for tau in (0.37, -1.3, float(rng.uniform(-20.0, 20.0))):
-                    expected = _matmul_propagate(amplitudes, values, vectors, tau)
+                    expected = exact_propagate(amplitudes, values, vectors, tau)
                     assert evolve_exact(amplitudes, op, tau).tobytes() == expected.tobytes()
                 weights = overlap_weights(StateVector(n_qubits, amplitudes), dec)
                 expected = np.abs(vectors.conj().T @ amplitudes) ** 2
@@ -343,7 +320,7 @@ def test_stacked_phases_and_adjoints_match_each_slice():
     rng = np.random.default_rng(2027)
     for n_qubits in range(1, 6):
         dim = 2**n_qubits
-        matrices = np.stack([dense_matrix(_random_pauli_sum(rng, n_qubits)) for _ in range(20)])
+        matrices = np.stack([dense_matrix(random_pauli_sum(rng, n_qubits, 7)) for _ in range(20)])
         values, vectors = spectral._canonical_eigh(matrices)
         amplitudes = np.eye(dim, dtype=complex)[int(rng.integers(dim))]
         for dt in (0.05, -2.5):
@@ -352,7 +329,7 @@ def test_stacked_phases_and_adjoints_match_each_slice():
             for k in range(len(matrices)):
                 assert phases[k].tobytes() == np.exp(-1.0j * dt * values[k]).tobytes()
                 assert adjoints[k].strides == vectors[k].conj().T.strides
-                expected = _matmul_propagate(amplitudes, values[k], vectors[k], dt)
+                expected = exact_propagate(amplitudes, values[k], vectors[k], dt)
                 evolved = spectral._propagate(amplitudes, phases[k], adjoints[k], vectors[k])
                 assert evolved.tobytes() == expected.tobytes()
                 amplitudes = evolved

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import split_step_sweep
+from oracles import exact_propagate, random_pauli_sum, random_state, split_step_sweep
 from twirlsim import (
     AdiabaticSchedule,
     Backend,
@@ -64,6 +64,15 @@ def test_choose_tau_quarter_keeps_the_bits_of_one_division():
     energies = np.exp(rng.uniform(math.log(1e-11), math.log(1e300), 20_000))
     for energy in (energies * rng.choice([-1.0, 1.0], energies.size)).tolist():
         assert choose_tau(energy, TauMode.QUARTER)[0] == math.pi / (2.0 * energy)
+
+
+
+@pytest.mark.parametrize("mode", ["quarter", None, 1])
+def test_choose_tau_refuses_a_mode_that_is_no_tau_mode(mode):
+    # the manifest's spelling too: it reaches the engine only as TauMode("quarter")
+    with pytest.raises(ValueError) as caught:
+        choose_tau(2.0, mode)
+    assert str(caught.value) == f"unknown mode {mode!r}"
 
 
 _CHAIN = schwinger_hamiltonian(3, 1.3)
@@ -263,8 +272,7 @@ def test_every_evolution_refuses_an_overflowing_time(entry):
 def _oracle_evolve(state, op, tau, steps):
     if steps is None:
         dec = spectral._eigensystem(op)
-        values, vectors = dec.eigenvalues, dec.eigenvectors
-        amps = vectors @ ((vectors.conj().T @ state.amplitudes) * np.exp(-1j * tau * values))
+        amps = exact_propagate(state.amplitudes, dec.eigenvalues, dec.eigenvectors, tau)
     else:
         amps = split_step_sweep(state.amplitudes, op, tau, steps)
     return StateVector(state.n_qubits, amps)
@@ -281,27 +289,13 @@ def _oracle_round(state, op, tau, prefactor, ancillas, steps):
     return current, probability
 
 
-def _random_op(rng, n_qubits):
-    terms = []
-    for _ in range(int(rng.integers(1, 6))):
-        axes = "".join(rng.choice(list("IXYZ"), n_qubits))
-        coeff = float(rng.choice([0.5, 1.0, -1.0])) if rng.random() < 0.5 else float(rng.normal())
-        terms.append(PauliTerm(coeff, axes))
-    return PauliSum(n_qubits, tuple(terms))
-
-
-def _random_state(rng, n_qubits):
-    raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return StateVector.from_amplitudes(raw)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3, 4])
 def test_rounds_match_state_per_ancilla_oracle(seed):
     rng = np.random.default_rng(seed)
     for _ in range(50):
         n_qubits = int(rng.integers(1, 6))
-        op = _random_op(rng, n_qubits)
-        state = _random_state(rng, n_qubits)
+        op = random_pauli_sum(rng, n_qubits, 6)
+        state = random_state(rng, n_qubits)
         tau = float(rng.uniform(-4.0, 4.0))
         prefactor = 1.0j if rng.random() < 0.5 else 1.0 + 0.0j
         ancillas = int(rng.integers(1, 6))
@@ -338,8 +332,8 @@ def test_split_step_ramp_matches_state_per_slice_oracle(seed):
     cases = []
     for _ in range(20):
         n_qubits = int(rng.integers(1, 6))
-        start, target = _random_op(rng, n_qubits), _random_op(rng, n_qubits)
-        cases.append((_random_state(rng, n_qubits), start, target))
+        start, target = random_pauli_sum(rng, n_qubits, 6), random_pauli_sum(rng, n_qubits, 6)
+        cases.append((random_state(rng, n_qubits), start, target))
     for n_qubits in (1, 2, 3):
         label = ("10" * n_qubits)[:n_qubits]
         cases.append((label, staggered_start(n_qubits), schwinger_hamiltonian(n_qubits, 1.0)))
