@@ -343,7 +343,8 @@ def _named_observable(name: str, n_qubits: int) -> PauliSum:
             raise ValueError('observable "Z" is only unambiguous on one qubit, use "Z<k>"')
         return single_z(1, 0)
     index = name[1:]
-    # ASCII digits with no leading zero; int() would also read "01", "+1" and "\u0661"
-    if name[:1] == "Z" and index.isascii() and index.isdigit() and index[0] != "0" or name == "Z0":
+    # ASCII digits with no leading zero; int() would also read "01", "+1" and other scripts' digits
+    plain = index.isascii() and index.isdigit() and (index == "0" or index[0] != "0")
+    if name[:1] == "Z" and plain:
         return single_z(n_qubits, int(index))
     raise ValueError(f"unknown observable {name!r}")

@@ -158,8 +158,8 @@ def test_sample_shots_bounds_the_active_count():
 
 
 def test_every_shot_count_bound_is_the_one_limit():
-    # numpy's binomial takes a 64-bit C long; the manifest rule, the protocol
-    # config and the sampler all read that bound from shots.SHOT_LIMIT
+    # numpy's binomial takes a 64-bit C long; the manifest rule and the protocol
+    # config read that bound from shots.SHOT_LIMIT, as sample_shots does
     assert shots.SHOT_LIMIT == 2**63
     assert RULES["fields"]["shots"]["max"] == shots.SHOT_LIMIT - 1
     assert _config(shots=shots.SHOT_LIMIT - 1).shots == shots.SHOT_LIMIT - 1
