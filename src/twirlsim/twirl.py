@@ -244,28 +244,6 @@ def run_protocol(
         n_streams = 1 + n_obs + (len(op.terms) if config.noisy_energy else 0)
         starts = stream_starts(config.seed, len(config.rounds) + 1, n_streams)
 
-    def measure(current: StateVector, k: int, active: int | None) -> tuple[dict, float | None]:
-        """Record k's expectations, and round k + 1's energy estimate unless it has an override."""
-        estimated = k < len(config.rounds) and config.rounds[k].energy_override is None
-        noisy = estimated and config.noisy_energy
-        if config.shots is None:
-            values = {name: expectation(current, obs) for name, obs in observables}
-        else:
-            ops, streams = observables, starts[k][1 : 1 + n_obs]
-            if noisy:
-                # a sampled estimate's terms draw from round k + 1's streams
-                ops, streams = ops + [(_ESTIMATE, op)], streams + starts[k + 1][1 + n_obs :]
-            try:
-                values = sample_shots(current, ops, active, streams)
-            except PostSelectionError as exc:
-                raise PostSelectionError(f"{exc} in round {k}") from None
-        if noisy:
-            return values, values.pop(_ESTIMATE)
-        if not estimated:
-            return values, None
-        exact_h = config.shots is None and "H" in values
-        return values, values["H"] if exact_h else expectation(current, op)
-
     records: list[RoundRecord] = []
     active = config.shots
     energy = tau = prefactor = None
@@ -286,7 +264,24 @@ def run_protocol(
             if config.shots is not None:
                 # rounding can lift the product of keep probabilities past 1
                 active = _draw(starts[index][0], config.shots, min(1.0, p_cumulative))
-        expectations, estimate = measure(state, index, active)
+        # the next round estimates <H> on this state unless it has an override
+        estimated = index < len(config.rounds) and config.rounds[index].energy_override is None
+        if config.shots is None:
+            expectations = {name: expectation(state, obs) for name, obs in observables}
+        else:
+            ops, streams = observables, starts[index][1 : 1 + n_obs]
+            if estimated and config.noisy_energy:
+                # a sampled estimate's terms draw from the next round's streams
+                ops, streams = ops + [(_ESTIMATE, op)], streams + starts[index + 1][1 + n_obs :]
+            try:
+                expectations = sample_shots(state, ops, active, streams)
+            except PostSelectionError as exc:
+                raise PostSelectionError(f"{exc} in round {index}") from None
+        if estimated and config.noisy_energy:
+            estimate = expectations.pop(_ESTIMATE)
+        elif estimated:
+            exact_h = config.shots is None and "H" in expectations
+            estimate = expectations["H"] if exact_h else expectation(state, op)
         records.append(
             RoundRecord(index, energy, tau, prefactor, p_round, p_cumulative, expectations, active)
         )
