@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -209,6 +209,8 @@ class RoundRecord:
     p_cumulative: float
     expectations: dict[str, float]
     active_count: int | None = None
+    # the state the record describes; equality and repr leave it out
+    state: StateVector | None = field(default=None, compare=False, repr=False)
 
 
 def resolve_observables(names: tuple[str, ...], op: PauliSum) -> list[tuple[str, PauliSum]]:
@@ -217,6 +219,13 @@ def resolve_observables(names: tuple[str, ...], op: PauliSum) -> list[tuple[str,
     for name in names:
         resolved.append((name, op if name == "H" else named_observable(name, op.n_qubits)))
     return resolved
+
+
+def _aborted(exc: Exception, message: str, records: list[RoundRecord]) -> Exception:
+    """A new ``exc`` of the same class with ``message``, carrying the records made before it."""
+    abort = type(exc)(message)
+    abort.records = records
+    return abort
 
 
 def run_protocol(
@@ -232,6 +241,9 @@ def run_protocol(
     ``shots`` and ``noisy_energy`` are set. Without shots, a record that
     holds ``"H"`` holds that exact expectation, and the next round takes
     it from there.
+
+    An abort raises ``PostSelectionError`` or ``ZeroEnergyError``, naming
+    its round; its ``records`` attribute holds the records made before it.
     """
     state = StateVector.basis(initial) if isinstance(initial, str) else initial
     if state.n_qubits != op.n_qubits:
@@ -258,7 +270,7 @@ def run_protocol(
                     state, op, tau, prefactor, spec.ancillas, config.backend
                 )
             except (ZeroEnergyError, PostSelectionError) as exc:
-                raise type(exc)(f"round {index}: {exc}") from None
+                raise _aborted(exc, f"round {index}: {exc}", records) from None
             energy = float(energy)
             p_cumulative *= p_round
             if config.shots is not None:
@@ -276,13 +288,15 @@ def run_protocol(
             try:
                 expectations = sample_shots(state, ops, active, streams)
             except PostSelectionError as exc:
-                raise PostSelectionError(f"{exc} in round {index}") from None
+                raise _aborted(exc, f"{exc} in round {index}", records) from None
         if estimated and config.noisy_energy:
             estimate = expectations.pop(_ESTIMATE)
         elif estimated:
             exact_h = config.shots is None and "H" in expectations
             estimate = expectations["H"] if exact_h else expectation(state, op)
         records.append(
-            RoundRecord(index, energy, tau, prefactor, p_round, p_cumulative, expectations, active)
+            RoundRecord(
+                index, energy, tau, prefactor, p_round, p_cumulative, expectations, active, state
+            )
         )
     return records

@@ -26,6 +26,7 @@ from twirlsim import (
     expectation,
     keep_probability,
     named_observable,
+    parse_manifest,
     run_protocol,
     sample_shots,
     schwinger_hamiltonian,
@@ -545,6 +546,68 @@ def test_extinction_in_a_protocol_names_the_round():
     config = TwirlConfig(rounds=(RoundSpec(TauMode.FULL, energy_override=2.0),))
     with pytest.raises(PostSelectionError, match="^round 1: post-selection probability collapsed"):
         run_protocol("0", op, config)
+
+
+@pytest.mark.parametrize("backend", [Backend(), Backend(5)], ids=["exact", "trotter"])
+def test_each_record_state_gives_its_expectations(backend):
+    op = schwinger_hamiltonian(3, 1.3)
+    rounds = (
+        RoundSpec(TauMode.QUARTER, ancillas=2),
+        RoundSpec(TauMode.FULL, energy_override=2.2),
+        RoundSpec(TauMode.QUARTER),
+    )
+    config = TwirlConfig(rounds=rounds, backend=backend, observables=("H", "Z0", "Zbar"))
+    initial = random_state(np.random.default_rng(5), 3)
+    records = run_protocol(initial, op, config)
+    # record 0 holds the state passed in, a ramp-prepared one included
+    assert records[0].state is initial
+    for record in records:
+        assert record.state.n_qubits == 3
+        assert record.expectations == {
+            name: expectation(record.state, op if name == "H" else named_observable(name, 3))
+            for name in config.observables
+        }, record.round_index
+    # records compare and print without their states
+    assert "state" not in repr(records[1])
+    assert records[1] == dataclasses.replace(records[1], state=None)
+
+
+def _noisy_one_qubit(n_rounds):
+    # sampled energy feedback on four shots loses every run in round 2
+    return parse_manifest(
+        {
+            "name": "noisy",
+            "hamiltonian": {"name": "schwinger-1q", "J": 1.0},
+            "initial": "0",
+            "rounds": [{"mode": "quarter"}] * n_rounds,
+            "shots": 4,
+            "seed": 7,
+            "noisy_energy": True,
+        }
+    )
+
+
+def test_an_abort_carries_the_records_before_it():
+    manifest = _noisy_one_qubit(4)
+    with pytest.raises(PostSelectionError, match="^no active runs left in round 2$") as caught:
+        run_protocol(manifest.initial, manifest.operator, manifest.config)
+    carried = caught.value.records
+    # each (round, stream) pair draws from its own stream, so cutting the later rounds moves no draw
+    cut = _noisy_one_qubit(1)
+    assert carried == run_protocol(cut.initial, cut.operator, cut.config)
+    assert [record.round_index for record in carried] == [0, 1]
+    assert all(record.state is not None for record in carried)
+
+
+def test_a_zero_override_carries_the_rounds_before_it():
+    op = schwinger_hamiltonian(1, 1.0)
+    quarter = RoundSpec(TauMode.QUARTER)
+    config = TwirlConfig(rounds=(quarter, RoundSpec(TauMode.FULL, energy_override=0.0), quarter))
+    with pytest.raises(ZeroEnergyError, match="^round 2: energy estimate is zero") as caught:
+        run_protocol("0", op, config)
+    cut = dataclasses.replace(config, rounds=(quarter,))
+    assert len(caught.value.records) == 2
+    assert caught.value.records == run_protocol("0", op, cut)
 
 
 def test_trotter_backend_tracks_exact_at_high_steps():
