@@ -44,7 +44,7 @@ from .spectral import (
     overlap_weights,
 )
 from .state import StateVector
-from .trotter import evolve_trotter, trotter_error
+from .trotter import evolve_trotter, trotter_error, trotter_errors
 from .twirl import (
     Backend,
     RoundRecord,
@@ -98,6 +98,7 @@ __all__ = [
     "staggered_start",
     "stream_starts",
     "trotter_error",
+    "trotter_errors",
     "twirl_round",
     "validate_manifest",
 ]

@@ -35,10 +35,16 @@ import numpy as np
 from . import __version__
 from .adiabatic import AdiabaticSchedule, adiabatic_prepare, staggered_start
 from .manifest import BUNDLED_DIR, Manifest, ManifestError, json_entries, load_manifest
-from .pauli import _check_count, expectation, named_observable, schwinger_hamiltonian
+from .pauli import (
+    _check_count,
+    _plain_decimal,
+    expectation,
+    named_observable,
+    schwinger_hamiltonian,
+)
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
-from .trotter import trotter_error
+from .trotter import trotter_errors
 from .twirl import Backend, PostSelectionError, RoundRecord, ZeroEnergyError, run_protocol
 
 EXIT_OK = 0
@@ -370,10 +376,19 @@ def _run_json(result: RunResult, check: bool) -> str:
     return _json(payload)
 
 
+def count(raw: str) -> int:
+    """The argparse type of the count flags, which argparse names in its
+    refusal: plain decimal digits. A minus sign before them passes, so the
+    count rule refuses a negative value with the value in its message."""
+    if not _plain_decimal(raw.removeprefix("-")) or raw == "-0":
+        raise ValueError(raw)
+    return int(raw)
+
+
 def _positive(flag: str, raw: str, kind: type) -> int | float:
-    """``raw`` as a positive finite int or float, or an error that names ``flag``."""
+    """``raw`` as a positive finite float, or int in plain decimal, or an error naming ``flag``."""
     try:
-        value = kind(raw)
+        value = kind(raw) if kind is float or _plain_decimal(raw) else 0
     except ValueError:
         value = 0
     if not 0 < value < math.inf:
@@ -406,7 +421,7 @@ def _parse_prepare_flag(text: str) -> AdiabaticSchedule | None:
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", help='"exact" or "trotter:<steps>"')
     parser.add_argument("--shots", help='shot count, or "none" for exact expectations')
-    parser.add_argument("--seed", type=int, help="seed for shot-noise emulation")
+    parser.add_argument("--seed", type=count, help="seed for shot-noise emulation")
     parser.add_argument(
         "--prepare", help='"none", "adiabatic", or "adiabatic:T=<time>,steps=<n>"'
     )
@@ -474,15 +489,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trotter_scan(args: argparse.Namespace) -> int:
     op = schwinger_hamiltonian(args.qubits, args.j)
     entries = args.steps.split(",")
-    # int() would also read "1_6", "+8" and " 8"
-    if not all(entry.isascii() and entry.isdigit() for entry in entries):
+    if not all(_plain_decimal(entry) for entry in entries):
         raise ValueError(
             f"--steps must be comma-separated step counts in decimal digits, got {args.steps!r}"
         )
     steps = [int(entry) for entry in entries]
     if any(s < 1 for s in steps):
         raise ValueError("step counts must be positive")
-    errors = [trotter_error(op, args.tau, s) for s in steps]
+    errors = trotter_errors(op, args.tau, steps)
     order = None
     # a fit needs two distinct step counts, and errors at rounding level (zero
     # in exact arithmetic) carry no order to fit
@@ -524,6 +538,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     directory = BUNDLED_DIR if args.bundled else args.config_dir
     if directory is None:
         raise ManifestError("config error: batch needs --config-dir or --bundled")
+    if args.bundled and args.config_dir is not None:
+        raise ManifestError("config error: batch takes --config-dir or --bundled, not both")
     if not os.path.isdir(directory):
         raise ManifestError(f"config error: {directory!r} is not a directory")
     paths = [os.path.join(directory, entry) for entry in json_entries(directory)]
@@ -585,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     spectrum = sub.add_parser("spectrum", help="eigenvalues of a built-in chain")
-    spectrum.add_argument("--qubits", type=int, required=True, choices=(1, 2, 3))
+    spectrum.add_argument("--qubits", type=count, required=True, choices=(1, 2, 3))
     spectrum.add_argument("--j", type=float, required=True, help="coupling J")
     _add_output_flags(spectrum)
     spectrum.set_defaults(func=cmd_spectrum)
@@ -600,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     scan = sub.add_parser("trotter-scan", help="split-step error scan")
-    scan.add_argument("--qubits", type=int, required=True, choices=(1, 2, 3))
+    scan.add_argument("--qubits", type=count, required=True, choices=(1, 2, 3))
     scan.add_argument("--j", type=float, required=True, help="coupling J")
     scan.add_argument("--tau", type=float, default=math.pi / 2)
     scan.add_argument("--steps", default="8,16,32,64", help="comma-separated step counts")

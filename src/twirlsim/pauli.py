@@ -91,6 +91,13 @@ def _check_count(value: object, what: str, low: int = 1, below: int | None = Non
     raise ValueError(f"{what} must be a {sign} integer{bound}, got {value!r}")
 
 
+def _plain_decimal(text: str) -> bool:
+    """Whether ``text`` spells a count in plain decimal: ASCII digits, no sign,
+    separator or leading zero. int() would also read "01", "+1", "1_0", " 1"
+    and other scripts' digits."""
+    return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+
+
 def dense_limit() -> int:
     """Current register-size cap for dense matrix construction."""
     raw = os.environ.get(DENSE_LIMIT_ENV)
@@ -343,8 +350,10 @@ def _named_observable(name: str, n_qubits: int) -> PauliSum:
             raise ValueError('observable "Z" is only unambiguous on one qubit, use "Z<k>"')
         return single_z(1, 0)
     index = name[1:]
-    # ASCII digits with no leading zero; int() would also read "01", "+1" and other scripts' digits
-    plain = index.isascii() and index.isdigit() and (index == "0" or index[0] != "0")
-    if name[:1] == "Z" and plain:
+    if name[:1] == "Z" and _plain_decimal(index):
+        # an index with more digits than the register size is out of range; int() would refuse
+        # one of over 4300 digits with its own error
+        if len(index) > len(str(n_qubits)):
+            raise ValueError(f"qubit {index} out of range for {n_qubits} qubit(s)")
         return single_z(n_qubits, int(index))
     raise ValueError(f"unknown observable {name!r}")

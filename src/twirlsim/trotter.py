@@ -27,11 +27,12 @@ does there; only the sign of an exact zero amplitude can differ.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from functools import reduce
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, _check_count, _check_time, _compiled, dense_matrix
+from .pauli import PauliSum, _check_count, _check_time, _compiled, _scatter, dense_matrix
 
 
 def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int) -> np.ndarray:
@@ -62,20 +63,36 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
     return amps
 
 
-def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
-    """Operator-norm distance between the split-step and exact propagators."""
-    steps = _check_count(steps, "step count")
+def trotter_errors(op: PauliSum, tau: float, steps: Iterable[int]) -> list[float]:
+    """Operator-norm distance between the split-step and exact propagators, per step count.
+
+    The dense matrix, its eigensystem, the exact propagator and each term's
+    Pauli matrix are built once; only the split-step factors depend on the
+    step count.
+    """
+    counts = [_check_count(count, "step count") for count in steps]
     tau = _check_time(tau, op)
-    dt = tau / steps
     matrix = dense_matrix(op)
     values, vectors = np.linalg.eigh(matrix)
     exact = (vectors * np.exp(-1.0j * tau * values)) @ vectors.conj().T
-    dim = matrix.shape[0]
-    factors = []
-    for term in op.terms:
-        angle = term.coeff * dt / 2.0
-        dense_term = dense_matrix(PauliSum(op.n_qubits, (PauliTerm(1.0, term.axes),)))
-        factors.append(math.cos(angle) * np.eye(dim) - 1.0j * math.sin(angle) * dense_term)
-    step = reduce(np.matmul, factors + factors[::-1])
-    approx = np.linalg.matrix_power(step, steps)
-    return float(np.linalg.norm(approx - exact, 2))
+    identity = np.eye(matrix.shape[0])
+    # each term's Pauli matrix, as a one-term dense_matrix builds it
+    paulis = [
+        (term.coeff, _scatter(op.n_qubits, [(1.0, _compiled(term.axes))])) for term in op.terms
+    ]
+    errors = []
+    for count in counts:
+        dt = tau / count
+        factors = []
+        for coeff, pauli in paulis:
+            angle = coeff * dt / 2.0
+            factors.append(math.cos(angle) * identity - 1.0j * math.sin(angle) * pauli)
+        step = reduce(np.matmul, factors + factors[::-1])
+        approx = np.linalg.matrix_power(step, count)
+        errors.append(float(np.linalg.norm(approx - exact, 2)))
+    return errors
+
+
+def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
+    """Operator-norm distance between the split-step and exact propagators."""
+    return trotter_errors(op, tau, [steps])[0]

@@ -8,6 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twirlsim import (
@@ -242,6 +243,56 @@ def test_bad_override_values_name_their_flag(flag, value, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # int() reads each of these as a count
+        *(
+            (["--shots", raw], f"--shots must be a positive integer, got {raw!r}")
+            for raw in ("\u0668", "1_000", "+8", "08", " 8")
+        ),
+        (
+            ["--prepare", "adiabatic:steps=\u0665"],
+            "--prepare steps must be a positive integer, got '\u0665'",
+        ),
+        (
+            ["--prepare", "adiabatic:steps=05"],
+            "--prepare steps must be a positive integer, got '05'",
+        ),
+    ],
+    ids=["shots-arabic", "shots-1_000", "shots+8", "shots08", "shots-space", "steps-arabic",
+         "steps05"],
+)
+def test_count_flags_take_only_plain_decimal(argv, message, capsys):
+    assert main(["run", "--config", "table-04", *argv, "--format", "csv"]) == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            ["run", "--config", "table-04", "--seed", raw]
+            for raw in ("\u0663", "0_3", "+3", "03", "-0")
+        ),
+        *(
+            [command, "--j", "1", "--qubits", raw]
+            for command in ("spectrum", "trotter-scan")
+            for raw in ("\u0662", "02", "+2", "2_")
+        ),
+    ],
+    ids=" ".join,
+)
+def test_argparse_count_flags_take_only_plain_decimal(argv, capsys):
+    # the flag's value is the last argument
+    with pytest.raises(SystemExit) as caught:
+        main(argv)
+    assert caught.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": invalid count value: {argv[-1]!r}\n")
 
 
 def test_oversized_shot_flag_is_a_config_error(capsys):
@@ -580,6 +631,30 @@ def test_trotter_scan_takes_only_decimal_digits(raw, capsys):
     )
 
 
+@pytest.mark.parametrize("raw", ["08,16", "8,016", "00"])
+def test_trotter_scan_steps_have_no_leading_zero(raw, capsys):
+    # trotter:08 is refused as a backend, so 08 is no step count here either
+    assert main(["trotter-scan", "--qubits", "1", "--j", "1", "--steps", raw]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"config error: --steps must be comma-separated step counts in decimal digits, "
+        f"got {raw!r}\n",
+    )
+
+
+def test_trotter_scan_diagonalizes_once_per_scan(monkeypatch, capsys):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert main(["trotter-scan", "--qubits", "3", "--j", "1"]) == 0
+    assert calls == [(8, 8)]
+
+
 # ---------------------------------------------------------------------------
 # batch
 
@@ -761,6 +836,14 @@ def test_run_directory_config_is_a_config_error(tmp_path, capsys):
 def test_batch_needs_a_source(capsys):
     assert main(["batch"]) == 2
     assert "batch needs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exists", [False, True], ids=["missing-dir", "dir"])
+def test_batch_refuses_both_sources(exists, tmp_path, capsys):
+    directory = tmp_path if exists else tmp_path / "nope"
+    assert main(["batch", "--bundled", "--config-dir", str(directory)]) == 2
+    message = "config error: batch takes --config-dir or --bundled, not both\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_batch_rejects_missing_directory(tmp_path, capsys):

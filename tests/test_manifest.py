@@ -489,6 +489,15 @@ def test_observables_must_resolve():
         parse_manifest(data)
 
 
+def test_a_long_observable_index_is_out_of_range():
+    data = _base(observables=["H", "Z" + "9" * 5000])
+    with pytest.raises(ManifestError) as caught:
+        parse_manifest(data)
+    assert str(caught.value) == (
+        f"config error at /observables/1: qubit {'9' * 5000} out of range for 1 qubit(s)"
+    )
+
+
 def test_target_observable_must_be_listed():
     data = _base(expected=[{"observable": "Z", "value": 1.0, "tol": 0.1}])
     with pytest.raises(ManifestError, match="config error at /expected/0/observable"):

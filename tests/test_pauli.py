@@ -117,6 +117,14 @@ def test_named_observable_takes_only_plain_decimal_indices(name):
         named_observable(name, 3)
 
 
+@pytest.mark.parametrize("digits", [2, 4300, 5000])
+def test_a_long_qubit_index_is_out_of_range_before_int_reads_it(digits):
+    # int() refuses a string of over 4300 digits with its own message
+    index = "9" * digits
+    with pytest.raises(ValueError, match=f"^qubit {index} out of range for 3 qubit\\(s\\)$"):
+        named_observable("Z" + index, 3)
+
+
 def test_bare_z_needs_a_one_qubit_register():
     for n_qubits in (2, 3):
         with pytest.raises(ValueError) as caught:
