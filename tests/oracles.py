@@ -6,6 +6,7 @@ import numpy as np
 
 from twirlsim.pauli import PauliSum, PauliTerm, apply_axes
 from twirlsim.state import StateVector
+from twirlsim.twirl import choose_tau
 
 
 def random_pauli_sum(rng, n_qubits, terms_below):
@@ -62,3 +63,26 @@ def split_step_sweep(amplitudes, op, tau, steps):
             angle = term.coeff * dt / 2.0
             amps = math.cos(angle) * amps - 1.0j * math.sin(angle) * apply_axes(amps, term.axes)
     return amps
+
+
+def weight_protocol(weights, levels, rounds):
+    """The filter formula followed through a protocol on eigenlevel weights alone.
+
+    ``weights`` holds the initial state's weight on each eigenlevel, whose
+    energy ``levels`` holds, and ``rounds`` the protocol's ``RoundSpec``s.
+    Each round keeps w cos((arg phi - tau e) / 2)**(2 a) of a level at
+    energy e and weight w, for ``a`` ancillas, and takes its energy from
+    its override or else from the weights' mean energy. Returns the
+    energy used, p_round and <H> after each round, after ``(None, 1.0,
+    <H>)`` for the initial state.
+    """
+    weights = np.asarray(weights, dtype=float)
+    levels = np.asarray(levels, dtype=float)
+    steps = [(None, 1.0, float(weights @ levels / weights.sum()))]
+    for spec in rounds:
+        energy = steps[-1][2] if spec.energy_override is None else spec.energy_override
+        tau, prefactor = choose_tau(energy, spec.mode)
+        kept = weights * np.cos((np.angle(prefactor) - tau * levels) / 2.0) ** (2 * spec.ancillas)
+        steps.append((energy, float(kept.sum() / weights.sum()), float(kept @ levels / kept.sum())))
+        weights = kept
+    return steps
