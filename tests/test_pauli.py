@@ -117,7 +117,7 @@ def test_named_observable_takes_only_plain_decimal_indices(name):
         named_observable(name, 3)
 
 
-@pytest.mark.parametrize("digits", [2, 4300, 5000])
+@pytest.mark.parametrize("digits", [4301, 5000])
 def test_a_long_qubit_index_is_out_of_range_before_int_reads_it(digits):
     # int() refuses a string of over 4300 digits with its own message
     index = "9" * digits
