@@ -559,7 +559,7 @@ def test_each_record_state_gives_its_expectations(backend):
     config = TwirlConfig(rounds=rounds, backend=backend, observables=("H", "Z0", "Zbar"))
     initial = random_state(np.random.default_rng(5), 3)
     records = run_protocol(initial, op, config)
-    # record 0 holds the state passed in, a ramp-prepared one included
+    # record 0 holds the state passed in, as it holds a ramp-prepared one
     assert records[0].state is initial
     for record in records:
         assert record.state.n_qubits == 3
@@ -596,7 +596,8 @@ def test_an_abort_carries_the_records_before_it():
     cut = _noisy_one_qubit(1)
     assert carried == run_protocol(cut.initial, cut.operator, cut.config)
     assert [record.round_index for record in carried] == [0, 1]
-    assert all(record.state is not None for record in carried)
+    cut_states = [r.state.amplitudes for r in run_protocol(cut.initial, cut.operator, cut.config)]
+    assert all(np.array_equal(r.state.amplitudes, a) for r, a in zip(carried, cut_states))
 
 
 def test_a_zero_override_carries_the_rounds_before_it():
