@@ -1,6 +1,16 @@
-"""Tests for the split-step integrator."""
+"""Tests for the split-step integrator.
 
+``golden/trotter_bytes.json`` holds the sha256 of the bytes
+``evolve_trotter`` returns for each case of ``_sweep_cases``. Regenerate
+it only for a deliberate change of output:
+
+    PYTHONPATH=src python tests/test_trotter.py
+"""
+
+import hashlib
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +26,8 @@ from twirlsim import (
     schwinger_hamiltonian,
     trotter_error,
 )
+
+GOLDEN = Path(__file__).parent / "golden" / "trotter_bytes.json"
 
 
 def test_single_term_is_exact():
@@ -172,6 +184,24 @@ def test_sweep_matches_textbook_rotations():
         assert np.array_equal(got, want), (case, op, tau, steps)
 
 
+def _sweep_digests():
+    """The sha256 of each sweep case's result bytes, in case order."""
+    return [
+        hashlib.sha256(evolve_trotter(amps, op, tau, steps).tobytes()).hexdigest()
+        for op, amps, tau, steps in _sweep_cases(np.random.default_rng(11))
+    ]
+
+
+def test_sweep_bytes_match_their_pin():
+    """Split-step evolution returns the pinned bytes for every sweep case,
+    the sign of each exact zero included, which a value comparison cannot show."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    digests = _sweep_digests()
+    assert len(digests) == len(golden)
+    changed = [case for case, (got, want) in enumerate(zip(digests, golden)) if got != want]
+    assert not changed, changed
+
+
 def test_sweep_leaves_its_input_alone():
     """The result is a fresh array; a read-only or writable input is never written."""
     rng = np.random.default_rng(5)
@@ -194,3 +224,7 @@ def test_sweep_leaves_its_input_alone():
         assert np.array_equal(first, second)
         assert not np.shares_memory(first, second)
         assert np.array_equal(writable, before)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_sweep_digests(), indent=1) + "\n", encoding="utf-8")
