@@ -14,8 +14,16 @@ calls into them: ``factor * v[source]`` into the scratch buffer, ``v * cos``
 into ``v``, and ``v - scratch`` into ``v``. A diagonal term (no X or Y) has
 the identity as its ``source``, so it multiplies ``v`` directly and skips
 the gather; the gather of the other terms is the one array a rotation
-allocates, since ``take`` into a second buffer measured slower. ``cos`` is
-kept as a complex scalar, so numpy converts no Python float per call.
+allocates, since ``take`` into a second buffer measured slower.
+
+The call forms are chosen by measurement, not by the values they give,
+which are the same. On an 8-qubit chain (256 amplitudes, 704 rotations per
+16-step evolve, numpy 2.4, shared 2-vCPU host), a rotation took 3.9 us of
+CPU time with ``cos`` as an ``np.complex128`` scalar and ``out`` by keyword.
+Each call given a numpy scalar first wraps it in an array, about 0.37 us;
+``cos`` is therefore built once as a 0-d complex array. ``out`` passed by
+keyword costs about 0.07 us per call over passing it by position. With
+both, a rotation took 3.3 us (-15%).
 
 Every product and difference is the IEEE operation of the textbook
 ``cos(angle) * v - 1j * sin(angle) * (P v)``, so the values are its values.
@@ -46,8 +54,8 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
         # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
         angle = term.coeff * dt / 2.0
         source, phase = _compiled(term.axes)
-        cos = np.complex128(math.cos(angle))
-        if not any(axis in "XY" for axis in term.axes):
+        cos = np.array(math.cos(angle), dtype=complex)  # 0-d: see the module docstring
+        if not term.axes.strip("IZ"):
             source = None  # diagonal: P v = phase * v, no gather
         rotations.append((cos, source, 1.0j * math.sin(angle) * phase))
     sweep = rotations + rotations[::-1]
@@ -57,9 +65,9 @@ def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int)
     multiply, subtract = np.multiply, np.subtract
     for _ in range(steps):
         for cos, source, factor in sweep:
-            multiply(factor, amps if source is None else amps[source], out=scratch)
-            multiply(amps, cos, out=amps)
-            subtract(amps, scratch, out=amps)
+            multiply(factor, amps if source is None else amps[source], scratch)
+            multiply(amps, cos, amps)
+            subtract(amps, scratch, amps)
     return amps
 
 
