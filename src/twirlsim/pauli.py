@@ -103,10 +103,9 @@ def dense_limit() -> int:
     raw = os.environ.get(DENSE_LIMIT_ENV)
     if raw is None:
         return DENSE_LIMIT_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{DENSE_LIMIT_ENV}={raw!r} is not an integer") from exc
+    if not _plain_decimal(raw.removeprefix("-")):
+        raise ValueError(f"{DENSE_LIMIT_ENV}={raw!r} is not an integer")
+    value = int(raw)
     if value < 1:
         raise ValueError(f"{DENSE_LIMIT_ENV} must be positive, got {value}")
     return value

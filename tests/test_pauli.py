@@ -191,12 +191,15 @@ def test_dense_limit_env(monkeypatch):
     monkeypatch.setenv("TWIRL_DENSE_LIMIT", "2")
     with pytest.raises(ValueError, match="cap"):
         dense_matrix(schwinger_hamiltonian(3, 1.0))
-    monkeypatch.setenv("TWIRL_DENSE_LIMIT", "abc")
-    with pytest.raises(ValueError, match="not an integer"):
-        dense_matrix(schwinger_hamiltonian(3, 1.0))
-    monkeypatch.setenv("TWIRL_DENSE_LIMIT", "0")
-    with pytest.raises(ValueError, match="positive"):
-        dense_matrix(schwinger_hamiltonian(3, 1.0))
+    # plain decimal only, as every count on the command line: int() would read all but "abc" as 12
+    for raw in ("abc", "١٢", "1_2", " 12", "12 ", "+12", "012", "-", ""):
+        monkeypatch.setenv("TWIRL_DENSE_LIMIT", raw)
+        with pytest.raises(ValueError, match=re.escape(f"TWIRL_DENSE_LIMIT={raw!r} is not an integer")):
+            dense_matrix(schwinger_hamiltonian(3, 1.0))
+    for raw in ("0", "-0", "-3"):
+        monkeypatch.setenv("TWIRL_DENSE_LIMIT", raw)
+        with pytest.raises(ValueError, match=f"must be positive, got {int(raw)}$"):
+            dense_matrix(schwinger_hamiltonian(3, 1.0))
     monkeypatch.setenv("TWIRL_DENSE_LIMIT", "3")
     assert dense_matrix(schwinger_hamiltonian(3, 1.0)).shape == (8, 8)
 
