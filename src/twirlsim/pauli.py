@@ -103,7 +103,9 @@ def dense_limit() -> int:
     raw = os.environ.get(DENSE_LIMIT_ENV)
     if raw is None:
         return DENSE_LIMIT_DEFAULT
-    if not _plain_decimal(raw.removeprefix("-")):
+    # int() alone would also read "012", "+12", "1_2", " 12" and "١٢", and past 4300 digits
+    # raise its own error
+    if not _plain_decimal(raw.removeprefix("-")) or len(raw) > 4300:
         raise ValueError(f"{DENSE_LIMIT_ENV}={raw!r} is not an integer")
     value = int(raw)
     if value < 1:

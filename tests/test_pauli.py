@@ -192,7 +192,7 @@ def test_dense_limit_env(monkeypatch):
     with pytest.raises(ValueError, match="cap"):
         dense_matrix(schwinger_hamiltonian(3, 1.0))
     # plain decimal only, as every count on the command line: int() would read all but "abc" as 12
-    for raw in ("abc", "١٢", "1_2", " 12", "12 ", "+12", "012", "-", ""):
+    for raw in ("abc", "١٢", "1_2", " 12", "12 ", "+12", "012", "-", "", "1" * 5000):
         monkeypatch.setenv("TWIRL_DENSE_LIMIT", raw)
         with pytest.raises(ValueError, match=re.escape(f"TWIRL_DENSE_LIMIT={raw!r} is not an integer")):
             dense_matrix(schwinger_hamiltonian(3, 1.0))
