@@ -191,7 +191,7 @@ def test_dense_limit_env(monkeypatch):
     monkeypatch.setenv("TWIRL_DENSE_LIMIT", "2")
     with pytest.raises(ValueError, match="cap"):
         dense_matrix(schwinger_hamiltonian(3, 1.0))
-    # plain decimal only, as every count on the command line: int() would read all but "abc" as 12
+    # plain decimal only, as every count on the command line: int() reads "١٢" through "012" as 12
     for raw in ("abc", "١٢", "1_2", " 12", "12 ", "+12", "012", "-", "", "1" * 5000):
         monkeypatch.setenv("TWIRL_DENSE_LIMIT", raw)
         with pytest.raises(ValueError, match=re.escape(f"TWIRL_DENSE_LIMIT={raw!r} is not an integer")):
