@@ -83,20 +83,19 @@ def adiabatic_prepare(
     # a slice's summed |coefficient| is at most the larger of the two ends'
     dt = _check_time(float(schedule.total_time) / schedule.steps, start_op)
     _check_time(dt, target_op)
-    midpoints = (np.arange(schedule.steps) + 0.5) / schedule.steps
+    s = (np.arange(schedule.steps) + 0.5) / schedule.steps
+    # the slice operators (1 - s) start_op + s target_op: each term with its weight on every slice
+    weighted = [(1.0 - s, t) for t in start_op.terms] + [(s, t) for t in target_op.terms]
     amplitudes = state.amplitudes
     if backend.steps is not None:
-        for s in midpoints.tolist():
-            amplitudes = backend.evolve(amplitudes, (1.0 - s) * start_op + s * target_op, dt)
+        for k in range(schedule.steps):
+            terms = tuple(PauliTerm(w[k] * t.coeff, t.axes) for w, t in weighted)
+            amplitudes = backend.evolve(amplitudes, PauliSum(state.n_qubits, terms), dt)
         return StateVector(state.n_qubits, amplitudes)
-    start = [(term.coeff, _compiled(term.axes)) for term in start_op.terms]
-    target = [(term.coeff, _compiled(term.axes)) for term in target_op.terms]
     chunk = max(1, RAMP_STACK_BYTES // (16 * 4**state.n_qubits))
     for first in range(0, schedule.steps, chunk):
-        s = midpoints[first : first + chunk]
-        # the terms, order and coefficients of dense_matrix((1 - s) * start_op + s * target_op)
-        weighted = [((1.0 - s) * c, p) for c, p in start] + [(s * c, p) for c, p in target]
-        values, vectors = _canonical_eigh(_scatter(state.n_qubits, weighted))
+        slices = [(w[first : first + chunk] * t.coeff, _compiled(t.axes)) for w, t in weighted]
+        values, vectors = _canonical_eigh(_scatter(state.n_qubits, slices))
         phases = np.exp(-1.0j * dt * values)
         for k, adjoint in enumerate(vectors.conj().transpose(0, 2, 1)):
             amplitudes = _propagate(amplitudes, phases[k], adjoint, vectors[k])

@@ -36,6 +36,7 @@ from . import __version__
 from .adiabatic import AdiabaticSchedule, adiabatic_prepare, staggered_start
 from .manifest import BUNDLED_DIR, Manifest, ManifestError, json_entries, load_manifest
 from .pauli import (
+    _INT_DIGITS,
     _check_count,
     _plain_decimal,
     expectation,
@@ -61,9 +62,7 @@ def _failure(exc: Exception) -> tuple[str, int]:
     """Message and exit code for one of the ``_FAILURES``."""
     if isinstance(exc, (PostSelectionError, ZeroEnergyError)):
         return f"runtime abort: {exc}", EXIT_ABORT
-    if isinstance(exc, ManifestError):
-        return str(exc), EXIT_CONFIG
-    return f"config error: {exc}", EXIT_CONFIG
+    return (str(exc) if isinstance(exc, ManifestError) else f"config error: {exc}"), EXIT_CONFIG
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -489,7 +488,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trotter_scan(args: argparse.Namespace) -> int:
     op = schwinger_hamiltonian(args.qubits, args.j)
     entries = args.steps.split(",")
-    if not all(_plain_decimal(entry) for entry in entries):
+    if not all(_plain_decimal(entry) and len(entry) <= _INT_DIGITS for entry in entries):
         raise ValueError(
             f"--steps must be comma-separated step counts in decimal digits, got {args.steps!r}"
         )
@@ -537,14 +536,14 @@ def cmd_trotter_scan(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     directory = BUNDLED_DIR if args.bundled else args.config_dir
     if directory is None:
-        raise ManifestError("config error: batch needs --config-dir or --bundled")
+        raise ValueError("batch needs --config-dir or --bundled")
     if args.bundled and args.config_dir is not None:
-        raise ManifestError("config error: batch takes --config-dir or --bundled, not both")
+        raise ValueError("batch takes --config-dir or --bundled, not both")
     if not os.path.isdir(directory):
-        raise ManifestError(f"config error: {directory!r} is not a directory")
+        raise ValueError(f"{directory!r} is not a directory")
     paths = [os.path.join(directory, entry) for entry in json_entries(directory)]
     if not paths:
-        raise ManifestError(f"config error: no manifests found in {directory!r}")
+        raise ValueError(f"no manifests found in {directory!r}")
     overrides = _run_overrides(args)
     codes = []
     claimed: dict[str, str] = {}

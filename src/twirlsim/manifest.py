@@ -20,9 +20,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .adiabatic import AdiabaticSchedule
-from .pauli import CHAINS, PauliSum, _is_finite_real, hamiltonian_by_name, named_observable
+from .pauli import CHAINS, PauliSum, _is_finite_real, hamiltonian_by_name
 from .shots import SHOT_LIMIT
-from .twirl import BACKEND_PATTERN, Backend, RoundSpec, TauMode, TwirlConfig
+from .twirl import BACKEND_PATTERN, Backend, RoundSpec, TauMode, TwirlConfig, resolve_observables
 
 
 BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "manifests")
@@ -251,7 +251,7 @@ def parse_manifest(data: dict) -> Manifest:
     operator = _check_consistency(data)
     settings = _given(data, "shots", "seed", "observables", "noisy_energy")
     if "backend" in data:
-        settings["backend"] = Backend.parse(data["backend"])
+        settings["backend"] = _at("/backend", Backend.parse, data["backend"])
     rounds = [RoundSpec(**{**r, "mode": TauMode(r["mode"])}) for r in data["rounds"]]
     fields = _given(data, "description", "notes")
     if "prepare" in data:
@@ -266,16 +266,21 @@ def _given(data: dict, *keys: str) -> dict:
     return {key: data[key] for key in keys if key in data}
 
 
+def _at(pointer: str, build: Callable, *args: object) -> object:
+    """``build(*args)``, its ValueError reported as a config error at ``pointer``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ManifestError(f"config error at {pointer}: {exc}") from None
+
+
 def _check_consistency(data: dict) -> PauliSum:
     """Cross-field checks on validated data; returns the Hamiltonian they built."""
     spec = data["hamiltonian"]
-    try:
-        if "name" in spec:
-            op = hamiltonian_by_name(spec["name"], spec.get("J", 1.0))
-        else:
-            op = PauliSum.from_dict(spec)
-    except ValueError as exc:
-        raise ManifestError(f"config error at /hamiltonian: {exc}") from None
+    if "name" in spec:
+        op = _at("/hamiltonian", hamiltonian_by_name, spec["name"], spec.get("J", 1.0))
+    else:
+        op = _at("/hamiltonian", PauliSum.from_dict, spec)
     initial = data["initial"]
     if len(initial) != op.n_qubits:
         raise ManifestError(
@@ -284,12 +289,7 @@ def _check_consistency(data: dict) -> PauliSum:
         )
     observables = data.get("observables", TwirlConfig.observables)
     for i, name in enumerate(observables):
-        if name == "H":
-            continue
-        try:
-            named_observable(name, op.n_qubits)
-        except ValueError as exc:
-            raise ManifestError(f"config error at /observables/{i}: {exc}") from None
+        _at(f"/observables/{i}", resolve_observables, (name,), op)
     for i, target in enumerate(data.get("expected", ())):
         if target["observable"] not in observables:
             raise ManifestError(

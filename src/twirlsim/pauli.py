@@ -38,6 +38,8 @@ AXES = "IXYZ"
 
 DENSE_LIMIT_ENV = "TWIRL_DENSE_LIMIT"
 DENSE_LIMIT_DEFAULT = 12
+# int() refuses a text of more decimal digits than this with its own error
+_INT_DIGITS = 4300
 
 
 # Concrete types, not numbers.Real: the ABC check is several times slower per
@@ -103,9 +105,8 @@ def dense_limit() -> int:
     raw = os.environ.get(DENSE_LIMIT_ENV)
     if raw is None:
         return DENSE_LIMIT_DEFAULT
-    # int() alone would also read "012", "+12", "1_2", " 12" and "١٢", and past 4300 digits
-    # raise its own error
-    if not _plain_decimal(raw.removeprefix("-")) or len(raw) > 4300:
+    # int() alone would also read "012", "+12", "1_2", " 12" and "١٢"
+    if not _plain_decimal(raw.removeprefix("-")) or len(raw) > _INT_DIGITS:
         raise ValueError(f"{DENSE_LIMIT_ENV}={raw!r} is not an integer")
     value = int(raw)
     if value < 1:
@@ -352,8 +353,7 @@ def _named_observable(name: str, n_qubits: int) -> PauliSum:
         return single_z(1, 0)
     index = name[1:]
     if name[:1] == "Z" and _plain_decimal(index):
-        # an index with more digits than the register size is out of range; int() would refuse
-        # one of over 4300 digits with its own error
+        # an index with more digits than the register size is out of range, and int() may refuse it
         if len(index) > len(str(n_qubits)):
             raise ValueError(f"qubit {index} out of range for {n_qubits} qubit(s)")
         return single_z(n_qubits, int(index))

@@ -36,7 +36,15 @@ from enum import Enum
 
 import numpy as np
 
-from .pauli import PauliSum, _check_count, _check_real, _check_time, expectation, named_observable
+from .pauli import (
+    _INT_DIGITS,
+    PauliSum,
+    _check_count,
+    _check_real,
+    _check_time,
+    expectation,
+    named_observable,
+)
 from .shots import SHOT_LIMIT, PostSelectionError, _draw, sample_shots, stream_starts
 from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
@@ -92,7 +100,7 @@ class Backend:
     @classmethod
     def parse(cls, text: str) -> Backend:
         """Parse "exact" or "trotter:<steps>", the steps in plain decimal digits."""
-        if not re.fullmatch(BACKEND_PATTERN, text):
+        if not re.fullmatch(BACKEND_PATTERN, text) or len(text) > len("trotter:") + _INT_DIGITS:
             raise ValueError(f'unknown backend {text!r}, expected "exact" or "trotter:<steps>"')
         return cls() if text == "exact" else cls(int(text.split(":", 1)[1]))
 
@@ -215,17 +223,7 @@ class RoundRecord:
 
 def resolve_observables(names: tuple[str, ...], op: PauliSum) -> list[tuple[str, PauliSum]]:
     """Resolve observable names against a Hamiltonian, keeping order."""
-    resolved: list[tuple[str, PauliSum]] = []
-    for name in names:
-        resolved.append((name, op if name == "H" else named_observable(name, op.n_qubits)))
-    return resolved
-
-
-def _aborted(exc: Exception, message: str, records: list[RoundRecord]) -> Exception:
-    """A new ``exc`` of the same class with ``message``, carrying the records made before it."""
-    abort = type(exc)(message)
-    abort.records = records
-    return abort
+    return [(name, op if name == "H" else named_observable(name, op.n_qubits)) for name in names]
 
 
 def run_protocol(
@@ -242,8 +240,9 @@ def run_protocol(
     holds ``"H"`` holds that exact expectation, and the next round takes
     it from there.
 
-    An abort raises ``PostSelectionError`` or ``ZeroEnergyError``, naming
-    its round; its ``records`` attribute holds the records made before it.
+    An abort raises on the ``PostSelectionError`` or ``ZeroEnergyError`` of
+    where it happened, its message naming its round and its ``records``
+    attribute holding the records made before it.
     """
     state = StateVector.basis(initial) if isinstance(initial, str) else initial
     if state.n_qubits != op.n_qubits:
@@ -270,7 +269,8 @@ def run_protocol(
                     state, op, tau, prefactor, spec.ancillas, config.backend
                 )
             except (ZeroEnergyError, PostSelectionError) as exc:
-                raise _aborted(exc, f"round {index}: {exc}", records) from None
+                exc.args, exc.records = (f"round {index}: {exc}",), records
+                raise
             energy = float(energy)
             p_cumulative *= p_round
             if config.shots is not None:
@@ -288,7 +288,8 @@ def run_protocol(
             try:
                 expectations = sample_shots(state, ops, active, streams)
             except PostSelectionError as exc:
-                raise _aborted(exc, f"{exc} in round {index}", records) from None
+                exc.args, exc.records = (f"{exc} in round {index}",), records
+                raise
         if estimated and config.noisy_energy:
             estimate = expectations.pop(_ESTIMATE)
         elif estimated:

@@ -608,7 +608,10 @@ def test_trotter_scan_rejects_bad_steps(capsys):
 
 
 @pytest.mark.parametrize(
-    "raw", ["1_6,32", "+8", "8,,16", "8, 16", "-8", "8.0", "8,", "", "²", "08,16", "8,016", "00"]
+    "raw",
+    ["1_6,32", "+8", "8,,16", "8, 16", "-8", "8.0", "8,", "", "²", "08,16", "8,016", "00"]
+    # int() refuses a count of over 4300 digits with its own error
+    + [pytest.param("8," + "9" * 5000, id="8,9x5000")],
 )
 def test_trotter_scan_takes_only_decimal_digits(raw, capsys):
     assert main(["trotter-scan", "--qubits", "1", "--j", "1", "--steps", raw]) == 2

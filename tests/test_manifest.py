@@ -498,6 +498,17 @@ def test_a_long_observable_index_is_out_of_range():
     )
 
 
+def test_a_backend_step_count_past_the_int_digit_limit_is_a_backend_error():
+    # the RULES pattern takes any number of digits, and int() refuses over 4300 with its own error
+    backend = "trotter:" + "9" * 5000
+    with pytest.raises(ManifestError) as caught:
+        parse_manifest(_base(backend=backend))
+    assert str(caught.value) == (
+        f"config error at /backend: unknown backend {backend!r}, "
+        'expected "exact" or "trotter:<steps>"'
+    )
+
+
 def test_target_observable_must_be_listed():
     data = _base(expected=[{"observable": "Z", "value": 1.0, "tol": 0.1}])
     with pytest.raises(ManifestError, match="config error at /expected/0/observable"):

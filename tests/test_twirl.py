@@ -364,6 +364,10 @@ def test_backend_parse_and_label():
         Backend.parse("trotter:lots")
     with pytest.raises(ValueError, match="unknown backend"):
         Backend.parse("magic")
+    # int() reads at most 4300 digits; past that the count is a malformed backend
+    assert Backend.parse("trotter:" + "9" * 4300).steps == int("9" * 4300)
+    with pytest.raises(ValueError, match="unknown backend"):
+        Backend.parse("trotter:" + "9" * 4301)
     with pytest.raises(ValueError, match="positive integer"):
         Backend(0)
     # the step count alone says which route: None is exact
@@ -536,16 +540,20 @@ def test_energy_override_takes_precedence():
 def test_zero_energy_estimate_names_the_round():
     op = schwinger_hamiltonian(3, 1.0)
     config = TwirlConfig(rounds=(RoundSpec(TauMode.QUARTER),))
-    with pytest.raises(ZeroEnergyError, match="round 1: energy estimate is zero"):
+    with pytest.raises(ZeroEnergyError, match="round 1: energy estimate is zero") as caught:
         run_protocol("010", op, config)
+    # the abort is the one raised where it happened, its traceback intact
+    assert caught.traceback[-1].name == "choose_tau"
 
 
 def test_extinction_in_a_protocol_names_the_round():
     # E=2 gives tau = pi on the J=0 chain, which sends |0> to minus itself
     op = schwinger_hamiltonian(1, 0.0)
     config = TwirlConfig(rounds=(RoundSpec(TauMode.FULL, energy_override=2.0),))
-    with pytest.raises(PostSelectionError, match="^round 1: post-selection probability collapsed"):
+    collapsed = "^round 1: post-selection probability collapsed"
+    with pytest.raises(PostSelectionError, match=collapsed) as caught:
         run_protocol("0", op, config)
+    assert caught.traceback[-1].name == "twirl_round"
 
 
 @pytest.mark.parametrize("backend", [Backend(), Backend(5)], ids=["exact", "trotter"])
@@ -591,6 +599,7 @@ def test_an_abort_carries_the_records_before_it():
     manifest = _noisy_one_qubit(4)
     with pytest.raises(PostSelectionError, match="^no active runs left in round 2$") as caught:
         run_protocol(manifest.initial, manifest.operator, manifest.config)
+    assert caught.traceback[-1].name == "sample_shots"
     carried = caught.value.records
     # each (round, stream) pair draws from its own stream, so cutting the later rounds moves no draw
     cut = _noisy_one_qubit(1)
