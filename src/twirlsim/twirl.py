@@ -240,9 +240,9 @@ def run_protocol(
     holds ``"H"`` holds that exact expectation, and the next round takes
     it from there.
 
-    An abort raises on the ``PostSelectionError`` or ``ZeroEnergyError`` of
-    where it happened, its message naming its round and its ``records``
-    attribute holding the records made before it.
+    An abort is the ``PostSelectionError`` or ``ZeroEnergyError`` raised
+    where it happened, re-raised with its message naming its round and a
+    ``records`` attribute holding the records made before it.
     """
     state = StateVector.basis(initial) if isinstance(initial, str) else initial
     if state.n_qubits != op.n_qubits:
