@@ -402,17 +402,18 @@ def _parse_prepare_flag(text: str) -> AdiabaticSchedule | None:
     if text == "adiabatic":
         return AdiabaticSchedule()
     if text.startswith("adiabatic:"):
+        fields = {"T": ("total_time", float), "steps": ("steps", int)}
         schedule = {}
         for part in text.split(":", 1)[1].split(","):
             if "=" not in part:
                 raise ValueError(f"malformed prepare option {part!r}")
             key, raw = part.split("=", 1)
-            if key == "T":
-                schedule["total_time"] = _positive("--prepare T", raw, float)
-            elif key == "steps":
-                schedule["steps"] = _positive("--prepare steps", raw, int)
-            else:
+            if key not in fields:
                 raise ValueError(f"unknown prepare option {key!r}")
+            field, kind = fields[key]
+            if field in schedule:
+                raise ValueError(f"repeated prepare option {key!r}")
+            schedule[field] = _positive(f"--prepare {key}", raw, kind)
         return AdiabaticSchedule(**schedule)
     raise ValueError('prepare must be "none", "adiabatic", or "adiabatic:T=..,steps=.."')
 

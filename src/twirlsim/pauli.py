@@ -13,16 +13,13 @@ of Y axes, the string maps ``|b>`` to ``i**nY (-1)**popcount(b & z)
 |b ^ x>``. Applying it is one gather and one phase multiply; its dense
 matrix is a scatter of the phases.
 
-Dense matrices are only materialized up to a register-size cap so that
-an accidental large build fails fast instead of exhausting memory. The
-cap defaults to 12 qubits and can be overridden through the
-``TWIRL_DENSE_LIMIT`` environment variable.
+Dense matrices are only materialized up to ``DENSE_LIMIT`` (12) qubits,
+so that an accidental large build fails fast instead of exhausting memory.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,8 +33,7 @@ if TYPE_CHECKING:
 
 AXES = "IXYZ"
 
-DENSE_LIMIT_ENV = "TWIRL_DENSE_LIMIT"
-DENSE_LIMIT_DEFAULT = 12
+DENSE_LIMIT = 12
 # int() refuses a text of more decimal digits than this with its own error
 _INT_DIGITS = 4300
 
@@ -98,20 +94,6 @@ def _plain_decimal(text: str) -> bool:
     separator or leading zero. int() would also read "01", "+1", "1_0", " 1"
     and other scripts' digits."""
     return text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
-
-
-def dense_limit() -> int:
-    """Current register-size cap for dense matrix construction."""
-    raw = os.environ.get(DENSE_LIMIT_ENV)
-    if raw is None:
-        return DENSE_LIMIT_DEFAULT
-    # int() alone would also read "012", "+12", "1_2", " 12" and "١٢"
-    if not _plain_decimal(raw.removeprefix("-")) or len(raw) > _INT_DIGITS:
-        raise ValueError(f"{DENSE_LIMIT_ENV}={raw!r} is not an integer")
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"{DENSE_LIMIT_ENV} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -224,12 +206,8 @@ def _scatter(
     ``k`` per-slice coefficients of the same length in every pair, giving
     a ``(k, d, d)`` stack.
     """
-    limit = dense_limit()
-    if n_qubits > limit:
-        raise ValueError(
-            f"dense matrix for {n_qubits} qubits exceeds the {limit}-qubit cap; "
-            f"raise {DENSE_LIMIT_ENV} to override"
-        )
+    if n_qubits > DENSE_LIMIT:
+        raise ValueError(f"dense matrix for {n_qubits} qubits exceeds the {DENSE_LIMIT}-qubit cap")
     weighted = list(weighted)
     dim = 2**n_qubits
     row_starts = np.arange(0, dim * dim, dim)

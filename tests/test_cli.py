@@ -358,11 +358,15 @@ def test_bare_prepare_adiabatic_takes_the_default_schedule(capsys):
         ("adiabatic:T=5,", "config error: malformed prepare option ''\n"),
         ("adiabatic:X=1", "config error: unknown prepare option 'X'\n"),
         ("adiabatic:T=5,step=9", "config error: unknown prepare option 'step'\n"),
+        ("adiabatic:steps=3,steps=5", "config error: repeated prepare option 'steps'\n"),
+        ("adiabatic:T=1,T=2", "config error: repeated prepare option 'T'\n"),
+        ("adiabatic:T=1,steps=3,T=1", "config error: repeated prepare option 'T'\n"),
     ],
 )
 def test_run_refuses_malformed_and_unknown_prepare_options(prepare, message, capsys):
-    assert main(["run", "--config", "table-04", "--prepare", prepare]) == 2
-    assert capsys.readouterr() == ("", message)
+    for source in (["run", "--config", "table-04"], ["batch", "--bundled"]):
+        assert main([*source, "--prepare", prepare]) == 2
+        assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize("backend", ["exact", "trotter:2"])
@@ -393,6 +397,23 @@ def test_run_reads_a_two_digit_observable_index(tmp_path, capsys):
     rounds = json.loads(capsys.readouterr().out)["rounds"]
     assert [r["expectations"]["Z10"] for r in rounds] == [-1.0, -1.0]
     assert [r["expectations"]["Z0"] for r in rounds] == [1.0, 1.0]
+
+
+def test_the_exact_backend_stops_at_the_dense_cap_and_trotter_runs_past_it(tmp_path, capsys):
+    manifest = {
+        "name": "thirteen",
+        "hamiltonian": {
+            "n_qubits": 13,
+            "terms": [{"coeff": 1.0, "axes": "Z" * 13}, {"coeff": 0.5, "axes": "X" + "I" * 12}],
+        },
+        "initial": "0" * 13,
+        "rounds": [{"mode": "quarter", "ancillas": 1}],
+    }
+    path = _write(tmp_path, "thirteen.json", manifest)
+    assert main(["run", "--config", path]) == 2
+    message = "config error: dense matrix for 13 qubits exceeds the 12-qubit cap\n"
+    assert capsys.readouterr() == ("", message)
+    assert main(["run", "--config", path, "--backend", "trotter:1"]) == 0
 
 
 @pytest.mark.parametrize("name", ["Z01", "Z\u0661", "Z\u00b2", "Z+1"])

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 
 from oracles import exact_propagate, group_slices, projector, random_pauli_sum, random_state
 from twirlsim import (
@@ -228,6 +229,53 @@ def test_canonical_basis_on_a_stack_matches_each_slice():
             assert canonical_vectors[k].flags.c_contiguous
             degenerate += len(group_slices(expected_values)) < expected_values.size
     assert degenerate > 100
+
+
+def _hopping_chain(rng, n_qubits):
+    """XX+YY hopping with a staggered random Z field: it conserves Hamming weight."""
+    terms = []
+    for q in range(n_qubits - 1):
+        hop = float(rng.uniform(0.5, 1.0))
+        terms += [PauliTerm(hop, "I" * q + 2 * axis + "I" * (n_qubits - q - 2)) for axis in "XY"]
+    for q in range(n_qubits):
+        field = (-1) ** q * float(rng.uniform(0.5, 1.5))
+        terms.append(PauliTerm(field, "I" * q + "Z" + "I" * (n_qubits - q - 1)))
+    return PauliSum(n_qubits, tuple(terms))
+
+
+def _block_eigh(matrix):
+    """Ascending eigenvalues and eigenvector columns from one eigh per connected
+    component of the nonzero pattern, the sector split of ROADMAP item 2."""
+    n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix != 0, directed=False)
+    values = np.empty(len(matrix))
+    vectors = np.zeros_like(matrix)
+    start = 0
+    for block in range(n_blocks):
+        index = np.flatnonzero(labels == block)
+        stop = start + index.size
+        block_values, block_vectors = np.linalg.eigh(matrix[np.ix_(index, index)])
+        values[start:stop], vectors[index, start:stop] = block_values, block_vectors
+        start = stop
+    order = np.argsort(values, kind="stable")
+    return values[order], vectors[:, order]
+
+
+@pytest.mark.parametrize(
+    "n_qubits, generic", [(6, False), (8, False), (9, False), (7, True), (9, True)]
+)
+def test_sector_split_eigensystem_matches_the_canonical_one(n_qubits, generic):
+    rng = np.random.default_rng(1000 + n_qubits)
+    # a chain splits into its weight sectors, a sum of a few random strings into cosets
+    op = random_pauli_sum(rng, n_qubits, 7) if generic else _hopping_chain(rng, n_qubits)
+    matrix = dense_matrix(op)
+    values, vectors = spectral._canonical_eigh(matrix)
+    split_values, split_vectors = _block_eigh(matrix)
+    blocks = scipy.sparse.csgraph.connected_components(matrix != 0, directed=False)[0]
+    assert blocks > 1 if generic else blocks == n_qubits + 1
+    np.testing.assert_allclose(split_values, values, rtol=0, atol=1e-12)
+    for block in group_slices(values):
+        delta = projector(split_vectors, block) - projector(vectors, block)
+        assert np.abs(delta).max() < 1e-10
 
 
 def test_cache_returns_same_object():
