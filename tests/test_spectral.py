@@ -244,8 +244,9 @@ def _hopping_chain(rng, n_qubits):
 
 
 def _block_eigh(matrix):
-    """Ascending eigenvalues and eigenvector columns from one eigh per connected
-    component of the nonzero pattern, the sector split of ROADMAP item 2."""
+    """The number of connected components of the nonzero pattern, and the ascending
+    eigenvalues and eigenvector columns from one eigh per component: the sector
+    split of ROADMAP item 2."""
     n_blocks, labels = scipy.sparse.csgraph.connected_components(matrix != 0, directed=False)
     values = np.empty(len(matrix))
     vectors = np.zeros_like(matrix)
@@ -257,7 +258,7 @@ def _block_eigh(matrix):
         values[start:stop], vectors[index, start:stop] = block_values, block_vectors
         start = stop
     order = np.argsort(values, kind="stable")
-    return values[order], vectors[:, order]
+    return n_blocks, values[order], vectors[:, order]
 
 
 @pytest.mark.parametrize(
@@ -269,8 +270,7 @@ def test_sector_split_eigensystem_matches_the_canonical_one(n_qubits, generic):
     op = random_pauli_sum(rng, n_qubits, 7) if generic else _hopping_chain(rng, n_qubits)
     matrix = dense_matrix(op)
     values, vectors = spectral._canonical_eigh(matrix)
-    split_values, split_vectors = _block_eigh(matrix)
-    blocks = scipy.sparse.csgraph.connected_components(matrix != 0, directed=False)[0]
+    blocks, split_values, split_vectors = _block_eigh(matrix)
     assert blocks > 1 if generic else blocks == n_qubits + 1
     np.testing.assert_allclose(split_values, values, rtol=0, atol=1e-12)
     for block in group_slices(values):
