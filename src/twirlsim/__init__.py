@@ -44,7 +44,7 @@ from .spectral import (
     overlap_weights,
 )
 from .state import StateVector
-from .trotter import evolve_trotter, trotter_error, trotter_errors
+from .trotter import evolve_trotter, trotter_errors
 from .twirl import (
     Backend,
     RoundRecord,
@@ -97,7 +97,6 @@ __all__ = [
     "single_z",
     "staggered_start",
     "stream_starts",
-    "trotter_error",
     "trotter_errors",
     "twirl_round",
     "validate_manifest",

@@ -4,7 +4,7 @@ A :class:`PauliTerm` is one coefficient times a tensor product of
 single-qubit Paulis written as a string over "IXYZ", with position 0
 acting on qubit 0 (the most significant bit of the basis index). A
 :class:`PauliSum` is an ordered sum of such terms; term order is part of
-the value and is preserved by arithmetic and by :meth:`PauliSum.from_dict`.
+the value and is preserved by :meth:`PauliSum.from_dict`.
 
 Each axes string is compiled once into its symplectic (X mask, Z mask)
 form (Aaronson and Gottesman, arXiv:quant-ph/0406196): with ``x``
@@ -139,23 +139,6 @@ class PauliSum:
             raise ValueError(f"summed |coefficient| of the terms is {total}, not finite")
         # the operator-norm bound of _check_time; not a field, so equality and hashing ignore it
         object.__setattr__(self, "_norm_bound", total)
-
-    def __add__(self, other: PauliSum) -> PauliSum:
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("cannot add operators on different registers")
-        return PauliSum(self.n_qubits, self.terms + other.terms)
-
-    def __mul__(self, scalar: float) -> PauliSum:
-        if not _is_finite_real(scalar):
-            return NotImplemented
-        return PauliSum(
-            self.n_qubits,
-            tuple(PauliTerm(scalar * t.coeff, t.axes) for t in self.terms),
-        )
-
-    __rmul__ = __mul__
 
     @classmethod
     def from_dict(cls, data: dict) -> PauliSum:

@@ -8,7 +8,6 @@ on amplitudes ordered by that index. Amplitude arrays held by a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,7 @@ class StateVector:
     """Unit-norm complex amplitudes for ``n_qubits`` qubits.
 
     Construction rejects vectors whose norm deviates from 1 by more than
-    ``NORM_TOL``; use :meth:`from_amplitudes` to normalize explicitly.
+    ``NORM_TOL``.
     """
 
     n_qubits: int
@@ -65,22 +64,3 @@ class StateVector:
         amps = np.zeros(2 ** len(label), dtype=complex)
         amps[index] = 1.0
         return cls(len(label), amps)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes: np.ndarray) -> StateVector:
-        """Build a state from arbitrary amplitudes, normalizing them."""
-        amps = np.asarray(amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
-            raise ValueError("amplitudes must be a 1-d array of length 2**n")
-        norm = float(np.linalg.norm(amps))
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        if not math.isfinite(norm):
-            raise ValueError(f"cannot normalize amplitudes of norm {norm!r}")
-        return cls(int(amps.size).bit_length() - 1, amps / norm)
-
-    def fidelity(self, other: StateVector) -> float:
-        """Squared overlap |<self|other>|**2."""
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("fidelity needs states on the same register")
-        return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)

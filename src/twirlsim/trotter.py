@@ -99,8 +99,3 @@ def trotter_errors(op: PauliSum, tau: float, steps: Iterable[int]) -> list[float
         approx = np.linalg.matrix_power(step, count)
         errors.append(float(np.linalg.norm(approx - exact, 2)))
     return errors
-
-
-def trotter_error(op: PauliSum, tau: float, steps: int) -> float:
-    """Operator-norm distance between the split-step and exact propagators."""
-    return trotter_errors(op, tau, [steps])[0]

@@ -23,7 +23,14 @@ def random_pauli_sum(rng, n_qubits, terms_below):
 def random_state(rng, n_qubits):
     """A normalized state from complex Gaussian amplitudes."""
     raw = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return StateVector.from_amplitudes(raw)
+    return StateVector(n_qubits, raw / np.linalg.norm(raw))
+
+
+def ramp_slice(start, target, s):
+    """The ramp's operator (1 - s) start + s target, term by term, start's terms first."""
+    terms = [PauliTerm((1.0 - s) * t.coeff, t.axes) for t in start.terms]
+    terms += [PauliTerm(s * t.coeff, t.axes) for t in target.terms]
+    return PauliSum(start.n_qubits, tuple(terms))
 
 
 def group_slices(values, tol=1e-8):

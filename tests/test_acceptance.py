@@ -27,7 +27,7 @@ from twirlsim import (
     load_manifest,
     run_protocol,
     schwinger_hamiltonian,
-    trotter_error,
+    trotter_errors,
     twirl_round,
 )
 from twirlsim.cli import execute_manifest
@@ -244,7 +244,7 @@ def test_criterion_09_split_step_order():
         for n in (1, 2, 3):
             op = schwinger_hamiltonian(n, 1.0)
             errors = {
-                steps: trotter_error(op, math.pi / 2.0, steps) for steps in (8, 16, 32)
+                steps: trotter_errors(op, math.pi / 2.0, [steps])[0] for steps in (8, 16, 32)
             }
             for coarse, fine in ((8, 16), (16, 32)):
                 ratio = errors[coarse] / errors[fine]

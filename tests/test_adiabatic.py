@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import random_pauli_sum, random_state
+from oracles import ramp_slice, random_pauli_sum, random_state
 from twirlsim import (
     AdiabaticSchedule,
     Backend,
@@ -72,7 +72,7 @@ def test_split_step_ramp_tracks_the_exact_ramp():
     schedule = AdiabaticSchedule(total_time=5.0, steps=50)
     exact = adiabatic_prepare("101", staggered_start(3), target, schedule)
     split = adiabatic_prepare("101", staggered_start(3), target, schedule, Backend(4))
-    assert 1.0 - 1e-6 < exact.fidelity(split) < 1.0 - 1e-12
+    assert 1.0 - 1e-6 < abs(np.vdot(exact.amplitudes, split.amplitudes)) ** 2 < 1.0 - 1e-12
 
 
 def test_register_mismatches():
@@ -89,7 +89,7 @@ def _oracle_ramp(initial, start_op, target_op, schedule):
     dt = schedule.total_time / schedule.steps
     for k in range(schedule.steps):
         s = (k + 0.5) / schedule.steps
-        amplitudes = evolve_exact(amplitudes, (1.0 - s) * start_op + s * target_op, dt)
+        amplitudes = evolve_exact(amplitudes, ramp_slice(start_op, target_op, s), dt)
     return StateVector(state.n_qubits, amplitudes)
 
 

@@ -522,7 +522,8 @@ def test_target_round_must_exist():
 
 
 def test_noisy_energy_needs_shots():
-    with pytest.raises(ManifestError, match="config error at /noisy_energy"):
+    message = "config error at /noisy_energy: noisy_energy needs a shot count"
+    with pytest.raises(ManifestError, match=f"^{message}$"):
         parse_manifest(_base(noisy_energy=True))
 
 

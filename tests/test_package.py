@@ -49,6 +49,14 @@ def test_readme_python_example_runs():
     assert (result.returncode, result.stderr) == (0, "")
 
 
+def test_readme_entry_points_are_exported():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = re.search(r"Other entry points:(.*?)\.(?:\s|$)", text, re.S).group(1)
+    names = re.findall(r"`(\w+)`", sentence)
+    assert len(names) >= 10
+    assert [name for name in names if name not in twirlsim.__all__] == []
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     # from a working directory outside the repo, holding the files the examples name
     from twirlsim.cli import main

@@ -231,24 +231,7 @@ def test_sum_validation():
     with pytest.raises(ValueError, match=message):
         PauliSum(1, big.terms * 2 + (PauliTerm(1.0, "X"),))
     with pytest.raises(ValueError, match=message):
-        big + PauliSum(1, (PauliTerm(-1e308, "X"),))
-    with pytest.raises(ValueError, match=message):
         schwinger_hamiltonian(3, 1e308)
-
-
-def test_arithmetic_preserves_order():
-    a = schwinger_hamiltonian(2, 1.0)
-    b = single_z(2, 1)
-    total = 0.5 * a + b
-    assert [t.axes for t in total.terms] == ["XX", "YY", "ZI", "IZ"]
-    assert [t.coeff for t in total.terms] == [0.25, 0.25, 0.5, 1.0]
-    with pytest.raises(ValueError, match="different registers"):
-        a + single_z(1, 0)
-    # a bool is not a scalar, as it is not a coefficient
-    with pytest.raises(TypeError):
-        a * True
-    with pytest.raises(TypeError):
-        True * a
 
 
 _ORACLE_FACTORS = {"I": I2, "X": SX, "Y": SY, "Z": SZ}

@@ -53,10 +53,11 @@ def run_pauli_cases(cases, seed=0):
         np.testing.assert_allclose(applied, matrix @ state.amplitudes, atol=1e-10)
         direct = float(np.real(np.vdot(state.amplitudes, matrix @ state.amplitudes)))
         assert abs(expectation(state, op) - direct) < 1e-10
-        both = dense_matrix(op + other)
+        both = dense_matrix(PauliSum(n, op.terms + other.terms))
         np.testing.assert_allclose(both, matrix + dense_matrix(other), atol=1e-12)
         scale = float(rng.uniform(-3.0, 3.0))
-        np.testing.assert_allclose(dense_matrix(scale * op), scale * matrix, atol=1e-12)
+        scaled = PauliSum(n, tuple(PauliTerm(scale * t.coeff, t.axes) for t in op.terms))
+        np.testing.assert_allclose(dense_matrix(scaled), scale * matrix, atol=1e-12)
     return cases
 
 

@@ -349,7 +349,7 @@ def test_each_string_is_evaluated_once_per_state(monkeypatch):
 
 
 def test_sampling_keeps_no_state_alive():
-    state = StateVector.from_amplitudes([1, 1])
+    state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2.0))
     alive = weakref.ref(state)
     sample_shots(state, [("Z", single_z(1, 0))], 10, stream_starts(1, 1, 2)[0][1:])
     del state

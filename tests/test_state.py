@@ -40,27 +40,6 @@ def test_shape_enforced_on_construction():
         StateVector(2, np.array([1.0, 0.0]))
 
 
-def test_from_amplitudes_normalizes():
-    state = StateVector.from_amplitudes(np.array([3.0, 4.0]))
-    assert np.allclose(state.amplitudes, [0.6, 0.8])
-
-
-def test_from_amplitudes_rejects_zero_vector():
-    with pytest.raises(ValueError, match="zero vector"):
-        StateVector.from_amplitudes(np.zeros(4))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_from_amplitudes_rejects_non_finite_norms(bad):
-    with pytest.raises(ValueError, match="cannot normalize amplitudes of norm"):
-        StateVector.from_amplitudes(np.array([bad, 1.0]))
-
-
-def test_from_amplitudes_rejects_non_power_of_two():
-    with pytest.raises(ValueError, match="2\\*\\*n"):
-        StateVector.from_amplitudes(np.array([1.0, 0.0, 0.0]))
-
-
 def test_amplitudes_are_read_only():
     state = StateVector.basis("0")
     with pytest.raises(ValueError):
@@ -72,15 +51,3 @@ def test_constructor_copies_input_array():
     state = StateVector(1, raw)
     raw[0] = 0.0
     assert state.amplitudes[0] == 1.0
-
-
-def test_fidelity_and_overlap():
-    a = StateVector.basis("0")
-    b = StateVector.from_amplitudes(np.array([1.0, 1.0]))
-    assert a.fidelity(b) == pytest.approx(0.5)
-    assert a.fidelity(a) == pytest.approx(1.0)
-
-
-def test_fidelity_requires_matching_registers():
-    with pytest.raises(ValueError, match="same register"):
-        StateVector.basis("0").fidelity(StateVector.basis("00"))

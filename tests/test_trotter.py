@@ -24,7 +24,7 @@ from twirlsim import (
     evolve_exact,
     evolve_trotter,
     schwinger_hamiltonian,
-    trotter_error,
+    trotter_errors,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "trotter_bytes.json"
@@ -42,7 +42,7 @@ def test_single_term_is_exact():
 
 def test_commuting_terms_are_exact():
     op = PauliSum(2, (PauliTerm(1.0, "ZI"), PauliTerm(0.5, "ZZ")))
-    state = StateVector.from_amplitudes(np.array([0.5, 0.5, 0.5, 0.5]))
+    state = StateVector(2, np.full(4, 0.5))
     exact = evolve_exact(state.amplitudes, op, 2.1)
     approx = evolve_trotter(state.amplitudes, op, 2.1, 1)
     np.testing.assert_allclose(approx, exact, atol=1e-12)
@@ -51,13 +51,13 @@ def test_commuting_terms_are_exact():
 def test_three_qubit_error_reference_point():
     # frozen reference: 8 steps over a quarter period of the J=1 chain
     op = schwinger_hamiltonian(3, 1.0)
-    err = trotter_error(op, np.pi / 2.0, 8)
+    err = trotter_errors(op, np.pi / 2.0, [8])[0]
     assert err == pytest.approx(1.784e-2, abs=5e-5)
 
 
 def test_error_scales_as_second_order():
     op = schwinger_hamiltonian(3, 1.0)
-    errors = [trotter_error(op, np.pi / 2.0, steps) for steps in (8, 16, 32)]
+    errors = [trotter_errors(op, np.pi / 2.0, [steps])[0] for steps in (8, 16, 32)]
     for coarse, fine in zip(errors, errors[1:]):
         assert 3.4 < coarse / fine < 4.7
 
@@ -84,11 +84,11 @@ def test_plan_and_argument_validation():
     with pytest.raises(ValueError, match="positive integer"):
         evolve_trotter(state, op, 1.0, -2)
     with pytest.raises(ValueError, match="positive integer"):
-        trotter_error(op, 1.0, 0)
+        trotter_errors(op, 1.0, [0])[0]
     with pytest.raises(ValueError, match="finite"):
         evolve_trotter(state, op, float("inf"), 4)
     with pytest.raises(ValueError, match="finite"):
-        trotter_error(op, float("nan"), 4)
+        trotter_errors(op, float("nan"), [4])[0]
     with pytest.raises(ValueError, match="different registers"):
         evolve_trotter(StateVector.basis("00").amplitudes, op, 1.0, 4)
     # a finite coefficient and time whose half-step angle overflows
@@ -97,18 +97,18 @@ def test_plan_and_argument_validation():
     with pytest.raises(ValueError, match=message):
         evolve_trotter(state, big, 1e200, 2)
     with pytest.raises(ValueError, match=message):
-        trotter_error(big, 1e200, 2)
+        trotter_errors(big, 1e200, [2])[0]
     # 10**10 steps keep each angle finite, but the exact phase tau * e overflows
     big = PauliSum(1, (PauliTerm(1e300, "X"), PauliTerm(1.0, "Z")))
     message = re.escape("evolution time 10000000000.0 times summed |coefficient| 1e+300 overflows")
     with pytest.raises(ValueError, match=message):
-        trotter_error(big, 1e10, 10**10)
+        trotter_errors(big, 1e10, [10**10])[0]
     # a time is a real number: not a bool, a string or a complex
     for tau in (True, "1", 1j):
         with pytest.raises(ValueError, match=f"time {tau!r} must be a finite real number"):
             evolve_trotter(state, op, tau, 4)
         with pytest.raises(ValueError, match=f"time {tau!r} must be a finite real number"):
-            trotter_error(op, tau, 4)
+            trotter_errors(op, tau, [4])[0]
     for tau in (np.float64(0.7), 2):
         want = evolve_trotter(state, op, float(tau), 4)
         assert np.array_equal(evolve_trotter(state, op, tau, 4), want)

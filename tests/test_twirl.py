@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import exact_propagate, random_pauli_sum, random_state, split_step_sweep
+from oracles import exact_propagate, ramp_slice, random_pauli_sum, random_state, split_step_sweep
 from twirlsim import (
     AdiabaticSchedule,
     Backend,
@@ -33,7 +33,7 @@ from twirlsim import (
     single_z,
     staggered_start,
     stream_starts,
-    trotter_error,
+    trotter_errors,
     twirl_round,
 )
 from twirlsim import spectral
@@ -83,7 +83,7 @@ _REAL_ENTRY_POINTS = {
     "choose_tau": lambda x: choose_tau(x, TauMode.QUARTER)[0],
     "evolve_trotter": lambda x: evolve_trotter(_START.amplitudes, _CHAIN, x, 16),
     "evolve_exact": lambda x: evolve_exact(_START.amplitudes, _CHAIN, x),
-    "trotter_error": lambda x: trotter_error(_CHAIN, x, 4),
+    "trotter_errors": lambda x: trotter_errors(_CHAIN, x, [4])[0],
     "keep_probability": lambda x: keep_probability(_START, _CHAIN, x, 1.0j, 2),
     "exact-ramp": lambda x: adiabatic_prepare(
         _START, staggered_start(3), _CHAIN, AdiabaticSchedule(x, 7)
@@ -245,7 +245,7 @@ _ZERO = StateVector.basis("0")
 _OVERFLOW_ENTRY_POINTS = {
     "evolve_exact": lambda: evolve_exact(_ZERO.amplitudes, _BIG_Z, 1e200),
     "evolve_trotter": lambda: evolve_trotter(_ZERO.amplitudes, _BIG_Z, 1e200, 4),
-    "trotter_error": lambda: trotter_error(_BIG_Z, 1e200, 4),
+    "trotter_errors": lambda: trotter_errors(_BIG_Z, 1e200, [4])[0],
     "keep_probability": lambda: keep_probability(_ZERO, _BIG_Z, 1e200, 1j),
     "twirl_round-exact": lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j),
     "twirl_round-trotter": lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j, backend=Backend(4)),
@@ -345,7 +345,7 @@ def test_split_step_ramp_matches_state_per_slice_oracle(seed):
         dt = schedule.total_time / schedule.steps
         for k in range(schedule.steps):
             s = (k + 0.5) / schedule.steps
-            amps = split_step_sweep(expected.amplitudes, (1.0 - s) * start + s * target, dt, steps)
+            amps = split_step_sweep(expected.amplitudes, ramp_slice(start, target, s), dt, steps)
             expected = StateVector(expected.n_qubits, amps)
         prepared = adiabatic_prepare(initial, start, target, schedule, Backend(steps))
         assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
@@ -416,7 +416,7 @@ def test_config_validation():
         lambda: AdiabaticSchedule(steps=True),
         lambda: evolve_trotter(StateVector.basis("0").amplitudes, schwinger_hamiltonian(1, 1.0),
                                1.0, True),
-        lambda: trotter_error(schwinger_hamiltonian(1, 1.0), 1.0, True),
+        lambda: trotter_errors(schwinger_hamiltonian(1, 1.0), 1.0, [True])[0],
         lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], True,
                              stream_starts(1, 3, 2)[2][1:]),
         lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], 10.5,
