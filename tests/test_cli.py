@@ -576,16 +576,10 @@ def test_run_runtime_abort_exits_three(seed, reason, tmp_path, capsys):
     assert captured.err.startswith(reason)
 
 
-def test_noisy_energy_without_shots_is_a_config_error(tmp_path, capsys):
-    # TwirlConfig states the rule; the manifest and the --shots flag both reach it
+def test_shots_none_on_a_noisy_energy_manifest_is_a_config_error(tmp_path, capsys):
     path = _write(tmp_path, "noisy.json", _noisy_one_qubit(2))
     assert main(["run", "--config", path, "--shots", "none"]) == 2
     assert capsys.readouterr().err == "config error: noisy_energy needs a shot count\n"
-    unshot = {k: v for k, v in _noisy_one_qubit(2).items() if k != "shots"}
-    assert main(["run", "--config", _write(tmp_path, "unshot.json", unshot)]) == 2
-    assert capsys.readouterr().err == (
-        "config error at /noisy_energy: noisy_energy needs a shot count\n"
-    )
 
 
 # ---------------------------------------------------------------------------
