@@ -1,6 +1,7 @@
 """Pauli operators against independently built dense matrices."""
 
 import json
+import pickle
 import re
 
 import numpy as np
@@ -178,6 +179,79 @@ def test_apply_operator_matches_dense():
         op = schwinger_hamiltonian(n, 1.7)
         vec = rng.normal(size=2**n) + 1.0j * rng.normal(size=2**n)
         assert np.allclose(apply_operator(vec, op), dense_matrix(op) @ vec, atol=1e-12)
+
+
+def _apply_term_by_term(amplitudes, op):
+    """Reference: one apply_axes per term, added up in term order."""
+    acc = np.zeros_like(amplitudes, dtype=complex)
+    for term in op.terms:
+        acc += term.coeff * apply_axes(amplitudes, term.axes)
+    return acc
+
+
+def _random_operator(rng, n_qubits, n_terms):
+    terms = []
+    for _ in range(n_terms):
+        axes = "".join(rng.choice(list("IXYZ"), size=n_qubits))
+        # exact zeros of either sign and unit coefficients among the random ones
+        coeff = rng.normal() if rng.random() < 0.7 else rng.choice([0.0, -0.0, 1.0, -1.0])
+        terms.append(PauliTerm(float(coeff), axes))
+    return PauliSum(n_qubits, tuple(terms))
+
+
+def test_apply_operator_matches_the_term_by_term_sum_byte_for_byte():
+    rng = np.random.default_rng(33)
+    sizes = [(n, int(rng.integers(1, 41))) for n in range(1, 11) for _ in range(12)]
+    # many terms on few amplitudes: the sum must still run in term order
+    sizes += [(1, 30), (1, 40), (2, 40)]
+    for n_qubits, n_terms in sizes:
+        op = _random_operator(rng, n_qubits, n_terms)
+        dim = 2**n_qubits
+        noise = rng.normal(size=dim) + 1.0j * rng.normal(size=dim)
+        # a basis state makes most products exact zeros, whose signs must match too
+        basis = np.zeros(dim, dtype=complex)
+        basis[rng.integers(dim)] = 1.0
+        for amplitudes in (noise, basis, basis.real):
+            applied, expected = apply_operator(amplitudes, op), _apply_term_by_term(amplitudes, op)
+            assert applied.dtype == expected.dtype and applied.shape == expected.shape
+            assert applied.tobytes() == expected.tobytes()
+
+
+def test_apply_operator_refuses_amplitudes_of_another_register():
+    with pytest.raises(ValueError, match=r"^amplitudes of shape \(4,\) do not fit 3 qubit\(s\)$"):
+        apply_operator(np.ones(4, dtype=complex), schwinger_hamiltonian(3, 1.0))
+
+
+def _built(n_qubits, *terms):
+    return PauliSum(n_qubits, tuple(PauliTerm(coeff, axes) for coeff, axes in terms))
+
+
+def test_operator_equality_and_hash_follow_the_term_values():
+    op = _built(2, (0.5, "XX"), (-1.0, "ZI"))
+    twin = _built(2, (0.5, "XX"), (-1.0, "ZI"))
+    assert twin is not op and twin == op and hash(twin) == hash(op)
+    for other in (
+        _built(2, (0.5, "XX"), (-1.5, "ZI")),  # a coefficient
+        _built(2, (0.5, "XX"), (-1.0, "IZ")),  # an axes string
+        _built(2, (-1.0, "ZI"), (0.5, "XX")),  # the term order
+        _built(3, (0.5, "XXI"), (-1.0, "ZII")),  # the register size
+    ):
+        assert other != op and not other == op
+    assert op != op.terms and op.__eq__(op.terms) is NotImplemented
+    # 0.0 == -0.0, as between the coefficients themselves
+    zero, negative_zero = _built(1, (0.0, "Z")), _built(1, (-0.0, "Z"))
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+
+
+def test_operators_survive_pickle():
+    op = schwinger_hamiltonian(3, 1.3)
+    vec = np.arange(8) + 0.5j
+    before = pickle.loads(pickle.dumps(op))
+    applied = apply_operator(vec, op)
+    after = pickle.loads(pickle.dumps(op))
+    for copy in (before, after):
+        assert copy == op and hash(copy) == hash(op)
+        assert apply_operator(vec, copy).tobytes() == applied.tobytes()
 
 
 def test_identity_string_application_copies():
