@@ -13,6 +13,13 @@ of Y axes, the string maps ``|b>`` to ``i**nY (-1)**popcount(b & z)
 |b ^ x>``. Applying it is one gather and one phase multiply; its dense
 matrix is a scatter of the phases.
 
+Each :class:`PauliSum` keeps two derived forms, built once per operator:
+a key of plain tuples, ``(n_qubits, ((coeff, axes), ...))``, that its
+equality and hash read, so a cache lookup does no per-term Python work;
+and its terms' gathers, phases and coefficients stacked into arrays, so
+:func:`apply_operator` makes one gather, two multiplies and one ordered
+sum whatever the term count.
+
 Dense matrices are only materialized up to ``DENSE_LIMIT`` (12) qubits,
 so that an accidental large build fails fast instead of exhausting memory.
 """
@@ -22,7 +29,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -115,9 +122,13 @@ class PauliTerm:
         return len(self.axes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliSum:
-    """Ordered sum of Pauli terms acting on a fixed register."""
+    """Ordered sum of Pauli terms acting on a fixed register.
+
+    Two sums are equal when their registers and their ``(coeff, axes)``
+    pairs, in order, are equal.
+    """
 
     n_qubits: int
     terms: tuple[PauliTerm, ...]
@@ -139,6 +150,29 @@ class PauliSum:
             raise ValueError(f"summed |coefficient| of the terms is {total}, not finite")
         # the operator-norm bound of _check_time; not a field, so equality and hashing ignore it
         object.__setattr__(self, "_norm_bound", total)
+        # the value equality and hashing compare: floats and strings only, compared in C
+        key = (self.n_qubits, tuple((term.coeff, term.axes) for term in self.terms))
+        object.__setattr__(self, "_key", key)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PauliSum):
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self) -> int:
+        # not stored: a string's hash differs from one process to the next
+        return hash(self._key)
+
+    @cached_property
+    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Gather indices and phases ``(k, 2**n)`` and coefficients ``(k, 1)`` of the k terms."""
+        compiled = [_compiled(term.axes) for term in self.terms]
+        sources = np.stack([source for source, _ in compiled])
+        phases = np.stack([phase for _, phase in compiled])
+        coeffs = np.array([[term.coeff] for term in self.terms])
+        for array in (sources, phases, coeffs):
+            array.flags.writeable = False
+        return sources, phases, coeffs
 
     @classmethod
     def from_dict(cls, data: dict) -> PauliSum:
@@ -173,11 +207,20 @@ def apply_axes(amplitudes: np.ndarray, axes: str) -> np.ndarray:
 
 
 def apply_operator(amplitudes: np.ndarray, op: PauliSum) -> np.ndarray:
-    """Apply a Pauli sum to raw amplitudes, term by term."""
-    acc = np.zeros_like(amplitudes, dtype=complex)
-    for term in op.terms:
-        acc += term.coeff * apply_axes(amplitudes, term.axes)
-    return acc
+    """Apply a Pauli sum to raw amplitudes, all terms at once.
+
+    The result has the bytes of ``acc = 0j; acc += coeff * apply_axes(amplitudes, axes)``
+    over the terms in order: the same products, and a reduce over the
+    leading axis that adds the rows one after another, from ``0j``.
+    """
+    sources, phases, coeffs = op._stacked
+    if np.shape(amplitudes) != sources.shape[1:]:
+        raise ValueError(
+            f"amplitudes of shape {np.shape(amplitudes)} do not fit {op.n_qubits} qubit(s)"
+        )
+    terms = phases * amplitudes[sources]
+    terms *= coeffs
+    return np.add.reduce(terms, axis=0, initial=0j)
 
 
 def _scatter(

@@ -19,7 +19,7 @@ from twirlsim import (
     schwinger_hamiltonian,
     single_z,
 )
-from twirlsim import pauli
+from twirlsim import pauli, spectral
 from twirlsim.pauli import apply_axes, apply_operator
 
 I2 = np.eye(2)
@@ -241,6 +241,21 @@ def test_operator_equality_and_hash_follow_the_term_values():
     # 0.0 == -0.0, as between the coefficients themselves
     zero, negative_zero = _built(1, (0.0, "Z")), _built(1, (-0.0, "Z"))
     assert zero == negative_zero and hash(zero) == hash(negative_zero)
+
+
+def test_an_equal_operator_hits_the_eigensystem_cache_without_comparing_terms(monkeypatch):
+    terms = ((0.5, "XXI"), (-0.25, "IZY"), (1.5, "ZII"))
+    op, twin = _built(3, *terms), _built(3, *terms)
+    cached = spectral._eigensystem(op)
+
+    def refuse(*_):
+        raise AssertionError("the lookup compared or hashed a PauliTerm")
+
+    monkeypatch.setattr(PauliTerm, "__eq__", refuse)
+    monkeypatch.setattr(PauliTerm, "__hash__", refuse)
+    hits = spectral._eigensystem.cache_info().hits
+    assert spectral._eigensystem(twin) is cached
+    assert spectral._eigensystem.cache_info().hits == hits + 1
 
 
 def test_operators_survive_pickle():
