@@ -28,7 +28,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -370,7 +370,8 @@ def _run_json(result: RunResult, check: bool) -> str:
     if manifest.notes:
         payload["notes"] = manifest.notes
     if check:
-        payload["targets"] = [asdict(t) for t in result.targets]
+        # a TargetResult holds its fields alone, all plain values: asdict would deep-copy them
+        payload["targets"] = [vars(t) for t in result.targets]
         payload["ok"] = result.ok
     return _json(payload)
 
@@ -453,6 +454,8 @@ def _run_overrides(args: argparse.Namespace) -> dict:
 
 def _overridden(manifest: Manifest, overrides: dict) -> Manifest:
     """``manifest`` with ``overrides``: ``prepare`` replaces its schedule, the rest its config."""
+    if not overrides:
+        return manifest
     settings = dict(overrides)
     prepare = settings.pop("prepare", manifest.prepare)
     return replace(manifest, prepare=prepare, config=replace(manifest.config, **settings))

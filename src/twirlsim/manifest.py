@@ -22,7 +22,15 @@ from dataclasses import dataclass
 from .adiabatic import AdiabaticSchedule
 from .pauli import CHAINS, PauliSum, _is_finite_real, hamiltonian_by_name
 from .shots import SHOT_LIMIT
-from .twirl import BACKEND_PATTERN, Backend, RoundSpec, TauMode, TwirlConfig, resolve_observables
+from .twirl import (
+    BACKEND_PATTERN,
+    ZERO_ENERGY_TOL,
+    Backend,
+    RoundSpec,
+    TauMode,
+    TwirlConfig,
+    resolve_observables,
+)
 
 
 BUNDLED_DIR = os.path.join(os.path.dirname(__file__), "manifests")
@@ -288,6 +296,14 @@ def _check_consistency(data: dict) -> PauliSum:
             f"config error at /initial: label {initial!r} has "
             f"{len(initial)} bit(s), hamiltonian acts on {op.n_qubits} qubit(s)"
         )
+    for k, spec in enumerate(data["rounds"]):
+        # choose_tau's rule, refused here since a fixed energy cannot become nonzero at run time
+        if abs(spec.get("energy_override", 1.0)) < ZERO_ENERGY_TOL:
+            raise ManifestError(
+                f"config error at /rounds/{k}/energy_override: energy_override "
+                f"{spec['energy_override']!r} is zero within tolerance {ZERO_ENERGY_TOL}; "
+                "a filter round needs a nonzero energy"
+            )
     observables = data.get("observables", TwirlConfig.observables)
     for i, name in enumerate(observables):
         _at(f"/observables/{i}", resolve_observables, (name,), op)

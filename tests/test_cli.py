@@ -204,6 +204,11 @@ def test_override_flags_reach_the_config(
     assert [m.prepare for m in seen] == [prepare]
 
 
+def test_no_override_flags_leave_the_loaded_manifest_as_it_is():
+    manifest = load_manifest("table-08")
+    assert cli._overridden(manifest, {}) is manifest
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -574,6 +579,19 @@ def test_run_runtime_abort_exits_three(seed, reason, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(reason)
+
+
+def test_run_refuses_a_zero_energy_override_before_it_runs(tmp_path, capsys):
+    payload = {**_noisy_one_qubit(2), "rounds": [{"mode": "full", "energy_override": 0}]}
+    del payload["noisy_energy"]
+    path = _write(tmp_path, "zero.json", payload)
+    assert main(["run", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error at /rounds/0/energy_override: energy_override 0 is zero within "
+        "tolerance 1e-12; a filter round needs a nonzero energy\n"
+    )
 
 
 def test_shots_none_on_a_noisy_energy_manifest_is_a_config_error(tmp_path, capsys):

@@ -521,6 +521,25 @@ def test_target_round_must_exist():
         parse_manifest(data)
 
 
+@pytest.mark.parametrize(
+    "mode, override", [("full", 0), ("full", -0.0), ("quarter", 0), ("full", -5e-13)]
+)
+def test_a_zero_energy_override_is_a_config_error(mode, override):
+    rounds = [
+        {"mode": "quarter", "energy_override": 1.0},
+        {"mode": mode, "energy_override": override},
+    ]
+    with pytest.raises(ManifestError) as caught:
+        parse_manifest(_base(rounds=rounds))
+    assert str(caught.value) == (
+        f"config error at /rounds/1/energy_override: energy_override {override!r} "
+        "is zero within tolerance 1e-12; a filter round needs a nonzero energy"
+    )
+    # the tolerance is the run-time rule's, so the smallest energy it takes passes
+    rounds[1]["energy_override"] = -1e-12
+    assert parse_manifest(_base(rounds=rounds)).config.rounds[1].energy_override == -1e-12
+
+
 def test_noisy_energy_needs_shots():
     message = "config error at /noisy_energy: noisy_energy needs a shot count"
     with pytest.raises(ManifestError, match=f"^{message}$"):
