@@ -582,8 +582,12 @@ def test_run_runtime_abort_exits_three(seed, reason, tmp_path, capsys):
 
 
 def test_run_refuses_a_zero_energy_override_before_it_runs(tmp_path, capsys):
-    payload = {**_noisy_one_qubit(2), "rounds": [{"mode": "full", "energy_override": 0}]}
-    del payload["noisy_energy"]
+    payload = {
+        "name": "zero",
+        "hamiltonian": {"name": "schwinger-1q", "J": 1.0},
+        "initial": "0",
+        "rounds": [{"mode": "full", "energy_override": 0}],
+    }
     path = _write(tmp_path, "zero.json", payload)
     assert main(["run", "--config", path]) == 2
     captured = capsys.readouterr()
