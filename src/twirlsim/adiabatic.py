@@ -30,7 +30,6 @@ from .pauli import (
     PauliTerm,
     _check_count,
     _check_time,
-    _compiled,
     _is_finite_real,
     _scatter,
 )
@@ -54,7 +53,7 @@ class AdiabaticSchedule:
             raise ValueError(
                 f"total time must be a positive finite real number, got {self.total_time!r}"
             )
-        object.__setattr__(self, "steps", _check_count(self.steps, "step count"))
+        object.__setattr__(self, "steps", _check_count(self.steps, "step count", below=2**63))
 
 
 def staggered_start(n_qubits: int) -> PauliSum:
@@ -94,8 +93,8 @@ def adiabatic_prepare(
         return StateVector(state.n_qubits, amplitudes)
     chunk = max(1, RAMP_STACK_BYTES // (16 * 4**state.n_qubits))
     for first in range(0, schedule.steps, chunk):
-        slices = [(w[first : first + chunk] * t.coeff, _compiled(t.axes)) for w, t in weighted]
-        values, vectors = _canonical_eigh(_scatter(state.n_qubits, slices))
+        slices = [(i, w[first : first + chunk] * t.coeff) for i, (w, t) in enumerate(weighted)]
+        values, vectors = _canonical_eigh(_scatter(start_op._axes + target_op._axes, slices))
         phases = np.exp(-1.0j * dt * values)
         for k, adjoint in enumerate(vectors.conj().transpose(0, 2, 1)):
             amplitudes = _propagate(amplitudes, phases[k], adjoint, vectors[k])

@@ -263,7 +263,9 @@ def parse_manifest(data: dict) -> Manifest:
     rounds = [RoundSpec(**{**r, "mode": TauMode(r["mode"])}) for r in data["rounds"]]
     fields = _given(data, "description", "notes")
     if "prepare" in data:
-        fields["prepare"] = AdiabaticSchedule(**_given(data["prepare"], "total_time", "steps"))
+        prepare = _given(data["prepare"], "total_time", "steps")
+        # RULES bounds the total time, so only the step count can refuse
+        fields["prepare"] = _at("/prepare/steps", lambda: AdiabaticSchedule(**prepare))
     if "expected" in data:
         fields["targets"] = tuple(TargetSpec(**t) for t in data["expected"])
     # RULES already bounds every other TwirlConfig field, so only its noisy_energy rule can refuse
@@ -305,8 +307,9 @@ def _check_consistency(data: dict) -> PauliSum:
                 "a filter round needs a nonzero energy"
             )
     observables = data.get("observables", TwirlConfig.observables)
-    for i, name in enumerate(observables):
-        _at(f"/observables/{i}", resolve_observables, (name,), op)
+    for i in range(len(observables)):
+        # each prefix in turn, so the first name refused is the one pointed at
+        _at(f"/observables/{i}", resolve_observables, tuple(observables[: i + 1]), op)
     for i, target in enumerate(data.get("expected", ())):
         if target["observable"] not in observables:
             raise ManifestError(

@@ -6,19 +6,16 @@ acting on qubit 0 (the most significant bit of the basis index). A
 :class:`PauliSum` is an ordered sum of such terms; term order is part of
 the value and is preserved by :meth:`PauliSum.from_dict`.
 
-Each axes string is compiled once into its symplectic (X mask, Z mask)
-form (Aaronson and Gottesman, arXiv:quant-ph/0406196): with ``x``
-marking the X and Y axes, ``z`` the Y and Z axes and ``nY`` the number
-of Y axes, the string maps ``|b>`` to ``i**nY (-1)**popcount(b & z)
-|b ^ x>``. Applying it is one gather and one phase multiply; its dense
-matrix is a scatter of the phases.
-
-Each :class:`PauliSum` keeps two derived forms, built once per operator:
-a key of plain tuples, ``(n_qubits, ((coeff, axes), ...))``, that its
-equality and hash read, so a cache lookup does no per-term Python work;
-and its terms' gathers, phases and coefficients stacked into arrays, so
-:func:`apply_operator` makes one gather, two multiplies and one ordered
-sum whatever the term count.
+Each tuple of axes strings is compiled once, into one read-only pair of
+``(k, 2**n)`` arrays held in one cache keyed by the tuple: row t holds
+the gather indices and phases of string t in its symplectic (X mask,
+Z mask) form (Aaronson and Gottesman, arXiv:quant-ph/0406196). With
+``x`` marking the X and Y axes, ``z`` the Y and Z axes and ``nY`` the
+number of Y axes, a string maps ``|b>`` to ``i**nY (-1)**popcount(b & z)
+|b ^ x>``. Every consumer reads the rows of its operator's tuple, so
+operators with equal strings share one entry, and a :class:`PauliSum`
+holds only values: its coefficients, its strings, and the key
+``(n_qubits, coeffs, axes)`` that its equality and hash compare in C.
 
 Dense matrices are only materialized up to ``DENSE_LIMIT`` (12) qubits,
 so that an accidental large build fails fast instead of exhausting memory.
@@ -29,7 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -43,6 +40,9 @@ AXES = "IXYZ"
 DENSE_LIMIT = 12
 # int() refuses a text of more decimal digits than this with its own error
 _INT_DIGITS = 4300
+# a string's X and Z masks as binary digits
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 # Concrete types, not numbers.Real: the ABC check is several times slower per
@@ -144,15 +144,17 @@ class PauliSum:
                     f"term {term.axes!r} acts on {term.n_qubits} qubit(s), "
                     f"operator is on {self.n_qubits}"
                 )
+        coeffs = tuple(term.coeff for term in self.terms)
+        axes = tuple(term.axes for term in self.terms)
         # evolution and dense builds add the terms up, so their sum must stay finite
-        total = sum(abs(term.coeff) for term in self.terms)
+        total = sum(map(abs, coeffs))
         if not math.isfinite(total):
             raise ValueError(f"summed |coefficient| of the terms is {total}, not finite")
-        # the operator-norm bound of _check_time; not a field, so equality and hashing ignore it
-        object.__setattr__(self, "_norm_bound", total)
-        # the value equality and hashing compare: floats and strings only, compared in C
-        key = (self.n_qubits, tuple((term.coeff, term.axes) for term in self.terms))
-        object.__setattr__(self, "_key", key)
+        # not fields, so equality and hashing ignore them: the operator-norm bound of
+        # _check_time, the values the compiled form is read with, and the key equality
+        # and hashing compare instead, of floats and strings only, compared in C
+        key = (self.n_qubits, coeffs, axes)
+        self.__dict__.update(_norm_bound=total, _coeffs=coeffs, _axes=axes, _key=key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):
@@ -163,17 +165,6 @@ class PauliSum:
         # not stored: a string's hash differs from one process to the next
         return hash(self._key)
 
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gather indices and phases ``(k, 2**n)`` and coefficients ``(k, 1)`` of the k terms."""
-        compiled = [_compiled(term.axes) for term in self.terms]
-        sources = np.stack([source for source, _ in compiled])
-        phases = np.stack([phase for _, phase in compiled])
-        coeffs = np.array([[term.coeff] for term in self.terms])
-        for array in (sources, phases, coeffs):
-            array.flags.writeable = False
-        return sources, phases, coeffs
-
     @classmethod
     def from_dict(cls, data: dict) -> PauliSum:
         return cls(
@@ -182,28 +173,34 @@ class PauliSum:
         )
 
 
-@lru_cache(maxsize=256)
-def _compiled(axes: str) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and phase of a Pauli string: ``(P v)[b] = phase[b] * v[source[b]]``."""
-    x = int("".join("1" if axis in "XY" else "0" for axis in axes), 2)
-    z = int("".join("1" if axis in "YZ" else "0" for axis in axes), 2)
-    source = np.arange(2 ** len(axes)) ^ x
-    parity = np.zeros_like(source)
-    for shift in range(len(axes)):
-        parity ^= (source & z) >> shift
-    phase = np.array([1, 1j, -1, -1j])[(axes.count("Y") + 2 * (parity & 1)) % 4]
-    source.flags.writeable = phase.flags.writeable = False
-    return source, phase
+# One entry per distinct tuple of strings: a batch of the 15 bundled manifests
+# uses 11, a chunk of any perfbench workload at most 10. A row takes 24 bytes per
+# amplitude, 96 KB at the 12-qubit dense cap, so a 34-term 12-qubit chain's
+# entry takes 3.3 MB and a full cache of such entries about 53 MB.
+@lru_cache(maxsize=16)
+def _compiled(axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices and phases ``(k, 2**n)`` of k strings of n axes each:
+    ``(P_t v)[b] = phases[t, b] * v[sources[t, b]]``."""
+    x = np.array([int(s.translate(_X_BITS), 2) for s in axes])[:, None]
+    z = np.array([int(s.translate(_Z_BITS), 2) for s in axes])[:, None]
+    y_count = np.array([s.count("Y") for s in axes])[:, None]
+    sources = np.arange(2 ** len(axes[0])) ^ x
+    parity = np.zeros_like(sources)
+    for shift in range(len(axes[0])):
+        parity ^= (sources & z) >> shift
+    phases = np.array([1, 1j, -1, -1j])[(y_count + 2 * (parity & 1)) % 4]
+    sources.flags.writeable = phases.flags.writeable = False
+    return sources, phases
 
 
 def apply_axes(amplitudes: np.ndarray, axes: str) -> np.ndarray:
     """Apply a Pauli string to raw amplitudes without building a matrix."""
-    source, phase = _compiled(axes)
-    if np.shape(amplitudes) != source.shape:
+    sources, phases = _compiled((axes,))
+    if np.shape(amplitudes) != sources.shape[1:]:
         raise ValueError(
             f"amplitudes of shape {np.shape(amplitudes)} do not fit {len(axes)} qubit(s)"
         )
-    return phase * amplitudes[source]
+    return phases[0] * amplitudes[sources[0]]
 
 
 def apply_operator(amplitudes: np.ndarray, op: PauliSum) -> np.ndarray:
@@ -213,41 +210,41 @@ def apply_operator(amplitudes: np.ndarray, op: PauliSum) -> np.ndarray:
     over the terms in order: the same products, and a reduce over the
     leading axis that adds the rows one after another, from ``0j``.
     """
-    sources, phases, coeffs = op._stacked
+    sources, phases = _compiled(op._axes)
     if np.shape(amplitudes) != sources.shape[1:]:
         raise ValueError(
             f"amplitudes of shape {np.shape(amplitudes)} do not fit {op.n_qubits} qubit(s)"
         )
     terms = phases * amplitudes[sources]
-    terms *= coeffs
+    terms *= np.array(op._coeffs)[:, None]
     return np.add.reduce(terms, axis=0, initial=0j)
 
 
-def _scatter(
-    n_qubits: int, weighted: Iterable[tuple[float | np.ndarray, tuple[np.ndarray, np.ndarray]]]
-) -> np.ndarray:
-    """Dense sum of ``coeff * P`` over ``(coeff, _compiled(P))`` pairs, in order.
+def _scatter(axes: tuple[str, ...], rows: Iterable[tuple[int, float | np.ndarray]]) -> np.ndarray:
+    """Dense sum of ``coeff * P_t`` over ``(t, coeff)`` rows, in order, ``P_t`` being ``axes[t]``.
 
     Each ``coeff`` is a float, giving one ``(d, d)`` matrix, or an array of
     ``k`` per-slice coefficients of the same length in every pair, giving
-    a ``(k, d, d)`` stack.
+    a ``(k, d, d)`` stack. The cap is checked before the strings are compiled.
     """
+    n_qubits = len(axes[0])
     if n_qubits > DENSE_LIMIT:
         raise ValueError(f"dense matrix for {n_qubits} qubits exceeds the {DENSE_LIMIT}-qubit cap")
-    weighted = list(weighted)
+    sources, phases = _compiled(axes)
+    rows = list(rows)
     dim = 2**n_qubits
     row_starts = np.arange(0, dim * dim, dim)
-    stack = np.shape(weighted[0][0])
+    stack = np.shape(rows[0][1])
     matrix = np.zeros(stack + (dim * dim,), dtype=complex)
-    for coeff, (source, phase) in weighted:
+    for t, coeff in rows:
         # the transposed view puts the flattened matrix axis first for one matrix and a stack alike
-        matrix.T[row_starts + source] += np.multiply.outer(phase, coeff)
+        matrix.T[row_starts + sources[t]] += np.multiply.outer(phases[t], coeff)
     return matrix.reshape(stack + (dim, dim))
 
 
 def dense_matrix(op: PauliSum) -> np.ndarray:
     """Dense matrix of a Pauli sum, qubit 0 as the most significant index bit."""
-    return _scatter(op.n_qubits, ((term.coeff, _compiled(term.axes)) for term in op.terms))
+    return _scatter(op._axes, enumerate(op._coeffs))
 
 
 def expectation(state: StateVector, op: PauliSum) -> float:

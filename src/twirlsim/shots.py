@@ -157,10 +157,10 @@ def _draw(start: tuple[int, int], n: int, p: float) -> int:
     return int(generator.binomial(n, p))
 
 
-def _outcome_probability(amplitudes: np.ndarray, axes: str) -> float:
-    """Probability (1 + <P>) / 2 that the Pauli string reads +1, clamped to [0, 1]."""
-    source, phase = _compiled(axes)
-    # apply_axes's expression, without its register check on every term
+def _outcome_probability(amplitudes: np.ndarray, source: np.ndarray, phase: np.ndarray) -> float:
+    """Probability (1 + <P>) / 2 that the Pauli string of gather ``source`` and
+    ``phase`` reads +1, clamped to [0, 1]."""
+    # apply_axes's expression
     value = float(np.vdot(amplitudes, phase * amplitudes[source]).real)
     return min(1.0, max(0.0, (1.0 + value) / 2.0))
 
@@ -196,11 +196,11 @@ def sample_shots(
                 f"observable {name!r} on {op.n_qubits}"
             )
         total = 0.0
-        for term in op.terms:
-            p = probabilities.get(term.axes)
+        for coeff, axes, source, phase in zip(op._coeffs, op._axes, *_compiled(op._axes)):
+            p = probabilities.get(axes)
             if p is None:
-                p = probabilities[term.axes] = _outcome_probability(state.amplitudes, term.axes)
+                p = probabilities[axes] = _outcome_probability(state.amplitudes, source, phase)
             hits = _draw(next(draws), active, p)
-            total += term.coeff * (2.0 * hits / active - 1.0)
+            total += coeff * (2.0 * hits / active - 1.0)
         estimates[name] = total
     return estimates

@@ -42,20 +42,18 @@ import numpy as np
 
 from .pauli import PauliSum, _check_count, _check_time, _compiled, _scatter, dense_matrix
 
-
 def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int) -> np.ndarray:
     """Amplitudes after ``steps`` symmetric sweeps approximating exp(-i tau op)."""
-    steps = _check_count(steps, "step count")
+    steps = _check_count(steps, "step count", below=2**63)
     if np.shape(amplitudes) != (2**op.n_qubits,):
         raise ValueError("amplitudes and operator act on different registers")
     dt = _check_time(tau, op) / steps
     rotations = []
-    for term in op.terms:
+    for coeff, axes, source, phase in zip(op._coeffs, op._axes, *_compiled(op._axes)):
         # exp(-i angle P) psi = cos(angle) psi - i sin(angle) P psi
-        angle = term.coeff * dt / 2.0
-        source, phase = _compiled(term.axes)
+        angle = coeff * dt / 2.0
         cos = np.array(math.cos(angle), dtype=complex)  # 0-d: see the module docstring
-        if not term.axes.strip("IZ"):
+        if not axes.strip("IZ"):
             source = None  # diagonal: P v = phase * v, no gather
         rotations.append((cos, source, 1.0j * math.sin(angle) * phase))
     sweep = rotations + rotations[::-1]
@@ -78,16 +76,14 @@ def trotter_errors(op: PauliSum, tau: float, steps: Iterable[int]) -> list[float
     Pauli matrix are built once; only the split-step factors depend on the
     step count.
     """
-    counts = [_check_count(count, "step count") for count in steps]
+    counts = [_check_count(count, "step count", below=2**63) for count in steps]
     tau = _check_time(tau, op)
     matrix = dense_matrix(op)
     values, vectors = np.linalg.eigh(matrix)
     exact = (vectors * np.exp(-1.0j * tau * values)) @ vectors.conj().T
     identity = np.eye(matrix.shape[0])
     # each term's Pauli matrix, as a one-term dense_matrix builds it
-    paulis = [
-        (term.coeff, _scatter(op.n_qubits, [(1.0, _compiled(term.axes))])) for term in op.terms
-    ]
+    paulis = [(coeff, _scatter(op._axes, [(t, 1.0)])) for t, coeff in enumerate(op._coeffs)]
     errors = []
     for count in counts:
         dt = tau / count

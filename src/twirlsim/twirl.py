@@ -95,7 +95,8 @@ class Backend:
 
     def __post_init__(self) -> None:
         if self.steps is not None:
-            object.__setattr__(self, "steps", _check_count(self.steps, "step count"))
+            # the shot-count bound: a count past float range overflows the step length
+            object.__setattr__(self, "steps", _check_count(self.steps, "step count", below=2**63))
 
     @classmethod
     def parse(cls, text: str) -> Backend:
@@ -222,7 +223,10 @@ class RoundRecord:
 
 
 def resolve_observables(names: tuple[str, ...], op: PauliSum) -> list[tuple[str, PauliSum]]:
-    """Resolve observable names against a Hamiltonian, keeping order."""
+    """Resolve observable names against a Hamiltonian, keeping order; each name once."""
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        raise ValueError(f"observable {repeated[0]!r} is listed more than once")
     return [(name, op if name == "H" else named_observable(name, op.n_qubits)) for name in names]
 
 

@@ -249,11 +249,17 @@ def test_negative_seed_is_rejected(argv, capsys):
             ("--backend", raw, f'--backend must be "exact" or "trotter:<steps>", got {raw!r}')
             for raw in ("trotter:1_6", "trotter: 16", "trotter:+16", "trotter:016")
         ),
+        # a step count past float range, refused by the rule that bounds it below 2**63
+        ("--backend", f"trotter:{10**400}",
+         f'--backend must be "exact" or "trotter:<steps>", got \'trotter:{10**400}\''),
+        ("--prepare", f"adiabatic:steps={10**400}",
+         f"step count must be a positive integer below 2**63, got {10**400}"),
     ],
     ids=["shots=1.5", "shots=abc", "shots=0", "T=x", "T=inf", "steps=2.5",
          "shots=arabic8", "shots=1_000", "shots=+8", "shots=08", "shots=space8",
          "steps=arabic5", "steps=05",
-         "backend=1_6", "backend=space16", "backend=+16", "backend=016"],
+         "backend=1_6", "backend=space16", "backend=+16", "backend=016",
+         "backend=10**400", "steps=10**400"],
 )
 def test_bad_override_values_name_their_flag(flag, value, message, capsys):
     assert main(["run", "--config", "table-13", flag, value]) == 2
@@ -660,16 +666,18 @@ def test_trotter_scan_rejects_bad_steps(capsys):
     "raw",
     ["1_6,32", "+8", "8,,16", "8, 16", "-8", "8.0", "8,", "", "²", "08,16", "8,016", "00"]
     # int() refuses a count of over 4300 digits with its own error
-    + [pytest.param("8," + "9" * 5000, id="8,9x5000")],
+    + [pytest.param("8," + "9" * 5000, id="8,9x5000")]
+    + [pytest.param(f"8,{10**400}", id="8,10**400")],
 )
 def test_trotter_scan_takes_only_decimal_digits(raw, capsys):
     assert main(["trotter-scan", "--qubits", "1", "--j", "1", "--steps", raw]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"config error: --steps must be comma-separated step counts in decimal digits, "
-        f"got {raw!r}\n"
-    )
+    message = f"--steps must be comma-separated step counts in decimal digits, got {raw!r}"
+    if raw == f"8,{10**400}":
+        # plain decimal digits, past float range: the step-count rule refuses it
+        message = f"step count must be a positive integer below 2**63, got {10**400}"
+    assert captured.err == f"config error: {message}\n"
 
 
 def test_trotter_scan_diagonalizes_once_per_scan(monkeypatch, capsys):
@@ -731,6 +739,29 @@ def test_batch_reports_runtime_aborts_per_scenario(tmp_path, capsys):
     assert lines[2] == starved
     assert lines[3].startswith(f"{tmp_path / 'd-broken.json'}: config error")
     assert lines[4] == "1/4 scenario(s) passed"
+
+
+def test_batch_refuses_step_counts_past_float_range_as_config_errors(tmp_path, capsys):
+    fine = dict(VIOLATING, name="fine", expected=[])
+    _write(tmp_path, "a-backend.json", dict(fine, backend=f"trotter:{10**400}"))
+    _write(tmp_path, "b-prepare.json", dict(fine, prepare={"kind": "adiabatic", "steps": 10**400}))
+    assert main(["batch", "--config-dir", str(tmp_path)]) == 2
+    rule = f"step count must be a positive integer below 2**63, got {10**400}"
+    assert capsys.readouterr().out.splitlines() == [
+        f"{tmp_path / 'a-backend.json'}: config error at /backend: {rule}",
+        f"{tmp_path / 'b-prepare.json'}: config error at /prepare/steps: {rule}",
+        "0/2 scenario(s) passed",
+    ]
+
+
+def test_repeated_observable_is_a_config_error(tmp_path, capsys):
+    path = _write(tmp_path, "twice.json", dict(VIOLATING, observables=["H", "H"], expected=[]))
+    assert main(["run", "--config", path, "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error at /observables/1: observable 'H' is listed more than once\n"
+    )
 
 
 def test_batch_internal_error_is_one_scenario_line(tmp_path, capsys, monkeypatch):

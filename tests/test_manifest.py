@@ -489,6 +489,42 @@ def test_observables_must_resolve():
         parse_manifest(data)
 
 
+def test_a_repeated_observable_is_refused_at_its_second_place():
+    data = _base(observables=["H", "Z", "Q5", "Z"])
+    with pytest.raises(ManifestError) as caught:
+        parse_manifest(data)
+    # the earlier refusal wins
+    assert str(caught.value).startswith("config error at /observables/2: unknown observable")
+    data = _base(observables=["Z", "H", "Z", "H"])
+    with pytest.raises(ManifestError) as caught:
+        parse_manifest(data)
+    assert str(caught.value) == (
+        "config error at /observables/2: observable 'Z' is listed more than once"
+    )
+
+
+@pytest.mark.parametrize("steps", [2**63, 10**400], ids=["2**63", "10**400"])
+@pytest.mark.parametrize("where", ["/backend", "/prepare/steps"])
+def test_step_counts_stay_below_2_63(where, steps):
+    # 10**400 is past float range, where a step length would overflow
+    if where == "/backend":
+        data = _base(backend=f"trotter:{steps}")
+    else:
+        data = _base(prepare={"kind": "adiabatic", "steps": steps})
+    with pytest.raises(ManifestError) as caught:
+        parse_manifest(data)
+    assert str(caught.value) == (
+        f"config error at {where}: step count must be a positive integer below 2**63, got {steps}"
+    )
+
+
+def test_the_largest_step_count_loads():
+    manifest = parse_manifest(
+        _base(backend=f"trotter:{2**63 - 1}", prepare={"kind": "adiabatic", "steps": 2**63 - 1})
+    )
+    assert manifest.config.backend.steps == manifest.prepare.steps == 2**63 - 1
+
+
 def test_a_long_observable_index_is_out_of_range():
     data = _base(observables=["H", "Z" + "9" * 5000])
     with pytest.raises(ManifestError) as caught:

@@ -8,19 +8,27 @@ import numpy as np
 import pytest
 
 from twirlsim import (
+    AdiabaticSchedule,
+    Backend,
     PauliSum,
     PauliTerm,
     StateVector,
+    adiabatic_prepare,
     dense_matrix,
+    evolve_trotter,
     expectation,
     hamiltonian_by_name,
     named_observable,
     observable_zbar,
     schwinger_hamiltonian,
     single_z,
+    staggered_start,
 )
 from twirlsim import pauli, spectral
+from twirlsim.cli import main
+from twirlsim.manifest import bundled_names, load_manifest
 from twirlsim.pauli import apply_axes, apply_operator
+from twirlsim.twirl import resolve_observables
 
 I2 = np.eye(2)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -258,6 +266,15 @@ def test_an_equal_operator_hits_the_eigensystem_cache_without_comparing_terms(mo
     assert spectral._eigensystem.cache_info().hits == hits + 1
 
 
+def _hopping_chain(n_qubits):
+    """XX + YY on each bond and Z on each qubit: 3 n - 2 terms."""
+    strings = [
+        "I" * q + axis * 2 + "I" * (n_qubits - q - 2) for q in range(n_qubits - 1) for axis in "XY"
+    ]
+    strings += ["I" * q + "Z" + "I" * (n_qubits - q - 1) for q in range(n_qubits)]
+    return PauliSum(n_qubits, tuple(PauliTerm(0.5 + 0.01 * k, s) for k, s in enumerate(strings)))
+
+
 def test_operators_survive_pickle():
     op = schwinger_hamiltonian(3, 1.3)
     vec = np.arange(8) + 0.5j
@@ -267,6 +284,54 @@ def test_operators_survive_pickle():
     for copy in (before, after):
         assert copy == op and hash(copy) == hash(op)
         assert apply_operator(vec, copy).tobytes() == applied.tobytes()
+    # a pickle carries the operator's values only, never a compiled form
+    chain = _hopping_chain(10)
+    assert len(chain.terms) == 28
+    size = len(pickle.dumps(chain))
+    amplitudes = StateVector.basis("0110100101").amplitudes
+    apply_operator(amplitudes, chain)
+    evolve_trotter(amplitudes, chain, 0.3, 2)
+    assert len(pickle.dumps(chain)) == size
+
+
+def test_equal_strings_share_one_compiled_form():
+    op, twin = _hopping_chain(6), _built(6, *((-1.5, t.axes) for t in _hopping_chain(6).terms))
+    vec = StateVector.basis("011010").amplitudes
+    apply_operator(vec, op)
+    dense_matrix(twin)
+    sources, phases = pauli._compiled(op._axes)
+    assert np.shares_memory(pauli._compiled(twin._axes)[0], sources)
+    assert not sources.flags.writeable and not phases.flags.writeable
+    # the operators hold no array, so no copy of the form
+    for held in (op, twin):
+        assert not any(isinstance(value, np.ndarray) for value in vars(held).values())
+
+
+def test_each_tuple_of_strings_is_compiled_once(capsys):
+    """The compile cache misses once per distinct tuple of strings a batch
+    uses, and a ramp's slices, which share their strings, miss once in all."""
+    used = set()
+    for name in bundled_names():
+        manifest = load_manifest(name)
+        op = manifest.operator
+        used.add(op._axes)
+        used.update(o._axes for _, o in resolve_observables(manifest.config.observables, op))
+        if manifest.prepare is not None:
+            # each ramp slice holds the start's strings, then the target's
+            used.add(staggered_start(op.n_qubits)._axes + op._axes)
+    pauli._compiled.cache_clear()
+    assert main(["batch", "--bundled"]) == 0
+    assert pauli._compiled.cache_info().misses == len(used) == 11
+    # table-13's 400 split-step slices read the entry its exact ramp compiled
+    before = pauli._compiled.cache_info()
+    assert main(["run", "--config", "table-13", "--backend", "trotter:16"]) == 0
+    after = pauli._compiled.cache_info()
+    assert after.misses == before.misses and after.hits >= before.hits + 400
+    capsys.readouterr()
+    pauli._compiled.cache_clear()
+    start, target = staggered_start(3), schwinger_hamiltonian(3, 0.7)
+    adiabatic_prepare("101", start, target, AdiabaticSchedule(5.0, 400), Backend(2))
+    assert pauli._compiled.cache_info()[:2] == (399, 1)
 
 
 def test_identity_string_application_copies():

@@ -331,9 +331,10 @@ def test_each_string_is_evaluated_once_per_state(monkeypatch):
     calls = []
     evaluate = shots._outcome_probability
 
-    def counted(amplitudes, axes):
-        calls.append(axes)
-        return evaluate(amplitudes, axes)
+    def counted(amplitudes, source, phase):
+        # a string's gather and phases determine it
+        calls.append((source.tobytes(), phase.tobytes()))
+        return evaluate(amplitudes, source, phase)
 
     monkeypatch.setattr(shots, "_outcome_probability", counted)
     config = TwirlConfig(

@@ -38,6 +38,7 @@ from twirlsim import (
 )
 from twirlsim import spectral
 from twirlsim.state import NORM_TOL, StateVector
+from twirlsim.twirl import resolve_observables
 
 ROOT2 = math.sqrt(2.0)
 
@@ -364,8 +365,12 @@ def test_backend_parse_and_label():
         Backend.parse("trotter:lots")
     with pytest.raises(ValueError, match="unknown backend"):
         Backend.parse("magic")
+    # a step count stays below 2**63, as a shot count does
+    assert Backend.parse(f"trotter:{2**63 - 1}").steps == 2**63 - 1
+    for steps in (2**63, int("9" * 4300)):
+        with pytest.raises(ValueError, match=rf"^step count .* below 2\*\*63, got {steps}$"):
+            Backend.parse(f"trotter:{steps}")
     # int() reads at most 4300 digits; past that the count is a malformed backend
-    assert Backend.parse("trotter:" + "9" * 4300).steps == int("9" * 4300)
     with pytest.raises(ValueError, match="unknown backend"):
         Backend.parse("trotter:" + "9" * 4301)
     with pytest.raises(ValueError, match="positive integer"):
@@ -441,6 +446,30 @@ def test_counts_reject_booleans(build):
     # the message names the rule and ends with the value refused
     with pytest.raises(ValueError, match=r"(positive|non-negative) integer.*, got (True|\d+\.\d)$"):
         build()
+
+
+@pytest.mark.parametrize("steps", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_step_counts_stay_below_2_63(steps):
+    # past float range a step length would overflow
+    op = schwinger_hamiltonian(1, 1.0)
+    builds = (
+        lambda: Backend(steps),
+        lambda: AdiabaticSchedule(steps=steps),
+        lambda: evolve_trotter(StateVector.basis("0").amplitudes, op, 1.0, steps),
+        lambda: trotter_errors(op, 1.0, [8, steps]),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=rf"^step count .* below 2\*\*63, got {steps}$"):
+            build()
+
+
+def test_repeated_observable_names_are_refused():
+    op = schwinger_hamiltonian(3, 1.0)
+    with pytest.raises(ValueError, match=r"^observable 'Z1' is listed more than once$"):
+        resolve_observables(("H", "Z1", "Zbar", "Z1"), op)
+    config = TwirlConfig(rounds=(RoundSpec(TauMode.QUARTER),), observables=("H", "H"))
+    with pytest.raises(ValueError, match="'H' is listed more than once"):
+        run_protocol("101", op, config)
 
 
 # ---------------------------------------------------------------------------
