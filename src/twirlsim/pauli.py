@@ -224,7 +224,7 @@ def _scatter(axes: tuple[str, ...], rows: Iterable[tuple[int, float | np.ndarray
     """Dense sum of ``coeff * P_t`` over ``(t, coeff)`` rows, in order, ``P_t`` being ``axes[t]``.
 
     Each ``coeff`` is a float, giving one ``(d, d)`` matrix, or an array of
-    ``k`` per-slice coefficients of the same length in every pair, giving
+    ``k`` per-slice coefficients of the same length in every row, giving
     a ``(k, d, d)`` stack. The cap is checked before the strings are compiled.
     """
     n_qubits = len(axes[0])

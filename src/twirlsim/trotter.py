@@ -5,15 +5,16 @@ each, then sweeps them in reverse. The symmetric sweep cancels the
 first-order commutator error, so the step error is O(dt^3) and the
 full-interval error O(tau^2 / steps^2).
 
-The sweep is compiled once per call. With ``(P v)[b] = phase[b] * v[source[b]]``
-each rotation is ``cos(angle) * v - factor * v[source]`` with
-``factor = 1j * sin(angle) * phase``. The input is copied once, into the
-array the sweep then updates in place, next to one scratch buffer of the
-same length; both are allocated once per call. Each rotation is three ufunc
-calls into them: ``factor * v[source]`` into the scratch buffer, ``v * cos``
-into ``v``, and ``v - scratch`` into ``v``. A diagonal term (no X or Y) has
-the identity as its ``source``, so it multiplies ``v`` directly and skips
-the gather; the gather of the other terms is the one array a rotation
+The sweep is built once per call from the rows of the operator's compiled
+form. With ``(P v)[b] = phase[b] * v[source[b]]`` each rotation is
+``cos(angle) * v - factor * v[source]`` with ``factor = 1j * sin(angle) *
+phase``. The input is copied once, into the array the sweep then updates
+in place, next to one scratch buffer of the same length; both are
+allocated once per call. Each rotation is three ufunc calls into them:
+``factor * v[source]`` into the scratch buffer, ``v * cos`` into ``v``,
+and ``v - scratch`` into ``v``. A diagonal term (no X or Y) has the
+identity as its ``source``, so it multiplies ``v`` directly and skips the
+gather; the gather of the other terms is the one array a rotation
 allocates, since ``take`` into a second buffer measured slower.
 
 The call forms are chosen by measurement, not by the values they give,
