@@ -157,11 +157,11 @@ def _draw(start: tuple[int, int], n: int, p: float) -> int:
     return int(generator.binomial(n, p))
 
 
-def _outcome_probability(amplitudes: np.ndarray, source: np.ndarray, phase: np.ndarray) -> float:
-    """Probability (1 + <P>) / 2 that the Pauli string of gather ``source`` and
-    ``phase`` reads +1, clamped to [0, 1]."""
-    # apply_axes's expression
-    value = float(np.vdot(amplitudes, phase * amplitudes[source]).real)
+def _outcome_probability(amplitudes: np.ndarray, op: PauliSum, t: int) -> float:
+    """Probability (1 + <P>) / 2 that term ``t``'s Pauli string reads +1, clamped to [0, 1]."""
+    sources, phases = _compiled(op._axes)
+    # apply_axes's expression, without its register check on every term
+    value = float(np.vdot(amplitudes, phases[t] * amplitudes[sources[t]]).real)
     return min(1.0, max(0.0, (1.0 + value) / 2.0))
 
 
@@ -196,10 +196,10 @@ def sample_shots(
                 f"observable {name!r} on {op.n_qubits}"
             )
         total = 0.0
-        for coeff, axes, source, phase in zip(op._coeffs, op._axes, *_compiled(op._axes)):
+        for t, (coeff, axes) in enumerate(zip(op._coeffs, op._axes)):
             p = probabilities.get(axes)
             if p is None:
-                p = probabilities[axes] = _outcome_probability(state.amplitudes, source, phase)
+                p = probabilities[axes] = _outcome_probability(state.amplitudes, op, t)
             hits = _draw(next(draws), active, p)
             total += coeff * (2.0 * hits / active - 1.0)
         estimates[name] = total

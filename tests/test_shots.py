@@ -331,10 +331,9 @@ def test_each_string_is_evaluated_once_per_state(monkeypatch):
     calls = []
     evaluate = shots._outcome_probability
 
-    def counted(amplitudes, source, phase):
-        # a string's gather and phases determine it
-        calls.append((source.tobytes(), phase.tobytes()))
-        return evaluate(amplitudes, source, phase)
+    def counted(amplitudes, op, t):
+        calls.append(op._axes[t])
+        return evaluate(amplitudes, op, t)
 
     monkeypatch.setattr(shots, "_outcome_probability", counted)
     config = TwirlConfig(
