@@ -40,9 +40,6 @@ AXES = "IXYZ"
 DENSE_LIMIT = 12
 # int() refuses a text of more decimal digits than this with its own error
 _INT_DIGITS = 4300
-# a string's X and Z masks as binary digits
-_X_BITS = str.maketrans("IXYZ", "0110")
-_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 # Concrete types, not numbers.Real: the ABC check is several times slower per
@@ -181,9 +178,9 @@ class PauliSum:
 def _compiled(axes: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Gather indices and phases ``(k, 2**n)`` of k strings of n axes each:
     ``(P_t v)[b] = phases[t, b] * v[sources[t, b]]``."""
-    x = np.array([int(s.translate(_X_BITS), 2) for s in axes])[:, None]
-    z = np.array([int(s.translate(_Z_BITS), 2) for s in axes])[:, None]
-    y_count = np.array([s.count("Y") for s in axes])[:, None]
+    x = np.array([[int("".join("1" if a in "XY" else "0" for a in s), 2)] for s in axes])
+    z = np.array([[int("".join("1" if a in "YZ" else "0" for a in s), 2)] for s in axes])
+    y_count = np.array([[s.count("Y")] for s in axes])
     sources = np.arange(2 ** len(axes[0])) ^ x
     parity = np.zeros_like(sources)
     for shift in range(len(axes[0])):
