@@ -306,10 +306,13 @@ def _check_consistency(data: dict) -> PauliSum:
                 f"{spec['energy_override']!r} is zero within tolerance {ZERO_ENERGY_TOL}; "
                 "a filter round needs a nonzero energy"
             )
-    observables = data.get("observables", TwirlConfig.observables)
-    for i in range(len(observables)):
-        # each prefix in turn, so the first name refused is the one pointed at
-        _at(f"/observables/{i}", resolve_observables, tuple(observables[: i + 1]), op)
+    observables = tuple(data.get("observables", TwirlConfig.observables))
+    try:
+        resolve_observables(observables, op)
+    except ValueError:
+        # the shortest prefix refused ends at the name to point at
+        for i in range(len(observables)):
+            _at(f"/observables/{i}", resolve_observables, observables[: i + 1], op)
     for i, target in enumerate(data.get("expected", ())):
         if target["observable"] not in observables:
             raise ManifestError(
