@@ -26,7 +26,6 @@ from .manifest import (
 )
 from .pauli import (
     PauliSum,
-    PauliTerm,
     dense_matrix,
     expectation,
     hamiltonian_by_name,
@@ -65,7 +64,6 @@ __all__ = [
     "Manifest",
     "ManifestError",
     "PauliSum",
-    "PauliTerm",
     "PostSelectionError",
     "RoundRecord",
     "RoundSpec",

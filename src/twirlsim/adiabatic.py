@@ -27,7 +27,6 @@ import numpy as np
 
 from .pauli import (
     PauliSum,
-    PauliTerm,
     _check_count,
     _check_time,
     _is_finite_real,
@@ -62,7 +61,7 @@ def staggered_start(n_qubits: int) -> PauliSum:
     terms = []
     for qubit in range(n_qubits):
         axes = "".join("Z" if q == qubit else "I" for q in range(n_qubits))
-        terms.append(PauliTerm(1.0 if qubit % 2 == 0 else -1.0, axes))
+        terms.append((1.0 if qubit % 2 == 0 else -1.0, axes))
     return PauliSum(n_qubits, tuple(terms))
 
 
@@ -84,16 +83,16 @@ def adiabatic_prepare(
     _check_time(dt, target_op)
     s = (np.arange(schedule.steps) + 0.5) / schedule.steps
     # the slice operators (1 - s) start_op + s target_op: each term with its weight on every slice
-    weighted = [(1.0 - s, t) for t in start_op.terms] + [(s, t) for t in target_op.terms]
+    weighted = [(1.0 - s, *t) for t in start_op.terms] + [(s, *t) for t in target_op.terms]
     amplitudes = state.amplitudes
     if backend.steps is not None:
         for k in range(schedule.steps):
-            terms = tuple(PauliTerm(w[k] * t.coeff, t.axes) for w, t in weighted)
+            terms = tuple((w[k] * coeff, axes) for w, coeff, axes in weighted)
             amplitudes = backend.evolve(amplitudes, PauliSum(state.n_qubits, terms), dt)
         return StateVector(state.n_qubits, amplitudes)
     chunk = max(1, RAMP_STACK_BYTES // (16 * 4**state.n_qubits))
     for first in range(0, schedule.steps, chunk):
-        slices = [(i, w[first : first + chunk] * t.coeff) for i, (w, t) in enumerate(weighted)]
+        slices = [(i, w[first : first + chunk] * coeff) for i, (w, coeff, _) in enumerate(weighted)]
         values, vectors = _canonical_eigh(_scatter(start_op._axes + target_op._axes, slices))
         phases = np.exp(-1.0j * dt * values)
         for k, adjoint in enumerate(vectors.conj().transpose(0, 2, 1)):

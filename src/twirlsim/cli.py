@@ -46,7 +46,14 @@ from .pauli import (
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
 from .trotter import trotter_errors
-from .twirl import Backend, PostSelectionError, RoundRecord, ZeroEnergyError, run_protocol
+from .twirl import (
+    Backend,
+    PostSelectionError,
+    RoundRecord,
+    ZeroEnergyError,
+    _spells_backend,
+    run_protocol,
+)
 
 EXIT_OK = 0
 EXIT_TARGET = 1
@@ -437,12 +444,14 @@ def _run_overrides(args: argparse.Namespace) -> dict:
     """The override flags given, parsed, by the field they replace."""
     overrides: dict = {}
     if args.backend is not None:
-        try:
-            overrides["backend"] = Backend.parse(args.backend)
-        except ValueError:
+        if not _spells_backend(args.backend):
             raise ValueError(
                 f'--backend must be "exact" or "trotter:<steps>", got {args.backend!r}'
-            ) from None
+            )
+        try:
+            overrides["backend"] = Backend.parse(args.backend)
+        except ValueError as exc:  # a step count past the bound
+            raise ValueError(f"--backend {exc}") from None
     if args.shots is not None:
         overrides["shots"] = None if args.shots == "none" else _positive("--shots", args.shots, int)
     if args.seed is not None:

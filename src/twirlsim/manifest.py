@@ -260,7 +260,11 @@ def parse_manifest(data: dict) -> Manifest:
     settings = _given(data, "shots", "seed", "observables", "noisy_energy")
     if "backend" in data:
         settings["backend"] = _at("/backend", Backend.parse, data["backend"])
-    rounds = [RoundSpec(**{**r, "mode": TauMode(r["mode"])}) for r in data["rounds"]]
+    # RULES checks every other RoundSpec field, so only the ancilla bound can refuse
+    rounds = [
+        _at(f"/rounds/{k}/ancillas", lambda: RoundSpec(**{**r, "mode": TauMode(r["mode"])}))
+        for k, r in enumerate(data["rounds"])
+    ]
     fields = _given(data, "description", "notes")
     if "prepare" in data:
         prepare = _given(data["prepare"], "total_time", "steps")

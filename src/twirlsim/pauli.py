@@ -1,10 +1,10 @@
 """Pauli-string operators with real coefficients.
 
-A :class:`PauliTerm` is one coefficient times a tensor product of
-single-qubit Paulis written as a string over "IXYZ", with position 0
-acting on qubit 0 (the most significant bit of the basis index). A
-:class:`PauliSum` is an ordered sum of such terms; term order is part of
-the value and is preserved by :meth:`PauliSum.from_dict`.
+A :class:`PauliSum` is an ordered sum of terms, each a ``(coeff, axes)``
+pair: a real coefficient times a tensor product of single-qubit Paulis
+written as a string over "IXYZ", with position 0 acting on qubit 0 (the
+most significant bit of the basis index). Term order is part of the
+value and is preserved by :meth:`PauliSum.from_dict`.
 
 Each tuple of axes strings is compiled once, into one read-only pair of
 ``(k, 2**n)`` arrays held in one cache keyed by the tuple: row t holds
@@ -14,8 +14,8 @@ Z mask) form (Aaronson and Gottesman, arXiv:quant-ph/0406196). With
 number of Y axes, a string maps ``|b>`` to ``i**nY (-1)**popcount(b & z)
 |b ^ x>``. Every consumer reads the rows of its operator's tuple, so
 operators with equal strings share one entry, and a :class:`PauliSum`
-holds only values: its coefficients, its strings, and the key
-``(n_qubits, coeffs, axes)`` that its equality and hash compare in C.
+holds only values: its pairs, which its equality and hash compare in C,
+and its coefficients and strings as tuples of their own.
 
 Dense matrices are only materialized up to ``DENSE_LIMIT`` (12) qubits,
 so that an accidental large build fails fast instead of exhausting memory.
@@ -43,7 +43,7 @@ _INT_DIGITS = 4300
 
 
 # Concrete types, not numbers.Real: the ABC check is several times slower per
-# float, and every PauliTerm and every evolve runs this rule.
+# float, and every Pauli term and every evolve runs this rule.
 _REAL_TYPES = (int, float, np.integer, np.floating)
 
 
@@ -101,73 +101,48 @@ def _plain_decimal(text: str) -> bool:
 
 
 @dataclass(frozen=True)
-class PauliTerm:
-    """One real coefficient times a Pauli string such as 1.5 * "XZI"."""
-
-    coeff: float
-    axes: str
-
-    def __post_init__(self) -> None:
-        _check_real(self.coeff, "coefficient")
-        object.__setattr__(self, "coeff", float(self.coeff))
-        axes = self.axes
-        if not isinstance(axes, str) or not axes or axes.strip(AXES):
-            raise ValueError(f"axes {axes!r} must be a nonempty string over {AXES!r}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.axes)
-
-
-@dataclass(frozen=True, eq=False)
 class PauliSum:
-    """Ordered sum of Pauli terms acting on a fixed register.
+    """Ordered sum of ``(coeff, axes)`` terms acting on a fixed register,
+    such as ``PauliSum(2, [(0.5, "XX"), (1.0, "ZI")])``.
 
-    Two sums are equal when their registers and their ``(coeff, axes)``
-    pairs, in order, are equal.
+    Each coefficient is stored as its ``float()``. Two sums are equal when
+    their registers and their pairs, in order, are equal.
     """
 
     n_qubits: int
-    terms: tuple[PauliTerm, ...]
+    terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_qubits", _check_count(self.n_qubits, "operator qubit count"))
-        object.__setattr__(self, "terms", tuple(self.terms))
-        if not self.terms:
-            raise ValueError("operator needs at least one term")
+        n_qubits = _check_count(self.n_qubits, "operator qubit count")
+        terms = []
         for term in self.terms:
-            if term.n_qubits != self.n_qubits:
+            if not isinstance(term, tuple) or len(term) != 2:
+                raise ValueError(f"term {term!r} must be a (coeff, axes) pair")
+            coeff, axes = term
+            _check_real(coeff, "coefficient")
+            if not isinstance(axes, str) or not axes or axes.strip(AXES):
+                raise ValueError(f"axes {axes!r} must be a nonempty string over {AXES!r}")
+            if len(axes) != n_qubits:
                 raise ValueError(
-                    f"term {term.axes!r} acts on {term.n_qubits} qubit(s), "
-                    f"operator is on {self.n_qubits}"
+                    f"term {axes!r} acts on {len(axes)} qubit(s), operator is on {n_qubits}"
                 )
-        coeffs = tuple(term.coeff for term in self.terms)
-        axes = tuple(term.axes for term in self.terms)
+            terms.append((float(coeff), axes))
+        if not terms:
+            raise ValueError("operator needs at least one term")
+        object.__setattr__(self, "n_qubits", n_qubits)
+        object.__setattr__(self, "terms", tuple(terms))
+        coeffs, axes = zip(*terms)
         # evolution and dense builds add the terms up, so their sum must stay finite
         total = sum(map(abs, coeffs))
         if not math.isfinite(total):
             raise ValueError(f"summed |coefficient| of the terms is {total}, not finite")
         # not fields, so equality and hashing ignore them: the operator-norm bound of
-        # _check_time, the values the compiled form is read with, and the key equality
-        # and hashing compare instead, of floats and strings only, compared in C
-        key = (self.n_qubits, coeffs, axes)
-        self.__dict__.update(_norm_bound=total, _coeffs=coeffs, _axes=axes, _key=key)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        return self is other or self._key == other._key
-
-    def __hash__(self) -> int:
-        # not stored: a string's hash differs from one process to the next
-        return hash(self._key)
+        # _check_time, and the values the compiled form is read with and keyed by
+        self.__dict__.update(_norm_bound=total, _coeffs=coeffs, _axes=axes)
 
     @classmethod
     def from_dict(cls, data: dict) -> PauliSum:
-        return cls(
-            n_qubits=data["n_qubits"],
-            terms=tuple(PauliTerm(t["coeff"], t["axes"]) for t in data["terms"]),
-        )
+        return cls(data["n_qubits"], tuple((t["coeff"], t["axes"]) for t in data["terms"]))
 
 
 # One entry per distinct tuple of strings: a batch of the 15 bundled manifests
@@ -272,22 +247,11 @@ def schwinger_hamiltonian(n_qubits: int, coupling: float) -> PauliSum:
         raise ValueError(f"coupling must be non-negative, got {coupling!r}")
     j = float(coupling)
     if n_qubits == 1:
-        terms = [PauliTerm(1.0, "X"), PauliTerm(j, "Z")]
+        terms = [(1.0, "X"), (j, "Z")]
     elif n_qubits == 2:
-        terms = [
-            PauliTerm(0.5, "XX"),
-            PauliTerm(0.5, "YY"),
-            PauliTerm(j, "ZI"),
-        ]
+        terms = [(0.5, "XX"), (0.5, "YY"), (j, "ZI")]
     elif n_qubits == 3:
-        terms = [
-            PauliTerm(0.5, "XXI"),
-            PauliTerm(0.5, "IXX"),
-            PauliTerm(0.5, "YYI"),
-            PauliTerm(0.5, "IYY"),
-            PauliTerm(j, "ZII"),
-            PauliTerm(j, "ZZI"),
-        ]
+        terms = [(0.5, "XXI"), (0.5, "IXX"), (0.5, "YYI"), (0.5, "IYY"), (j, "ZII"), (j, "ZZI")]
     else:
         raise ValueError(f"unsupported system size {n_qubits}, supported sizes are 1, 2, 3")
     return PauliSum(n_qubits, tuple(terms))
@@ -312,19 +276,12 @@ def single_z(n_qubits: int, qubit: int) -> PauliSum:
     if qubit >= n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubit(s)")
     axes = "".join("Z" if q == qubit else "I" for q in range(n_qubits))
-    return PauliSum(n_qubits, (PauliTerm(1.0, axes),))
+    return PauliSum(n_qubits, ((1.0, axes),))
 
 
 def observable_zbar() -> PauliSum:
     """Staggered charge proxy (Z0 - Z1 + Z2) / 3 on three qubits."""
-    return PauliSum(
-        3,
-        (
-            PauliTerm(1.0 / 3.0, "ZII"),
-            PauliTerm(-1.0 / 3.0, "IZI"),
-            PauliTerm(1.0 / 3.0, "IIZ"),
-        ),
-    )
+    return PauliSum(3, ((1.0 / 3.0, "ZII"), (-1.0 / 3.0, "IZI"), (1.0 / 3.0, "IIZ")))
 
 
 def named_observable(name: str, n_qubits: int) -> PauliSum:

@@ -196,7 +196,7 @@ def sample_shots(
                 f"observable {name!r} on {op.n_qubits}"
             )
         total = 0.0
-        for t, (coeff, axes) in enumerate(zip(op._coeffs, op._axes)):
+        for t, (coeff, axes) in enumerate(op.terms):
             p = probabilities.get(axes)
             if p is None:
                 p = probabilities[axes] = _outcome_probability(state.amplitudes, op, t)

@@ -59,6 +59,12 @@ _ESTIMATE = "energy estimate"
 BACKEND_PATTERN = "exact|trotter:[1-9][0-9]*"
 
 
+def _spells_backend(text: str) -> bool:
+    """Whether ``text`` has a backend's shape, its step count within int()'s digits."""
+    fits = len(text) <= len("trotter:") + _INT_DIGITS
+    return fits and re.fullmatch(BACKEND_PATTERN, text) is not None
+
+
 class ZeroEnergyError(ValueError):
     """Raised when a round's energy estimate is too close to zero."""
 
@@ -101,7 +107,7 @@ class Backend:
     @classmethod
     def parse(cls, text: str) -> Backend:
         """Parse "exact" or "trotter:<steps>", the steps in plain decimal digits."""
-        if not re.fullmatch(BACKEND_PATTERN, text) or len(text) > len("trotter:") + _INT_DIGITS:
+        if not _spells_backend(text):
             raise ValueError(f'unknown backend {text!r}, expected "exact" or "trotter:<steps>"')
         return cls() if text == "exact" else cls(int(text.split(":", 1)[1]))
 
@@ -131,7 +137,7 @@ def keep_probability(
     """
     tau = _check_time(tau, op)
     _check_prefactor(prefactor)
-    ancillas = _check_count(ancillas, "ancilla count")
+    ancillas = _check_count(ancillas, "ancilla count", below=2**63)
     dec = eigendecompose(op)
     angles = np.angle(prefactor) - tau * dec.eigenvalues
     return float(np.sum(overlap_weights(state, dec) * np.cos(angles / 2.0) ** (2 * ancillas)))
@@ -147,7 +153,7 @@ def twirl_round(
 ) -> tuple[StateVector, float]:
     """One filtering round; returns the posterior and its keep probability."""
     _check_prefactor(prefactor)
-    ancillas = _check_count(ancillas, "ancilla count")
+    ancillas = _check_count(ancillas, "ancilla count", below=2**63)
     current = state.amplitudes
     probability = 1.0
     for _ in range(ancillas):
@@ -177,7 +183,9 @@ class RoundSpec:
             raise ValueError(f"mode must be a TauMode, got {self.mode!r}")
         if self.energy_override is not None:
             _check_real(self.energy_override, "energy override")
-        object.__setattr__(self, "ancillas", _check_count(self.ancillas, "ancilla count"))
+        # the step count's bound: each ancilla runs one evolution
+        ancillas = _check_count(self.ancillas, "ancilla count", below=2**63)
+        object.__setattr__(self, "ancillas", ancillas)
 
 
 @dataclass(frozen=True)

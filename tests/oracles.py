@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from twirlsim.pauli import PauliSum, PauliTerm, apply_axes
+from twirlsim.pauli import PauliSum, apply_axes
 from twirlsim.state import StateVector
 from twirlsim.twirl import choose_tau
 
@@ -16,7 +16,7 @@ def random_pauli_sum(rng, n_qubits, terms_below):
     for _ in range(int(rng.integers(1, terms_below))):
         axes = "".join(rng.choice(list("IXYZ"), n_qubits))
         coeff = float(rng.choice([0.5, 1.0, -1.0])) if rng.random() < 0.5 else float(rng.normal())
-        terms.append(PauliTerm(coeff, axes))
+        terms.append((coeff, axes))
     return PauliSum(n_qubits, tuple(terms))
 
 
@@ -28,8 +28,8 @@ def random_state(rng, n_qubits):
 
 def ramp_slice(start, target, s):
     """The ramp's operator (1 - s) start + s target, term by term, start's terms first."""
-    terms = [PauliTerm((1.0 - s) * t.coeff, t.axes) for t in start.terms]
-    terms += [PauliTerm(s * t.coeff, t.axes) for t in target.terms]
+    terms = [((1.0 - s) * coeff, axes) for coeff, axes in start.terms]
+    terms += [(s * coeff, axes) for coeff, axes in target.terms]
     return PauliSum(start.n_qubits, tuple(terms))
 
 
@@ -66,9 +66,9 @@ def split_step_sweep(amplitudes, op, tau, steps):
     dt = tau / steps
     amps = np.array(amplitudes, dtype=complex)
     for _ in range(steps):
-        for term in op.terms + op.terms[::-1]:
-            angle = term.coeff * dt / 2.0
-            amps = math.cos(angle) * amps - 1.0j * math.sin(angle) * apply_axes(amps, term.axes)
+        for coeff, axes in op.terms + op.terms[::-1]:
+            angle = coeff * dt / 2.0
+            amps = math.cos(angle) * amps - 1.0j * math.sin(angle) * apply_axes(amps, axes)
     return amps
 
 

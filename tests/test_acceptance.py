@@ -202,15 +202,15 @@ def test_criterion_08_shot_noise_soundness():
 
         def bounds(state, observable, active):
             variance = 0.0
-            for term in observable.terms:
+            for coeff, axes in observable.terms:
                 mean = float(
                     np.real(
                         np.vdot(
-                            state.amplitudes, apply_axes(state.amplitudes, term.axes)
+                            state.amplitudes, apply_axes(state.amplitudes, axes)
                         )
                     )
                 )
-                variance += term.coeff**2 * max(0.0, 1.0 - mean * mean) / active
+                variance += coeff**2 * max(0.0, 1.0 - mean * mean) / active
             return 5.0 * math.sqrt(variance)
 
         chi_square = 0.0

@@ -22,8 +22,7 @@ from twirlsim.state import StateVector
 
 def test_staggered_start_terms():
     op = staggered_start(3)
-    assert [term.axes for term in op.terms] == ["ZII", "IZI", "IIZ"]
-    assert [term.coeff for term in op.terms] == [1.0, -1.0, 1.0]
+    assert op.terms == ((1.0, "ZII"), (-1.0, "IZI"), (1.0, "IIZ"))
     # the alternating label is the unique ground state of the start operator
     ground = eigendecompose(op).eigenstate(0)
     target = StateVector.basis("101")

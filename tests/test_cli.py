@@ -249,9 +249,15 @@ def test_negative_seed_is_rejected(argv, capsys):
             ("--backend", raw, f'--backend must be "exact" or "trotter:<steps>", got {raw!r}')
             for raw in ("trotter:1_6", "trotter: 16", "trotter:+16", "trotter:016")
         ),
-        # a step count past float range, refused by the rule that bounds it below 2**63
-        ("--backend", f"trotter:{10**400}",
-         f'--backend must be "exact" or "trotter:<steps>", got \'trotter:{10**400}\''),
+        # well-formed step counts at or past the bound: the flag names the bound they broke
+        *(
+            ("--backend", f"trotter:{steps}",
+             f"--backend step count must be a positive integer below 2**63, got {steps}")
+            for steps in (2**63, 10**400, int("9" * 4300))
+        ),
+        # int() reads at most 4300 digits; past that the value is malformed
+        ("--backend", "trotter:" + "9" * 4301,
+         f'--backend must be "exact" or "trotter:<steps>", got \'trotter:{"9" * 4301}\''),
         ("--prepare", f"adiabatic:steps={10**400}",
          f"step count must be a positive integer below 2**63, got {10**400}"),
     ],
@@ -259,13 +265,13 @@ def test_negative_seed_is_rejected(argv, capsys):
          "shots=arabic8", "shots=1_000", "shots=+8", "shots=08", "shots=space8",
          "steps=arabic5", "steps=05",
          "backend=1_6", "backend=space16", "backend=+16", "backend=016",
-         "backend=10**400", "steps=10**400"],
+         "backend=2**63", "backend=10**400", "backend=9x4300", "backend=9x4301",
+         "steps=10**400"],
 )
 def test_bad_override_values_name_their_flag(flag, value, message, capsys):
-    assert main(["run", "--config", "table-13", flag, value]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"config error: {message}\n"
+    for source in (["run", "--config", "table-13"], ["batch", "--bundled"]):
+        assert main([*source, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -752,6 +758,21 @@ def test_batch_refuses_step_counts_past_float_range_as_config_errors(tmp_path, c
         f"{tmp_path / 'b-prepare.json'}: config error at /prepare/steps: {rule}",
         "0/2 scenario(s) passed",
     ]
+
+
+@pytest.mark.parametrize("ancillas", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_an_ancilla_count_past_the_bound_is_a_config_error(ancillas, tmp_path, capsys):
+    # each ancilla runs one evolution, so a count past the bound would never finish
+    rounds = [{"mode": "quarter"}, {"mode": "full", "ancillas": ancillas}]
+    path = _write(tmp_path, "many.json", dict(VIOLATING, rounds=rounds, expected=[]))
+    message = (
+        "config error at /rounds/1/ancillas: "
+        f"ancilla count must be a positive integer below 2**63, got {ancillas}"
+    )
+    assert main(["run", "--config", path]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert main(["batch", "--config-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [f"{path}: {message}", "0/1 scenario(s) passed"]
 
 
 def test_repeated_observable_is_a_config_error(tmp_path, capsys):

@@ -518,6 +518,17 @@ def test_step_counts_stay_below_2_63(where, steps):
     )
 
 
+@pytest.mark.parametrize("ancillas", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_ancilla_counts_stay_below_2_63(ancillas):
+    data = _base(rounds=[{"mode": "quarter"}, {"mode": "quarter", "ancillas": ancillas}])
+    with pytest.raises(ManifestError) as caught:
+        parse_manifest(data)
+    assert str(caught.value) == (
+        "config error at /rounds/1/ancillas: "
+        f"ancilla count must be a positive integer below 2**63, got {ancillas}"
+    )
+
+
 def test_the_largest_step_count_loads():
     manifest = parse_manifest(
         _base(backend=f"trotter:{2**63 - 1}", prepare={"kind": "adiabatic", "steps": 2**63 - 1})
@@ -636,7 +647,7 @@ def test_inline_hamiltonian_builds():
     )
     op = parse_manifest(data).operator
     assert op.n_qubits == 2
-    assert [(t.coeff, t.axes) for t in op.terms] == [(0.5, "XX"), (1.0, "ZI")]
+    assert op.terms == ((0.5, "XX"), (1.0, "ZI"))
 
 
 def test_inline_hamiltonian_axis_length_mismatch():
@@ -652,7 +663,7 @@ def test_manifest_named_hamiltonian_builds():
     data = _base(hamiltonian={"name": "schwinger-3q", "J": 0.5}, initial="000")
     op = parse_manifest(data).operator
     assert op.n_qubits == 3
-    assert (op.terms[-1].axes, op.terms[-1].coeff) == ("ZZI", 0.5)
+    assert op.terms[-1] == (0.5, "ZZI")
 
 
 if __name__ == "__main__":

@@ -24,8 +24,10 @@ assert "twirlsim.twirl" not in sys.modules, "imported the protocol layer"
 
 def test_every_export_resolves_once():
     names = twirlsim.__all__
-    assert len(set(names)) == len(names)
+    assert len(set(names)) == len(names) == 40
     assert [name for name in names if not hasattr(twirlsim, name)] == []
+    # a term is a (coeff, axes) pair, with no class of its own
+    assert not hasattr(twirlsim, "PauliTerm")
 
 
 @pytest.mark.parametrize("module", ["twirlsim.state", "twirlsim.pauli", "twirlsim.shots"])

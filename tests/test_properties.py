@@ -12,7 +12,6 @@ import scipy.linalg
 from oracles import random_state
 from twirlsim import (
     PauliSum,
-    PauliTerm,
     TauMode,
     choose_tau,
     eigendecompose,
@@ -30,7 +29,7 @@ AXES = "IXYZ"
 
 def _random_sum(rng, n_qubits):
     terms = tuple(
-        PauliTerm(
+        (
             float(rng.uniform(-2.0, 2.0)),
             "".join(AXES[i] for i in rng.integers(0, 4, size=n_qubits)),
         )
@@ -56,7 +55,7 @@ def run_pauli_cases(cases, seed=0):
         both = dense_matrix(PauliSum(n, op.terms + other.terms))
         np.testing.assert_allclose(both, matrix + dense_matrix(other), atol=1e-12)
         scale = float(rng.uniform(-3.0, 3.0))
-        scaled = PauliSum(n, tuple(PauliTerm(scale * t.coeff, t.axes) for t in op.terms))
+        scaled = PauliSum(n, tuple((scale * coeff, axes) for coeff, axes in op.terms))
         np.testing.assert_allclose(dense_matrix(scaled), scale * matrix, atol=1e-12)
     return cases
 

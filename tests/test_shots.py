@@ -14,7 +14,6 @@ import pytest
 from twirlsim import (
     Backend,
     PauliSum,
-    PauliTerm,
     PostSelectionError,
     RoundSpec,
     TauMode,
@@ -211,12 +210,12 @@ def test_large_shot_count_tracks_exact_run():
 # sum, so outcome probabilities are exact however they are computed.
 _DYADIC = StateVector(3, np.array([1, 1, 1, 1, 1, 1, 1, 3]) / 4)
 _TERMS = [
-    ("A", PauliSum(3, [PauliTerm(1.0, "ZII"), PauliTerm(-1.5, "IXI"), PauliTerm(0.25, "XXZ")])),
-    ("B", PauliSum(3, [PauliTerm(2.0, "YIY"), PauliTerm(-0.75, "ZZZ")])),
+    ("A", PauliSum(3, [(1.0, "ZII"), (-1.5, "IXI"), (0.25, "XXZ")])),
+    ("B", PauliSum(3, [(2.0, "YIY"), (-0.75, "ZZZ")])),
 ]
 # on |010> a Z term reads +1 or -1: p at 1 and at 0
 _BASIS = StateVector.basis("010")
-_EDGE_TERMS = [("E", PauliSum(3, [PauliTerm(1.0, "ZII"), PauliTerm(0.5, "IZI")]))]
+_EDGE_TERMS = [("E", PauliSum(3, [(1.0, "ZII"), (0.5, "IZI")]))]
 # 2**128 is the first seed of five words, where the hash constant after the seed moves on
 SEEDS = [0, 1, 2**31 - 1, 2**32, 2**64 + 3, 2**128 - 1, 2**128, 2**130 + 7, 2**200 + 1]
 
@@ -231,11 +230,11 @@ def _oracle_estimates(state, ops, active, seed, round_index, stream_base):
     stream = stream_base
     for name, op in ops:
         total = 0.0
-        for term in op.terms:
-            single = dense_matrix(PauliSum(op.n_qubits, [PauliTerm(1.0, term.axes)]))
+        for coeff, axes in op.terms:
+            single = dense_matrix(PauliSum(op.n_qubits, [(1.0, axes)]))
             p_plus = (1.0 + np.vdot(state.amplitudes, single @ state.amplitudes).real) / 2.0
             hits = _oracle_hits(seed, round_index, stream, active, p_plus)
-            total += term.coeff * (2.0 * hits / active - 1.0)
+            total += coeff * (2.0 * hits / active - 1.0)
             stream += 1
         estimates[name] = total
     return estimates

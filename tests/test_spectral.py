@@ -11,7 +11,6 @@ import scipy.sparse.csgraph
 from oracles import exact_propagate, group_slices, projector, random_pauli_sum, random_state
 from twirlsim import (
     PauliSum,
-    PauliTerm,
     SpectralDecomposition,
     StateVector,
     closed_form_spectrum,
@@ -192,7 +191,7 @@ def test_canonical_eigenbasis_matches_loop_oracle():
 def test_chained_near_degenerate_levels_decompose():
     # gaps of 9e-9 chain all four levels into one run, ordered by support:
     # the levels come out as 1.35e-8, -0.45e-8, 0.45e-8, -1.35e-8
-    op = PauliSum(2, (PauliTerm(0.45e-8, "ZI"), PauliTerm(0.9e-8, "IZ")))
+    op = PauliSum(2, ((0.45e-8, "ZI"), (0.9e-8, "IZ")))
     values, vectors = _oracle_canonical(*np.linalg.eigh(dense_matrix(op)))
     dec = eigendecompose(op)
     assert dec.eigenvalues.tobytes() == values.tobytes()
@@ -236,10 +235,10 @@ def _hopping_chain(rng, n_qubits):
     terms = []
     for q in range(n_qubits - 1):
         hop = float(rng.uniform(0.5, 1.0))
-        terms += [PauliTerm(hop, "I" * q + 2 * axis + "I" * (n_qubits - q - 2)) for axis in "XY"]
+        terms += [(hop, "I" * q + 2 * axis + "I" * (n_qubits - q - 2)) for axis in "XY"]
     for q in range(n_qubits):
         field = (-1) ** q * float(rng.uniform(0.5, 1.5))
-        terms.append(PauliTerm(field, "I" * q + "Z" + "I" * (n_qubits - q - 1)))
+        terms.append((field, "I" * q + "Z" + "I" * (n_qubits - q - 1)))
     return PauliSum(n_qubits, tuple(terms))
 
 

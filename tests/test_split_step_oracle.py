@@ -63,7 +63,7 @@ def test_split_step_protocols_stay_within_the_propagated_error():
             split = run_protocol(initial, op, TwirlConfig(rounds, backend=Backend(steps)))
         except PostSelectionError:
             continue
-        norm = sum(abs(term.coeff) for term in op.terms)
+        norm = sum(abs(coeff) for coeff, _ in op.terms)
         delta = 0.0
         for spec, want, got in zip(rounds, exact[1:], split[1:]):
             assert got.tau == want.tau

@@ -19,7 +19,6 @@ from oracles import split_step_sweep
 from twirlsim import (
     Backend,
     PauliSum,
-    PauliTerm,
     StateVector,
     evolve_exact,
     evolve_trotter,
@@ -32,7 +31,7 @@ GOLDEN = Path(__file__).parent / "golden" / "trotter_bytes.json"
 
 def test_single_term_is_exact():
     # with one term the splitting is the exact rotation at any step count
-    op = PauliSum(2, (PauliTerm(0.83, "XY"),))
+    op = PauliSum(2, ((0.83, "XY"),))
     state = StateVector.basis("10")
     exact = evolve_exact(state.amplitudes, op, 1.7)
     for steps in (1, 3):
@@ -41,7 +40,7 @@ def test_single_term_is_exact():
 
 
 def test_commuting_terms_are_exact():
-    op = PauliSum(2, (PauliTerm(1.0, "ZI"), PauliTerm(0.5, "ZZ")))
+    op = PauliSum(2, ((1.0, "ZI"), (0.5, "ZZ")))
     state = StateVector(2, np.full(4, 0.5))
     exact = evolve_exact(state.amplitudes, op, 2.1)
     approx = evolve_trotter(state.amplitudes, op, 2.1, 1)
@@ -92,14 +91,14 @@ def test_plan_and_argument_validation():
     with pytest.raises(ValueError, match="different registers"):
         evolve_trotter(StateVector.basis("00").amplitudes, op, 1.0, 4)
     # a finite coefficient and time whose half-step angle overflows
-    big = PauliSum(1, (PauliTerm(1e200, "X"), PauliTerm(1.0, "Z")))
+    big = PauliSum(1, ((1e200, "X"), (1.0, "Z")))
     message = re.escape("evolution time 1e+200 times summed |coefficient| 1e+200 overflows")
     with pytest.raises(ValueError, match=message):
         evolve_trotter(state, big, 1e200, 2)
     with pytest.raises(ValueError, match=message):
         trotter_errors(big, 1e200, [2])[0]
     # 10**10 steps keep each angle finite, but the exact phase tau * e overflows
-    big = PauliSum(1, (PauliTerm(1e300, "X"), PauliTerm(1.0, "Z")))
+    big = PauliSum(1, ((1e300, "X"), (1.0, "Z")))
     message = re.escape("evolution time 10000000000.0 times summed |coefficient| 1e+300 overflows")
     with pytest.raises(ValueError, match=message):
         trotter_errors(big, 1e10, [10**10])[0]
@@ -123,10 +122,10 @@ def _chain_sum(rng, n_qubits):
     terms = []
     for q in range(n_qubits - 1):
         hop = float(rng.uniform(0.5, 1.0))
-        terms += [PauliTerm(hop, "I" * q + 2 * axis + "I" * (n_qubits - q - 2)) for axis in "XY"]
+        terms += [(hop, "I" * q + 2 * axis + "I" * (n_qubits - q - 2)) for axis in "XY"]
     for q in range(n_qubits):
         field = (-1) ** q * float(rng.uniform(0.5, 1.5))
-        terms.append(PauliTerm(field, "I" * q + "Z" + "I" * (n_qubits - q - 1)))
+        terms.append((field, "I" * q + "Z" + "I" * (n_qubits - q - 1)))
     return PauliSum(n_qubits, tuple(terms))
 
 
@@ -134,10 +133,10 @@ def _mixed_sum(rng, n_qubits):
     """Diagonal (I/Z) strings interleaved with strings holding at least one X or Y."""
     terms = []
     for _ in range(int(rng.integers(1, 4))):
-        terms.append(PauliTerm(float(rng.normal()), _random_axes(rng, n_qubits, "IZ")))
+        terms.append((float(rng.normal()), _random_axes(rng, n_qubits, "IZ")))
         flip = list(_random_axes(rng, n_qubits))
         flip[rng.integers(n_qubits)] = str(rng.choice(list("XY")))
-        terms.append(PauliTerm(float(rng.normal()), "".join(flip)))
+        terms.append((float(rng.normal()), "".join(flip)))
     return PauliSum(n_qubits, tuple(terms))
 
 
@@ -147,7 +146,7 @@ def _sweep_cases(rng):
     for _ in range(300):
         n_qubits = int(rng.integers(1, 9))
         terms = tuple(
-            PauliTerm(float(rng.normal()), _random_axes(rng, n_qubits))
+            (float(rng.normal()), _random_axes(rng, n_qubits))
             for _ in range(int(rng.integers(1, 7)))
         )
         ops.append(PauliSum(n_qubits, terms))
@@ -155,7 +154,7 @@ def _sweep_cases(rng):
         # every rotation diagonal
         n_qubits = int(rng.integers(1, 9))
         terms = tuple(
-            PauliTerm(float(rng.normal()), _random_axes(rng, n_qubits, "IZ"))
+            (float(rng.normal()), _random_axes(rng, n_qubits, "IZ"))
             for _ in range(int(rng.integers(1, 7)))
         )
         ops.append(PauliSum(n_qubits, terms))
@@ -202,7 +201,7 @@ def test_sweep_leaves_its_input_alone():
     """The result is a fresh array; a read-only or writable input is never written."""
     rng = np.random.default_rng(5)
     op = _chain_sum(rng, 8)
-    diagonal = PauliSum(3, (PauliTerm(0.4, "ZIZ"), PauliTerm(-1.1, "IZI")))
+    diagonal = PauliSum(3, ((0.4, "ZIZ"), (-1.1, "IZI")))
     frozen = StateVector.basis("10010110").amplitudes
     assert not frozen.flags.writeable
     got = evolve_trotter(frozen, op, 0.7, 4)

@@ -12,7 +12,6 @@ from twirlsim import (
     AdiabaticSchedule,
     Backend,
     PauliSum,
-    PauliTerm,
     PostSelectionError,
     RoundSpec,
     TauMode,
@@ -217,7 +216,7 @@ def test_round_argument_validation():
     with pytest.raises(ValueError, match="positive"):
         twirl_round(state, op, 1.0, 1.0j, ancillas=0)
     # tau * e is 1e400, so the phases, and with them the keep probability, would be NaN
-    op = PauliSum(1, (PauliTerm(1e200, "Z"),))
+    op = PauliSum(1, ((1e200, "Z"),))
     message = re.escape("evolution time 1e+200 times summed |coefficient| 1e+200 overflows")
     with pytest.raises(ValueError, match=message):
         twirl_round(state, op, 1e200, 1j)
@@ -240,7 +239,7 @@ def test_large_finite_time_still_evolves():
     assert math.isfinite(keep_probability(state, op, 1e300, 1j))
 
 
-_BIG_Z = PauliSum(1, (PauliTerm(1e200, "Z"),))
+_BIG_Z = PauliSum(1, ((1e200, "Z"),))
 _ZERO = StateVector.basis("0")
 # each evolution entry point at a time whose product with the summed |coefficient| overflows
 _OVERFLOW_ENTRY_POINTS = {
@@ -426,8 +425,8 @@ def test_config_validation():
                              stream_starts(1, 3, 2)[2][1:]),
         lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], 10.5,
                              stream_starts(1, 3, 2)[2][1:]),
-        lambda: PauliSum(True, (PauliTerm(1.0, "X"),)),
-        lambda: PauliSum(2.0, (PauliTerm(1.0, "XX"),)),
+        lambda: PauliSum(True, ((1.0, "X"),)),
+        lambda: PauliSum(2.0, ((1.0, "XX"),)),
         lambda: StateVector(1.0, [1.0, 0.0]),
         lambda: schwinger_hamiltonian(2.0, 1.0),
         lambda: single_z(2.0, 1),
@@ -460,6 +459,20 @@ def test_step_counts_stay_below_2_63(steps):
     )
     for build in builds:
         with pytest.raises(ValueError, match=rf"^step count .* below 2\*\*63, got {steps}$"):
+            build()
+
+
+@pytest.mark.parametrize("ancillas", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_ancilla_counts_stay_below_2_63(ancillas):
+    # each ancilla runs one evolution, the step count's bound holds for them too
+    state, op = StateVector.basis("0"), schwinger_hamiltonian(1, 1.0)
+    builds = (
+        lambda: RoundSpec(TauMode.QUARTER, ancillas=ancillas),
+        lambda: twirl_round(state, op, 0.5, 1.0j, ancillas),
+        lambda: keep_probability(state, op, 0.5, 1.0j, ancillas),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=rf"^ancilla count .* below 2\*\*63, got {ancillas}$"):
             build()
 
 
