@@ -13,8 +13,9 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when a target check fails, 2 for unusable
 configuration or arguments, 3 when a run aborts (post-selection left no
-support or no active runs, or an energy estimate was zero), and 4 when
-one ``batch`` scenario hits an internal error; ``batch`` exits with the
+support or no active runs, or an energy estimate was zero), 4 when one
+``batch`` scenario hits an internal error, and 141 (128 + SIGPIPE) when
+stdout closes early, as under ``| head -1``; ``batch`` exits with the
 worst code of its scenarios. Output carries no timestamps or machine
 details, so identical invocations produce identical bytes.
 """
@@ -28,6 +29,7 @@ import math
 import os
 import sys
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +45,7 @@ from .pauli import (
     named_observable,
     schwinger_hamiltonian,
 )
+from .shots import SHOT_LIMIT
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
 from .trotter import trotter_errors
@@ -51,7 +54,6 @@ from .twirl import (
     PostSelectionError,
     RoundRecord,
     ZeroEnergyError,
-    _spells_backend,
     run_protocol,
 )
 
@@ -60,6 +62,7 @@ EXIT_TARGET = 1
 EXIT_CONFIG = 2
 EXIT_ABORT = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED = 141
 
 # ManifestError, ZeroEnergyError and unwritable --out targets are ValueErrors
 _FAILURES = (ValueError, PostSelectionError)
@@ -384,46 +387,48 @@ def _run_json(result: RunResult, check: bool) -> str:
 
 
 def count(raw: str) -> int:
-    """The argparse type of the count flags, which argparse names in its
-    refusal: plain decimal digits. A minus sign before them passes, so the
-    count rule refuses a negative value with the value in its message."""
+    """``raw`` in plain decimal digits, as every count flag takes it; argparse names this
+    type in its refusal. A minus sign passes, for the count rule to refuse by value."""
     if not _plain_decimal(raw.removeprefix("-")) or raw == "-0":
         raise ValueError(raw)
     return int(raw)
 
 
-def _positive(flag: str, raw: str, kind: type) -> int | float:
-    """``raw`` as a positive finite float, or int in plain decimal, or an error naming ``flag``."""
+def _read(text: str, kind: Callable) -> object:
+    """``kind(text)``, or else ``text`` itself, for the owner's rule to refuse."""
     try:
-        value = kind(raw) if kind is float or _plain_decimal(raw) else 0
+        return kind(text)
     except ValueError:
-        value = 0
-    if not 0 < value < math.inf:
-        noun = "integer" if kind is int else "number"
-        raise ValueError(f"{flag} must be a positive {noun}, got {raw!r}")
-    return value
+        return text
+
+
+def _flag(flag: str, build: Callable, *args: object, **kwargs: object) -> object:
+    """``build(*args, **kwargs)``, its ValueError put under ``flag`` as ``_at`` puts one."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _parse_prepare_flag(text: str) -> AdiabaticSchedule | None:
     if text == "none":
         return None
-    if text == "adiabatic":
-        return AdiabaticSchedule()
-    if text.startswith("adiabatic:"):
-        fields = {"T": ("total_time", float), "steps": ("steps", int)}
-        schedule = {}
-        for part in text.split(":", 1)[1].split(","):
-            if "=" not in part:
-                raise ValueError(f"malformed prepare option {part!r}")
-            key, raw = part.split("=", 1)
-            if key not in fields:
-                raise ValueError(f"unknown prepare option {key!r}")
-            field, kind = fields[key]
-            if field in schedule:
-                raise ValueError(f"repeated prepare option {key!r}")
-            schedule[field] = _positive(f"--prepare {key}", raw, kind)
-        return AdiabaticSchedule(**schedule)
-    raise ValueError('prepare must be "none", "adiabatic", or "adiabatic:T=..,steps=.."')
+    kind, colon, options = text.partition(":")
+    if kind != "adiabatic":
+        raise ValueError('prepare must be "none", "adiabatic", or "adiabatic:T=..,steps=.."')
+    fields = {"T": ("total_time", float), "steps": ("steps", count)}
+    schedule = {}
+    for part in options.split(",") if colon else ():
+        if "=" not in part:
+            raise ValueError(f"malformed prepare option {part!r}")
+        key, raw = part.split("=", 1)
+        if key not in fields:
+            raise ValueError(f"unknown prepare option {key!r}")
+        field, read = fields[key]
+        if field in schedule:
+            raise ValueError(f"repeated prepare option {key!r}")
+        schedule[field] = _read(raw, read)
+    return _flag("--prepare", AdiabaticSchedule, **schedule)
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
@@ -441,21 +446,16 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_overrides(args: argparse.Namespace) -> dict:
-    """The override flags given, parsed, by the field they replace."""
+    """The override flags given, each built by the rule of the field it replaces."""
     overrides: dict = {}
     if args.backend is not None:
-        if not _spells_backend(args.backend):
-            raise ValueError(
-                f'--backend must be "exact" or "trotter:<steps>", got {args.backend!r}'
-            )
-        try:
-            overrides["backend"] = Backend.parse(args.backend)
-        except ValueError as exc:  # a step count past the bound
-            raise ValueError(f"--backend {exc}") from None
+        overrides["backend"] = _flag("--backend", Backend.parse, args.backend)
     if args.shots is not None:
-        overrides["shots"] = None if args.shots == "none" else _positive("--shots", args.shots, int)
+        overrides["shots"] = None if args.shots == "none" else _flag(
+            "--shots", _check_count, _read(args.shots, count), "shot count", below=SHOT_LIMIT
+        )
     if args.seed is not None:
-        overrides["seed"] = _check_count(args.seed, "--seed", low=0)
+        overrides["seed"] = _flag("--seed", _check_count, args.seed, "seed", low=0)
     if args.prepare is not None:
         overrides["prepare"] = _parse_prepare_flag(args.prepare)
     return overrides
@@ -655,11 +655,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit's flush
     except _FAILURES as exc:
         text, code = _failure(exc)
         sys.stderr.write(f"{text}\n")
-        return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_CLOSED
+    return code
 
 
 if __name__ == "__main__":

@@ -59,12 +59,6 @@ _ESTIMATE = "energy estimate"
 BACKEND_PATTERN = "exact|trotter:[1-9][0-9]*"
 
 
-def _spells_backend(text: str) -> bool:
-    """Whether ``text`` has a backend's shape, its step count within int()'s digits."""
-    fits = len(text) <= len("trotter:") + _INT_DIGITS
-    return fits and re.fullmatch(BACKEND_PATTERN, text) is not None
-
-
 class ZeroEnergyError(ValueError):
     """Raised when a round's energy estimate is too close to zero."""
 
@@ -106,8 +100,8 @@ class Backend:
 
     @classmethod
     def parse(cls, text: str) -> Backend:
-        """Parse "exact" or "trotter:<steps>", the steps in plain decimal digits."""
-        if not _spells_backend(text):
+        """Parse "exact" or "trotter:<steps>", the steps in plain decimal within int()'s digits."""
+        if len(text) > len("trotter:") + _INT_DIGITS or not re.fullmatch(BACKEND_PATTERN, text):
             raise ValueError(f'unknown backend {text!r}, expected "exact" or "trotter:<steps>"')
         return cls() if text == "exact" else cls(int(text.split(":", 1)[1]))
 

@@ -221,57 +221,67 @@ def test_negative_seed_is_rejected(argv, capsys):
     assert main([*argv, "--seed", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "config error: --seed must be a non-negative integer, got -1\n"
+    assert captured.err == "config error: --seed: seed must be a non-negative integer, got -1\n"
+
+
+SHOTS_RULE = "shot count must be a positive integer below 2**63"
+STEPS_RULE = "step count must be a positive integer below 2**63"
+TIME_RULE = "total time must be a positive finite real number"
 
 
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--shots", "1.5", "--shots must be a positive integer, got '1.5'"),
-        ("--shots", "abc", "--shots must be a positive integer, got 'abc'"),
-        ("--shots", "0", "--shots must be a positive integer, got '0'"),
-        ("--prepare", "adiabatic:T=x", "--prepare T must be a positive number, got 'x'"),
-        ("--prepare", "adiabatic:T=inf", "--prepare T must be a positive number, got 'inf'"),
-        ("--prepare", "adiabatic:steps=2.5",
-         "--prepare steps must be a positive integer, got '2.5'"),
+        ("--shots", "1.5", f"--shots: {SHOTS_RULE}, got '1.5'"),
+        ("--shots", "abc", f"--shots: {SHOTS_RULE}, got 'abc'"),
+        ("--shots", "0", f"--shots: {SHOTS_RULE}, got 0"),
+        ("--prepare", "adiabatic:T=x", f"--prepare: {TIME_RULE}, got 'x'"),
+        ("--prepare", "adiabatic:T=inf", f"--prepare: {TIME_RULE}, got inf"),
+        ("--prepare", "adiabatic:steps=2.5", f"--prepare: {STEPS_RULE}, got '2.5'"),
         # int() reads each of these as a count
-        *(
-            ("--shots", raw, f"--shots must be a positive integer, got {raw!r}")
-            for raw in ("\u0668", "1_000", "+8", "08", " 8")
-        ),
-        *(
-            ("--prepare", f"adiabatic:steps={raw}",
-             f"--prepare steps must be a positive integer, got {raw!r}")
-            for raw in ("\u0665", "05")
-        ),
+        *(("--shots", raw, f"--shots: {SHOTS_RULE}, got {raw!r}")
+          for raw in ("\u0668", "1_000", "+8", "08", " 8")),
+        *(("--prepare", f"adiabatic:steps={raw}", f"--prepare: {STEPS_RULE}, got {raw!r}")
+          for raw in ("\u0665", "05")),
         # int() reads each of these as 16; the manifest's backend pattern refuses them
         *(
-            ("--backend", raw, f'--backend must be "exact" or "trotter:<steps>", got {raw!r}')
+            ("--backend", raw,
+             f'--backend: unknown backend {raw!r}, expected "exact" or "trotter:<steps>"')
             for raw in ("trotter:1_6", "trotter: 16", "trotter:+16", "trotter:016")
         ),
         # well-formed step counts at or past the bound: the flag names the bound they broke
         *(
-            ("--backend", f"trotter:{steps}",
-             f"--backend step count must be a positive integer below 2**63, got {steps}")
+            ("--backend", f"trotter:{steps}", f"--backend: {STEPS_RULE}, got {steps}")
             for steps in (2**63, 10**400, int("9" * 4300))
         ),
         # int() reads at most 4300 digits; past that the value is malformed
         ("--backend", "trotter:" + "9" * 4301,
-         f'--backend must be "exact" or "trotter:<steps>", got \'trotter:{"9" * 4301}\''),
-        ("--prepare", f"adiabatic:steps={10**400}",
-         f"step count must be a positive integer below 2**63, got {10**400}"),
+         f'--backend: unknown backend \'trotter:{"9" * 4301}\', '
+         'expected "exact" or "trotter:<steps>"'),
+        # counts at or past the bound of the field they set, refused before any scenario runs
+        *(("--shots", str(shots), f"--shots: {SHOTS_RULE}, got {shots}")
+          for shots in (2**63, 10**20)),
+        *(("--prepare", f"adiabatic:steps={steps}", f"--prepare: {STEPS_RULE}, got {steps}")
+          for steps in (2**63, 10**30, 10**400)),
     ],
     ids=["shots=1.5", "shots=abc", "shots=0", "T=x", "T=inf", "steps=2.5",
          "shots=arabic8", "shots=1_000", "shots=+8", "shots=08", "shots=space8",
          "steps=arabic5", "steps=05",
          "backend=1_6", "backend=space16", "backend=+16", "backend=016",
          "backend=2**63", "backend=10**400", "backend=9x4300", "backend=9x4301",
-         "steps=10**400"],
+         "shots=2**63", "shots=10**20", "steps=2**63", "steps=10**30", "steps=10**400"],
 )
 def test_bad_override_values_name_their_flag(flag, value, message, capsys):
+    # one line on stderr and none on stdout: batch prints no scenario verdict
     for source in (["run", "--config", "table-13"], ["batch", "--bundled"]):
         assert main([*source, flag, value]) == 2
         assert capsys.readouterr() == ("", f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("source", [["run", "--config", "table-13"], ["batch", "--bundled"]])
+def test_the_largest_shot_count_runs(source, capsys):
+    assert main([*source, "--shots", str(2**63 - 1)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(
@@ -303,9 +313,7 @@ def test_oversized_shot_flag_is_a_config_error(capsys):
     assert main(["run", "--config", "table-01-ket0", "--shots", str(10**20)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"config error: shot count must be a positive integer below 2**63, got {10**20}\n"
-    )
+    assert captured.err == f"config error: --shots: {SHOTS_RULE}, got {10**20}\n"
 
 
 @pytest.mark.parametrize("shots, code", [(2**63 - 1, 0), (2**63, 2)])
@@ -1024,3 +1032,66 @@ def test_module_entry_point_reports_version():
         check=True,
     )
     assert result.stdout.strip() == f"twirlsim {__version__}"
+
+
+# Runs batch --bundled with its second scenario held until the reader has
+# closed stdout, so that the reader closes it after exactly one line.
+_SECOND_SCENARIO_WAITS = """
+import sys
+from twirlsim import cli
+run = cli.execute_manifest
+calls = []
+def execute_manifest(manifest):
+    calls.append(manifest)
+    if len(calls) == 2:
+        sys.stdout.flush()
+        sys.stdin.read()
+    return run(manifest)
+cli.execute_manifest = execute_manifest
+sys.exit(cli.main(["batch", "--bundled"]))
+"""
+
+
+def _stdout_env(buffered: bool) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_batch_ends_quietly_when_stdout_closes_after_one_line(buffered, tmp_path):
+    with open(tmp_path / "stderr", "w+", encoding="utf-8") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SECOND_SCENARIO_WAITS],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env=_stdout_env(buffered),
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            proc.stdin.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        err.seek(0)
+        assert (first, code, err.read()) == (b"table-01-ket0: ok (2 target(s))\n", 141, "")
+    assert cli.EXIT_CLOSED == 141
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_run_ends_quietly_when_stdout_has_no_reader(buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "twirlsim", "run", "--config", "table-13"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=_stdout_env(buffered),
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (cli.EXIT_CLOSED, "")

@@ -82,3 +82,23 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, argv
         assert capsys.readouterr().err == "", argv
     assert os.listdir("results") == ["my-scenario.json"]
+
+
+def test_readme_input_rule_examples_are_refused_as_stated(capsys):
+    from twirlsim.cli import main
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("### Input rules\n", 1)[1].split("\n#", 1)[0]
+    rows = [line.strip("|").split(" | ") for line in table.splitlines() if line.startswith("| `-")]
+    assert len(rows) >= 8
+    for flag, _, example, message, code in (map(str.strip, row) for row in rows):
+        argv = shlex.split(example.strip("`"))
+        assert argv[0] == flag.strip("`")
+        for command, source in (("run", ["--config", "table-13"]), ("batch", ["--bundled"])):
+            try:
+                got = main([command, *source, *argv])
+            except SystemExit as exc:  # the argument parser's refusal
+                got = exc.code
+            out, err = capsys.readouterr()
+            prefix = message.strip("`").replace("twirlsim run:", f"twirlsim {command}:")
+            assert (got, out, err.splitlines()[-1][: len(prefix)]) == (int(code), "", prefix)
