@@ -403,7 +403,7 @@ def _read(text: str, kind: Callable) -> object:
 
 
 def _flag(flag: str, build: Callable, *args: object, **kwargs: object) -> object:
-    """``build(*args, **kwargs)``, its ValueError put under ``flag`` as ``_at`` puts one."""
+    """``build(*args, **kwargs)``, its ValueError put under ``flag`` as ``manifest._at`` does."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
