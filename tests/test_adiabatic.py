@@ -1,5 +1,7 @@
 """Tests for ramped ground-state preparation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from oracles import ramp_slice, random_pauli_sum, random_state
 from twirlsim import (
     AdiabaticSchedule,
     Backend,
+    PauliSum,
     adiabatic_prepare,
     eigendecompose,
     evolve_exact,
@@ -113,19 +116,43 @@ def test_ramp_matches_frozen_operator_oracle(steps):
             assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 5])
+@pytest.mark.parametrize("chunk", [1, 3, 5, pytest.param(None, id="default")])
 def test_chunked_ramp_matches_frozen_operator_oracle(chunk, monkeypatch):
-    # step counts of 1, a chunk and one either side of it, and a non-multiple
-    rng = np.random.default_rng(100 + chunk)
-    for steps in sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 2} - {0}):
-        for n_qubits in (1, 2, 3, 4):
+    if chunk is None:
+        # the default stack size, on ramps of several chunks: 400 slices of 3 qubits, 70 of 4
+        rng, cases = np.random.default_rng(100), [(400, 3), (70, 4)]
+    else:
+        # step counts of 1, a chunk and one either side of it, and a non-multiple
+        rng = np.random.default_rng(100 + chunk)
+        counts = sorted({1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1, 3 * chunk + 2} - {0})
+        cases = [(steps, n_qubits) for steps in counts for n_qubits in (1, 2, 3, 4)]
+    for steps, n_qubits in cases:
+        if chunk is not None:
             monkeypatch.setattr(adiabatic, "RAMP_STACK_BYTES", chunk * 16 * 4**n_qubits)
-            start, target = random_pauli_sum(rng, n_qubits, 5), random_pauli_sum(rng, n_qubits, 5)
-            initial = random_state(rng, n_qubits)
-            schedule = AdiabaticSchedule(total_time=float(rng.uniform(0.1, 10.0)), steps=steps)
-            expected = _oracle_ramp(initial, start, target, schedule)
-            prepared = adiabatic_prepare(initial, start, target, schedule)
-            assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
+        start, target = random_pauli_sum(rng, n_qubits, 5), random_pauli_sum(rng, n_qubits, 5)
+        initial = random_state(rng, n_qubits)
+        schedule = AdiabaticSchedule(total_time=float(rng.uniform(0.1, 10.0)), steps=steps)
+        expected = _oracle_ramp(initial, start, target, schedule)
+        prepared = adiabatic_prepare(initial, start, target, schedule)
+        assert prepared.amplitudes.tobytes() == expected.amplitudes.tobytes()
+
+
+def test_ramp_working_set_stays_small():
+    # a chunk holds several arrays the size of its stack at once: 64 slices
+    # of 6 qubits traced 12.8 MB in one 16 MiB chunk and 0.86 MB in 128 KiB chunks
+    # an XX+YY chain in a Z field, ramped from the staggered Z chain
+    bonds = ["I" * q + pair + "I" * (4 - q) for q in range(5) for pair in ("XX", "YY")]
+    fields = ["I" * q + "Z" + "I" * (5 - q) for q in range(6)]
+    target = PauliSum(6, tuple([(1.0, a) for a in bonds] + [(0.5, a) for a in fields]))
+    ramp = ("101010", staggered_start(6), target, AdiabaticSchedule(steps=64))
+    adiabatic_prepare(*ramp)  # warm-up: compiled terms and first-call allocations
+    tracemalloc.start()
+    try:
+        adiabatic_prepare(*ramp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_ramp_scenario_leaves_the_eigensystem_cache_alone():
