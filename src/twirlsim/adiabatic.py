@@ -16,6 +16,11 @@ propagation through the slices is sequential, three calls per slice:
 into the eigenbasis, the phases, and back. Nothing enters the cache:
 every slice is a distinct operator, used once, and caching it would
 only evict reusable entries.
+A chunk's working set is several times its stack, since the stack, its
+eigenvectors, their canonical copy and the conjugate are alive at once,
+so the stack is kept small: 128 KiB, the least that still hands a
+3-qubit ramp's ``eigh`` enough slices per call to keep its time. The
+output bytes do not depend on the chunk size.
 The split-step backend evolves the frozen ``PauliSum`` of each slice.
 """
 
@@ -36,8 +41,14 @@ from .spectral import _canonical_eigh, _propagate
 from .state import StateVector
 from .twirl import Backend
 
-# Bytes of one stack of slice matrices; at 10 qubits and above a chunk is one slice.
-RAMP_STACK_BYTES = 16 * 2**20
+# Bytes of one chunk's (k, d, d) stack of slice matrices, at least one slice.
+# A chunk holds its stack, the stacked eigenvectors, _canonical_basis's reordered
+# copy and |V| mask, and the conjugated stack at once: its traced peak is 3-5x the
+# stack. 128 KiB (128 slices of 3 qubits, 2 of 6, one from 7 up) is the smallest
+# size tried at which a 3-qubit ramp keeps its time: table-13's 400 slices took
+# 3.33 ms at 16 MiB, 3.34 at 128 KiB, 3.90 at 64 KiB and 4.60 at 32 KiB (one
+# BLAS thread, shared 2-vCPU host).
+RAMP_STACK_BYTES = 128 * 2**10
 
 
 @dataclass(frozen=True)
