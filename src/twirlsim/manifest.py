@@ -24,7 +24,7 @@ from .pauli import CHAINS, PauliSum, _is_finite_real, hamiltonian_by_name
 from .shots import SHOT_LIMIT
 from .twirl import (
     BACKEND_PATTERN,
-    ZERO_ENERGY_TOL,
+    ZERO_ENERGY_REL,
     Backend,
     RoundSpec,
     TauMode,
@@ -304,10 +304,12 @@ def _check_consistency(data: dict) -> PauliSum:
         )
     for k, spec in enumerate(data["rounds"]):
         # choose_tau's rule, refused here since a fixed energy cannot become nonzero at run time
-        if abs(spec.get("energy_override", 1.0)) < ZERO_ENERGY_TOL:
+        override = spec.get("energy_override")
+        if override is not None and abs(override) <= ZERO_ENERGY_REL * op._norm_bound:
             raise ManifestError(
                 f"config error at /rounds/{k}/energy_override: energy_override "
-                f"{spec['energy_override']!r} is zero within tolerance {ZERO_ENERGY_TOL}; "
+                f"{override!r} is zero within tolerance {ZERO_ENERGY_REL} "
+                f"times the summed |coefficient| {op._norm_bound!r}; "
                 "a filter round needs a nonzero energy"
             )
     observables = tuple(data.get("observables", TwirlConfig.observables))

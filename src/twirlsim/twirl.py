@@ -17,9 +17,9 @@ The period tau comes from an energy estimate E for the wanted state:
   target a zero-energy state, driven by a nonzero E borrowed from
   elsewhere in the spectrum.
 
-Neither mode has a usable period at E = 0, so a vanishing estimate is
-rejected; rounds aimed at zero-energy states must carry an explicit
-``energy_override``.
+Neither mode has a usable period at E = 0, so an estimate that is zero
+on the operator's scale is rejected; rounds aimed at zero-energy states
+must carry an explicit ``energy_override``.
 
 Shot-noise emulation (``shots``) draws the surviving-run count of each
 round and estimates the observables from seeded binomial draws. Each
@@ -42,6 +42,7 @@ from .pauli import (
     _check_count,
     _check_real,
     _check_time,
+    _is_finite_real,
     expectation,
     named_observable,
 )
@@ -50,7 +51,10 @@ from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
 from .trotter import evolve_trotter
 
-ZERO_ENERGY_TOL = 1e-12
+# Rounding puts about eps times the summed |coefficient| into each level e, so a
+# quarter-mode angle tau e carries about (pi / 2) eps sum|c| / |E| of it: below this
+# fraction of sum|c|, up to ~3.5e-7 rad, the angles are set by rounding, not the state.
+ZERO_ENERGY_REL = 1e-9
 EXTINCTION_TOL = 1e-14
 PREFACTOR_TOL = 1e-12
 # a sampled energy estimate's name among the observables, which are H, Z, Z<k> or Zbar
@@ -70,11 +74,18 @@ class TauMode(Enum):
     FULL = "full"
 
 
-def choose_tau(energy: float, mode: TauMode) -> tuple[float, complex]:
-    """Period and prefactor for one filtering round at energy E."""
+def choose_tau(energy: float, mode: TauMode, norm_bound: float) -> tuple[float, complex]:
+    """Period and prefactor for one filtering round at energy E.
+
+    ``norm_bound`` is the operator's summed |coefficient| (``op._norm_bound``):
+    an energy within ``ZERO_ENERGY_REL`` times it of zero is refused.
+    """
     _check_real(energy, "energy estimate")
+    if not (_is_finite_real(norm_bound) and norm_bound >= 0):
+        raise ValueError(f"summed |coefficient| {norm_bound!r} must be finite and >= 0")
     energy = float(energy)  # a float32 estimate would keep float32 arithmetic
-    if abs(energy) < ZERO_ENERGY_TOL:
+    # <=, so that an operator of zero coefficients refuses its zero energy too
+    if abs(energy) <= ZERO_ENERGY_REL * norm_bound:
         raise ZeroEnergyError(
             "energy estimate is zero within tolerance; a zero-energy target "
             "needs an explicit energy_override (full mode) instead"
@@ -270,7 +281,7 @@ def run_protocol(
             spec = config.rounds[index - 1]
             energy = estimate if spec.energy_override is None else spec.energy_override
             try:
-                tau, prefactor = choose_tau(energy, spec.mode)
+                tau, prefactor = choose_tau(energy, spec.mode, op._norm_bound)
                 state, p_round = twirl_round(
                     state, op, tau, prefactor, spec.ancillas, config.backend
                 )

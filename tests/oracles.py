@@ -72,11 +72,13 @@ def split_step_sweep(amplitudes, op, tau, steps):
     return amps
 
 
-def weight_protocol(weights, levels, rounds):
+def weight_protocol(weights, levels, rounds, norm_bound):
     """The filter formula followed through a protocol on eigenlevel weights alone.
 
     ``weights`` holds the initial state's weight on each eigenlevel, whose
-    energy ``levels`` holds, and ``rounds`` the protocol's ``RoundSpec``s.
+    energy ``levels`` holds, ``rounds`` the protocol's ``RoundSpec``s, and
+    ``norm_bound`` the operator's summed |coefficient|, which scales the
+    zero-energy rule.
     Each round keeps w cos((arg phi - tau e) / 2)**(2 a) of a level at
     energy e and weight w, for ``a`` ancillas, and takes its energy from
     its override or else from the weights' mean energy. Returns the
@@ -88,7 +90,7 @@ def weight_protocol(weights, levels, rounds):
     steps = [(None, 1.0, float(weights @ levels / weights.sum()))]
     for spec in rounds:
         energy = steps[-1][2] if spec.energy_override is None else spec.energy_override
-        tau, prefactor = choose_tau(energy, spec.mode)
+        tau, prefactor = choose_tau(energy, spec.mode, norm_bound)
         kept = weights * np.cos((np.angle(prefactor) - tau * levels) / 2.0) ** (2 * spec.ancillas)
         steps.append((energy, float(kept.sum() / weights.sum()), float(kept @ levels / kept.sum())))
         weights = kept

@@ -614,7 +614,8 @@ def test_run_refuses_a_zero_energy_override_before_it_runs(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "config error at /rounds/0/energy_override: energy_override 0 is zero within "
-        "tolerance 1e-12; a filter round needs a nonzero energy\n"
+        "tolerance 1e-09 times the summed |coefficient| 2.0; a filter round needs a nonzero "
+        "energy\n"
     )
 
 

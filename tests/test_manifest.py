@@ -569,9 +569,11 @@ def test_target_round_must_exist():
 
 
 @pytest.mark.parametrize(
-    "mode, override", [("full", 0), ("full", -0.0), ("quarter", 0), ("full", -5e-13)]
+    "mode, override",
+    [("full", 0), ("full", -0.0), ("quarter", 0), ("full", -5e-13), ("quarter", 1.5e-9)],
 )
 def test_a_zero_energy_override_is_a_config_error(mode, override):
+    # schwinger-1q at J=1 is X + Z, of summed |coefficient| 2
     rounds = [
         {"mode": "quarter", "energy_override": 1.0},
         {"mode": mode, "energy_override": override},
@@ -580,11 +582,16 @@ def test_a_zero_energy_override_is_a_config_error(mode, override):
         parse_manifest(_base(rounds=rounds))
     assert str(caught.value) == (
         f"config error at /rounds/1/energy_override: energy_override {override!r} "
-        "is zero within tolerance 1e-12; a filter round needs a nonzero energy"
+        "is zero within tolerance 1e-09 times the summed |coefficient| 2.0; "
+        "a filter round needs a nonzero energy"
     )
-    # the tolerance is the run-time rule's, so the smallest energy it takes passes
-    rounds[1]["energy_override"] = -1e-12
-    assert parse_manifest(_base(rounds=rounds)).config.rounds[1].energy_override == -1e-12
+    # the tolerance is the run-time rule's, so an energy just past it passes
+    rounds[1]["energy_override"] = -2.01e-9
+    assert parse_manifest(_base(rounds=rounds)).config.rounds[1].energy_override == -2.01e-9
+    # and the rule scales with the operator
+    rounds[1]["energy_override"] = 1.5e-9
+    manifest = parse_manifest(_base(hamiltonian={"name": "schwinger-1q", "J": 0.0}, rounds=rounds))
+    assert manifest.config.rounds[1].energy_override == 1.5e-9
 
 
 def test_noisy_energy_needs_shots():

@@ -116,7 +116,7 @@ def run_twirl_cases(cases, seed=0):
             continue
         target = candidates[int(rng.integers(0, len(candidates)))]
         mode = TauMode.QUARTER if rng.random() < 0.5 else TauMode.FULL
-        tau, prefactor = choose_tau(float(dec.eigenvalues[target]), mode)
+        tau, prefactor = choose_tau(float(dec.eigenvalues[target]), mode, op._norm_bound)
         posterior, p = twirl_round(state, op, tau, prefactor)
         predicted = keep_probability(state, op, tau, prefactor)
         assert abs(p - predicted) < 1e-10
@@ -162,7 +162,7 @@ def test_quarter_round_angle_is_exact_at_target():
     # angle, so that level alone keeps everything, on any ancilla count
     op = schwinger_hamiltonian(2, 1.3)
     dec = eigendecompose(op)
-    tau, prefactor = choose_tau(float(dec.eigenvalues[0]), TauMode.QUARTER)
+    tau, prefactor = choose_tau(float(dec.eigenvalues[0]), TauMode.QUARTER, op._norm_bound)
     for ancillas in (1, 4):
         kept = keep_probability(dec.eigenstate(0), op, tau, prefactor, ancillas)
         assert kept == pytest.approx(1.0, abs=1e-12)

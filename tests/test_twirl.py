@@ -47,24 +47,25 @@ ROOT2 = math.sqrt(2.0)
 
 
 def test_choose_tau_quarter_and_full():
-    tau, prefactor = choose_tau(2.0, TauMode.QUARTER)
+    tau, prefactor = choose_tau(2.0, TauMode.QUARTER, 1.0)
     assert tau == pytest.approx(math.pi / 4.0)
     assert prefactor == 1.0j
-    tau, prefactor = choose_tau(4.0, TauMode.FULL)
+    tau, prefactor = choose_tau(4.0, TauMode.FULL, 1.0)
     assert tau == pytest.approx(math.pi / 2.0)
     assert prefactor == 1.0 + 0.0j
-    tau, _ = choose_tau(-2.0, TauMode.QUARTER)
+    tau, _ = choose_tau(-2.0, TauMode.QUARTER, 1.0)
     assert tau == pytest.approx(-math.pi / 4.0)
     # twice 1e308 is beyond float range, a quarter period of it is not
-    assert choose_tau(1e308, TauMode.QUARTER) == (1.5707963267948964e-308, 1.0j)
-    assert choose_tau(-1e308, TauMode.QUARTER) == (-1.5707963267948964e-308, 1.0j)
+    assert choose_tau(1e308, TauMode.QUARTER, 1.0) == (1.5707963267948964e-308, 1.0j)
+    assert choose_tau(-1e308, TauMode.QUARTER, 1.0) == (-1.5707963267948964e-308, 1.0j)
 
 
 def test_choose_tau_quarter_keeps_the_bits_of_one_division():
     rng = np.random.default_rng(2029)
     energies = np.exp(rng.uniform(math.log(1e-11), math.log(1e300), 20_000))
     for energy in (energies * rng.choice([-1.0, 1.0], energies.size)).tolist():
-        assert choose_tau(energy, TauMode.QUARTER)[0] == math.pi / (2.0 * energy)
+        # at a summed |coefficient| of 1e-3, every energy drawn is nonzero
+        assert choose_tau(energy, TauMode.QUARTER, 1e-3)[0] == math.pi / (2.0 * energy)
 
 
 
@@ -72,7 +73,7 @@ def test_choose_tau_quarter_keeps_the_bits_of_one_division():
 def test_choose_tau_refuses_a_mode_that_is_no_tau_mode(mode):
     # the manifest's spelling too: it reaches the engine only as TauMode("quarter")
     with pytest.raises(ValueError) as caught:
-        choose_tau(2.0, mode)
+        choose_tau(2.0, mode, 1.0)
     assert str(caught.value) == f"unknown mode {mode!r}"
 
 
@@ -80,7 +81,7 @@ _CHAIN = schwinger_hamiltonian(3, 1.3)
 _START = StateVector.basis("101")
 # each entry point that takes a time or an energy, as a function of that real
 _REAL_ENTRY_POINTS = {
-    "choose_tau": lambda x: choose_tau(x, TauMode.QUARTER)[0],
+    "choose_tau": lambda x: choose_tau(x, TauMode.QUARTER, 1.0)[0],
     "evolve_trotter": lambda x: evolve_trotter(_START.amplitudes, _CHAIN, x, 16),
     "evolve_exact": lambda x: evolve_exact(_START.amplitudes, _CHAIN, x),
     "trotter_errors": lambda x: trotter_errors(_CHAIN, x, [4])[0],
@@ -104,17 +105,26 @@ def test_float32_reals_compute_as_their_float_values(entry):
 
 def test_choose_tau_rejects_zero_and_junk():
     with pytest.raises(ZeroEnergyError, match="energy_override"):
-        choose_tau(0.0, TauMode.QUARTER)
+        choose_tau(0.0, TauMode.QUARTER, 1.0)
     with pytest.raises(ZeroEnergyError):
-        choose_tau(1e-13, TauMode.FULL)
+        choose_tau(1e-13, TauMode.FULL, 1.0)
+    # zero on the operator's scale: within 1e-9 of the summed |coefficient|
+    for energy, norm_bound in ((-5e-10, 1.0), (5e-4, 1e6), (0.0, 0.0)):
+        with pytest.raises(ZeroEnergyError):
+            choose_tau(energy, TauMode.QUARTER, norm_bound)
+    assert choose_tau(-5e-10, TauMode.FULL, 0.1) == (2.0 * math.pi / -5e-10, 1.0 + 0.0j)
     with pytest.raises(ValueError, match="finite"):
-        choose_tau(float("nan"), TauMode.QUARTER)
+        choose_tau(float("nan"), TauMode.QUARTER, 1.0)
     with pytest.raises(ValueError, match="finite"):
-        choose_tau("2", TauMode.QUARTER)
+        choose_tau("2", TauMode.QUARTER, 1.0)
     for energy in (True, 1j, 10**400):
         with pytest.raises(ValueError, match=f"estimate {energy!r} must be a finite real number"):
-            choose_tau(energy, TauMode.QUARTER)
-    assert choose_tau(np.float64(2.0), TauMode.QUARTER) == choose_tau(2.0, TauMode.QUARTER)
+            choose_tau(energy, TauMode.QUARTER, 1.0)
+    for norm_bound in (-1.0, float("nan"), float("inf"), "1", True):
+        with pytest.raises(ValueError, match=f"^summed \\|coefficient\\| {norm_bound!r} must be"):
+            choose_tau(2.0, TauMode.QUARTER, norm_bound)
+    same = choose_tau(np.float64(2.0), TauMode.QUARTER, np.float32(1.0))
+    assert same == choose_tau(2.0, TauMode.QUARTER, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +179,7 @@ def test_keep_probability_at_large_angles(tau):
 def test_eigenstate_is_a_fixed_point():
     op = schwinger_hamiltonian(1, 1.0)
     ground = eigendecompose(op).eigenstate(0)
-    tau, prefactor = choose_tau(-ROOT2, TauMode.QUARTER)
+    tau, prefactor = choose_tau(-ROOT2, TauMode.QUARTER, op._norm_bound)
     posterior, p = twirl_round(ground, op, tau, prefactor)
     assert p == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(posterior.amplitudes, ground.amplitudes, atol=1e-10)
@@ -180,7 +190,7 @@ def test_keep_probability_matches_twirl_round():
     state = StateVector.basis("101")
     energy = expectation(state, op)
     assert energy == pytest.approx(-2.0)
-    tau, prefactor = choose_tau(energy, TauMode.QUARTER)
+    tau, prefactor = choose_tau(energy, TauMode.QUARTER, op._norm_bound)
     for ancillas in (1, 2, 4):
         _, p = twirl_round(state, op, tau, prefactor, ancillas=ancillas)
         predicted = keep_probability(state, op, tau, prefactor, ancillas)
@@ -191,7 +201,7 @@ def test_four_ancilla_round_reference_probability():
     # frozen reference for the ground-suite first round
     op = schwinger_hamiltonian(3, 1.0)
     state = StateVector.basis("101")
-    tau, prefactor = choose_tau(-2.0, TauMode.QUARTER)
+    tau, prefactor = choose_tau(-2.0, TauMode.QUARTER, op._norm_bound)
     _, p = twirl_round(state, op, tau, prefactor, ancillas=4)
     assert p == pytest.approx(0.564614, abs=1e-6)
 
@@ -553,7 +563,7 @@ def test_exact_protocol_without_h_matches_a_round_by_round_replay():
     p_cumulative = 1.0
     for index, spec in enumerate(rounds, start=1):
         energy = expectation(state, op) if spec.energy_override is None else spec.energy_override
-        tau, prefactor = choose_tau(energy, spec.mode)
+        tau, prefactor = choose_tau(energy, spec.mode, op._norm_bound)
         state, p_round = twirl_round(state, op, tau, prefactor, spec.ancillas)
         p_cumulative *= p_round
         want.append((index, energy, tau, prefactor, p_round, p_cumulative))
@@ -586,6 +596,67 @@ def test_zero_energy_estimate_names_the_round():
         run_protocol("010", op, config)
     # the abort is the one raised where it happened, its traceback intact
     assert caught.traceback[-1].name == "choose_tau"
+
+
+def _near_zero_estimate(scale=1.0):
+    """A 1-qubit protocol whose third round estimates <scale Z> = scale cos(2 theta),
+    about 1e-11 scale: nonzero, and zero within 1e-9 of the summed |coefficient|.
+    Its full rounds at E = scale run exp(-2 pi i Z) = I and leave the state alone."""
+    theta = math.pi / 4.0 - 5e-12
+    initial = StateVector(1, np.array([math.cos(theta), math.sin(theta)], dtype=complex))
+    rounds = (RoundSpec(TauMode.FULL, scale),) * 2 + (RoundSpec(TauMode.QUARTER),)
+    return initial, PauliSum(1, ((scale, "Z"),)), TwirlConfig(rounds)
+
+
+def test_an_estimate_zero_on_the_operators_scale_aborts_at_its_round():
+    with pytest.raises(ZeroEnergyError, match="^round 3: energy estimate is zero") as caught:
+        run_protocol(*_near_zero_estimate())
+    records = caught.value.records
+    assert [r.round_index for r in records] == [0, 1, 2]
+    # an absolute 1e-12 would have taken it, and set tau near 1.6e11
+    assert 1e-12 < abs(records[-1].expectations["H"]) < 1e-10
+
+
+def _scaled(op, config, scale):
+    terms = tuple((scale * coeff, axes) for coeff, axes in op.terms)
+    rounds = tuple(
+        r if r.energy_override is None else RoundSpec(r.mode, scale * r.energy_override, r.ancillas)
+        for r in config.rounds
+    )
+    return PauliSum(op.n_qubits, terms), dataclasses.replace(config, rounds=rounds)
+
+
+def test_abort_decisions_do_not_change_when_the_operator_is_scaled():
+    # overrides from 1e-13 to 1 in size fall on both sides of the zero-energy
+    # rule, and few shots with noisy_energy sample exact zeros
+    rng = np.random.default_rng(38)
+    # |010> is a zero mode of the 3-qubit chain
+    zero_mode = ("010", schwinger_hamiltonian(3, 1.0), TwirlConfig((RoundSpec(TauMode.QUARTER),)))
+    cases = [_near_zero_estimate(), zero_mode]
+    for _ in range(60):
+        n_qubits = int(rng.integers(1, 4))
+        rounds = []
+        for _ in range(int(rng.integers(1, 4))):
+            mode = TauMode.QUARTER if rng.random() < 0.5 else TauMode.FULL
+            size = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-13, 0)
+            override = float(size) if rng.random() < 0.5 else None
+            rounds.append(RoundSpec(mode, override, int(rng.integers(1, 3))))
+        shots = int(rng.integers(2, 50)) if rng.random() < 0.5 else None
+        seed = int(rng.integers(100))
+        config = TwirlConfig(tuple(rounds), shots=shots, seed=seed, noisy_energy=shots is not None)
+        cases.append((random_state(rng, n_qubits), random_pauli_sum(rng, n_qubits, 5), config))
+    seen = set()
+    for initial, op, config in cases:
+        outcomes = []
+        for scale in (1e-6, 1.0, 1e6):
+            try:
+                run_protocol(initial, *_scaled(op, config, scale))
+                outcomes.append(None)
+            except (ZeroEnergyError, PostSelectionError) as exc:
+                outcomes.append((type(exc), len(exc.records)))
+        assert outcomes[0] == outcomes[1] == outcomes[2], (op, config)
+        seen.add(outcomes[1] and outcomes[1][0])
+    assert seen == {None, ZeroEnergyError, PostSelectionError}
 
 
 def test_extinction_in_a_protocol_names_the_round():

@@ -70,7 +70,7 @@ def test_protocols_follow_the_level_weight_formula():
         levels, vectors = np.linalg.eigh(dense_matrix(op))
         weights = np.abs(vectors.conj().T @ initial.amplitudes) ** 2
         used = [RoundSpec(s.mode, r.energy_used, s.ancillas) for s, r in zip(rounds, records[1:])]
-        steps = weight_protocol(weights, levels, used)
+        steps = weight_protocol(weights, levels, used, op._norm_bound)
         for k, (record, (_, p_round, energy)) in enumerate(zip(records, steps)):
             assert record.p_round == pytest.approx(p_round, abs=P_ROUND_TOL), (checked, k)
             assert record.expectations["H"] == pytest.approx(energy, abs=ENERGY_TOL), (checked, k)
