@@ -90,13 +90,19 @@ def test_readme_input_rule_examples_are_refused_as_stated(capsys):
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = text.split("### Input rules\n", 1)[1].split("\n#", 1)[0]
     rows = [line.strip("|").split(" | ") for line in table.splitlines() if line.startswith("| `-")]
-    assert len(rows) >= 8
+    assert len(rows) >= 15
     for flag, _, example, message, code in (map(str.strip, row) for row in rows):
         argv = shlex.split(example.strip("`"))
-        assert argv[0] == flag.strip("`")
-        for command, source in (("run", ["--config", "table-13"]), ("batch", ["--bundled"])):
+        assert flag.strip("`") in argv
+        if argv[0].startswith("-"):
+            # an override flag: refused under run and batch alike
+            runs = [("run", ["run", "--config", "table-13", *argv])]
+            runs.append(("batch", ["batch", "--bundled", *argv]))
+        else:
+            runs = [(argv[0], argv)]
+        for command, full in runs:
             try:
-                got = main([command, *source, *argv])
+                got = main(full)
             except SystemExit as exc:  # the argument parser's refusal
                 got = exc.code
             out, err = capsys.readouterr()
