@@ -29,6 +29,8 @@ from .twirl import (
     RoundSpec,
     TauMode,
     TwirlConfig,
+    ZeroEnergyError,
+    choose_tau,
     resolve_observables,
 )
 
@@ -303,15 +305,18 @@ def _check_consistency(data: dict) -> PauliSum:
             f"{len(initial)} bit(s), hamiltonian acts on {op.n_qubits} qubit(s)"
         )
     for k, spec in enumerate(data["rounds"]):
+        if "energy_override" not in spec:
+            continue
         # choose_tau's rule, refused here since a fixed energy cannot become nonzero at run time
-        override = spec.get("energy_override")
-        if override is not None and abs(override) <= ZERO_ENERGY_REL * op._norm_bound:
+        try:
+            choose_tau(spec["energy_override"], TauMode.FULL, op._norm_bound)
+        except ZeroEnergyError:
             raise ManifestError(
                 f"config error at /rounds/{k}/energy_override: energy_override "
-                f"{override!r} is zero within tolerance {ZERO_ENERGY_REL} "
+                f"{spec['energy_override']!r} is zero within tolerance {ZERO_ENERGY_REL} "
                 f"times the summed |coefficient| {op._norm_bound!r}; "
                 "a filter round needs a nonzero energy"
-            )
+            ) from None
     observables = tuple(data.get("observables", TwirlConfig.observables))
     try:
         resolve_observables(observables, op)

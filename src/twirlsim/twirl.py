@@ -51,9 +51,10 @@ from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
 from .trotter import evolve_trotter
 
-# Rounding puts about eps times the summed |coefficient| into each level e, so a
-# quarter-mode angle tau e carries about (pi / 2) eps sum|c| / |E| of it: below this
-# fraction of sum|c|, up to ~3.5e-7 rad, the angles are set by rounding, not the state.
+# An energy within this fraction of the operator's summed |coefficient| is zero:
+# rounding puts about eps sum|c| into each level e, so a quarter-mode angle tau e
+# carries about (pi / 2) eps sum|c| / |E| of error, 3.5e-7 rad at the bound and
+# more below it, where rounding rather than the state sets the filter.
 ZERO_ENERGY_REL = 1e-9
 EXTINCTION_TOL = 1e-14
 PREFACTOR_TOL = 1e-12
