@@ -79,14 +79,15 @@ def choose_tau(energy: float, mode: TauMode, norm_bound: float) -> tuple[float, 
     """Period and prefactor for one filtering round at energy E.
 
     ``norm_bound`` is the operator's summed |coefficient| (``op._norm_bound``):
-    an energy within ``ZERO_ENERGY_REL`` times it of zero is refused.
+    an energy within ``ZERO_ENERGY_REL`` times it of zero is refused, and so
+    is one whose full period 2 pi / E overflows (below about 3.5e-308).
     """
     _check_real(energy, "energy estimate")
     if not (_is_finite_real(norm_bound) and norm_bound >= 0):
         raise ValueError(f"summed |coefficient| {norm_bound!r} must be finite and >= 0")
     energy = float(energy)  # a float32 estimate would keep float32 arithmetic
     # <=, so that an operator of zero coefficients refuses its zero energy too
-    if abs(energy) <= ZERO_ENERGY_REL * norm_bound:
+    if abs(energy) <= ZERO_ENERGY_REL * norm_bound or math.isinf(2.0 * math.pi / energy):
         raise ZeroEnergyError(
             "energy estimate is zero within tolerance; a zero-energy target "
             "needs an explicit energy_override (full mode) instead"

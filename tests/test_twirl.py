@@ -108,8 +108,9 @@ def test_choose_tau_rejects_zero_and_junk():
         choose_tau(0.0, TauMode.QUARTER, 1.0)
     with pytest.raises(ZeroEnergyError):
         choose_tau(1e-13, TauMode.FULL, 1.0)
-    # zero on the operator's scale: within 1e-9 of the summed |coefficient|
-    for energy, norm_bound in ((-5e-10, 1.0), (5e-4, 1e6), (0.0, 0.0)):
+    # zero on the operator's scale: within 1e-9 of the summed |coefficient|,
+    # or, on subnormal coefficients, too small for its period to be a float
+    for energy, norm_bound in ((-5e-10, 1.0), (5e-4, 1e6), (0.0, 0.0), (1e-310, 1e-310)):
         with pytest.raises(ZeroEnergyError):
             choose_tau(energy, TauMode.QUARTER, norm_bound)
     assert choose_tau(-5e-10, TauMode.FULL, 0.1) == (2.0 * math.pi / -5e-10, 1.0 + 0.0j)
