@@ -138,9 +138,9 @@ def test_chunked_ramp_matches_frozen_operator_oracle(chunk, monkeypatch):
 
 
 def test_ramp_working_set_stays_small():
-    # a chunk holds several arrays the size of its stack at once: 64 slices
-    # of 6 qubits traced 12.8 MB in one 16 MiB chunk and 0.86 MB in 128 KiB chunks
-    # an XX+YY chain in a Z field, ramped from the staggered Z chain
+    # a chunk holds several arrays the size of its stack at once: this ramp of
+    # an XX+YY chain in a Z field, 64 slices of 6 qubits, traced 13.1 MB in one
+    # 16 MiB chunk and 0.88 MB in 128 KiB chunks
     bonds = ["I" * q + pair + "I" * (4 - q) for q in range(5) for pair in ("XX", "YY")]
     fields = ["I" * q + "Z" + "I" * (5 - q) for q in range(6)]
     target = PauliSum(6, tuple([(1.0, a) for a in bonds] + [(0.5, a) for a in fields]))

@@ -599,14 +599,14 @@ def test_zero_energy_estimate_names_the_round():
     assert caught.traceback[-1].name == "choose_tau"
 
 
-def _near_zero_estimate(scale=1.0):
-    """A 1-qubit protocol whose third round estimates <scale Z> = scale cos(2 theta),
-    about 1e-11 scale: nonzero, and zero within 1e-9 of the summed |coefficient|.
-    Its full rounds at E = scale run exp(-2 pi i Z) = I and leave the state alone."""
+def _near_zero_estimate():
+    """A 1-qubit protocol whose third round estimates <Z> = cos(2 theta), about
+    1e-11: nonzero, and zero within 1e-9 of the summed |coefficient| 1. Its
+    full rounds at E = 1 run exp(-2 pi i Z) = I and leave the state alone."""
     theta = math.pi / 4.0 - 5e-12
     initial = StateVector(1, np.array([math.cos(theta), math.sin(theta)], dtype=complex))
-    rounds = (RoundSpec(TauMode.FULL, scale),) * 2 + (RoundSpec(TauMode.QUARTER),)
-    return initial, PauliSum(1, ((scale, "Z"),)), TwirlConfig(rounds)
+    rounds = (RoundSpec(TauMode.FULL, 1.0),) * 2 + (RoundSpec(TauMode.QUARTER),)
+    return initial, PauliSum(1, ((1.0, "Z"),)), TwirlConfig(rounds)
 
 
 def test_an_estimate_zero_on_the_operators_scale_aborts_at_its_round():
