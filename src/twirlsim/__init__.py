@@ -30,9 +30,7 @@ from .pauli import (
     expectation,
     hamiltonian_by_name,
     named_observable,
-    observable_zbar,
     schwinger_hamiltonian,
-    single_z,
 )
 from .shots import PostSelectionError, sample_shots, stream_starts
 from .spectral import (
@@ -86,13 +84,11 @@ __all__ = [
     "keep_probability",
     "load_manifest",
     "named_observable",
-    "observable_zbar",
     "overlap_weights",
     "parse_manifest",
     "run_protocol",
     "sample_shots",
     "schwinger_hamiltonian",
-    "single_z",
     "staggered_start",
     "stream_starts",
     "trotter_errors",

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
+    COUNT_LIMIT,
     PauliSum,
     _check_count,
     _check_time,
@@ -63,7 +64,7 @@ class AdiabaticSchedule:
             raise ValueError(
                 f"total time must be a positive finite real number, got {self.total_time!r}"
             )
-        object.__setattr__(self, "steps", _check_count(self.steps, "step count", below=2**63))
+        object.__setattr__(self, "steps", _check_count(self.steps, "step count", below=COUNT_LIMIT))
 
 
 def staggered_start(n_qubits: int) -> PauliSum:

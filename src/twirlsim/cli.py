@@ -38,6 +38,7 @@ from . import __version__
 from .adiabatic import AdiabaticSchedule, adiabatic_prepare, staggered_start
 from .manifest import BUNDLED_DIR, Manifest, ManifestError, json_entries, load_manifest
 from .pauli import (
+    COUNT_LIMIT,
     _INT_DIGITS,
     _check_count,
     _plain_decimal,
@@ -45,7 +46,6 @@ from .pauli import (
     named_observable,
     schwinger_hamiltonian,
 )
-from .shots import SHOT_LIMIT
 from .spectral import closed_form_spectrum, eigendecompose
 from .state import StateVector
 from .trotter import trotter_errors
@@ -452,7 +452,7 @@ def _run_overrides(args: argparse.Namespace) -> dict:
         overrides["backend"] = _flag("--backend", Backend.parse, args.backend)
     if args.shots is not None:
         overrides["shots"] = None if args.shots == "none" else _flag(
-            "--shots", _check_count, _read(args.shots, count), "shot count", below=SHOT_LIMIT
+            "--shots", _check_count, _read(args.shots, count), "shot count", below=COUNT_LIMIT
         )
     if args.seed is not None:
         overrides["seed"] = _flag("--seed", _check_count, args.seed, "seed", low=0)

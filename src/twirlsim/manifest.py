@@ -20,8 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .adiabatic import AdiabaticSchedule
-from .pauli import CHAINS, PauliSum, _is_finite_real, hamiltonian_by_name
-from .shots import SHOT_LIMIT
+from .pauli import CHAINS, COUNT_LIMIT, PauliSum, _is_finite_real, hamiltonian_by_name
 from .twirl import (
     BACKEND_PATTERN,
     ZERO_ENERGY_REL,
@@ -94,7 +93,7 @@ RULES = _object(
         )
     ),
     backend={"type": "string", "pattern": BACKEND_PATTERN},
-    shots={"type": "integer", "null": True, "min": 1, "max": SHOT_LIMIT - 1},
+    shots={"type": "integer", "null": True, "min": 1, "max": COUNT_LIMIT - 1},
     seed={"type": "integer", "min": 0},
     observables=_array(_LABEL),
     noisy_energy={"type": "boolean"},
@@ -313,9 +312,9 @@ def _check_consistency(data: dict) -> PauliSum:
         except ZeroEnergyError:
             raise ManifestError(
                 f"config error at /rounds/{k}/energy_override: energy_override "
-                f"{spec['energy_override']!r} is zero within tolerance {ZERO_ENERGY_REL} "
-                f"times the summed |coefficient| {op._norm_bound!r}; "
-                "a filter round needs a nonzero energy"
+                f"{spec['energy_override']!r} is zero on the operator's scale: within "
+                f"{ZERO_ENERGY_REL} times the summed |coefficient| {op._norm_bound!r}, "
+                "or so small that its period overflows; a filter round needs a nonzero energy"
             ) from None
     observables = tuple(data.get("observables", TwirlConfig.observables))
     try:

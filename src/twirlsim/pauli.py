@@ -78,6 +78,11 @@ def _check_time(tau: object, op: PauliSum) -> float:
     return tau
 
 
+# the ceiling of shot, active, ancilla and step counts: numpy's binomial draws
+# take a count as a 64-bit C long, and the other counts share its bound
+COUNT_LIMIT = 2**63
+
+
 def _check_count(value: object, what: str, low: int = 1, below: int | None = None) -> int:
     """Counts, seeds, indices and register sizes: ints or numpy integers, never a bool.
 
@@ -269,21 +274,6 @@ def hamiltonian_by_name(name: str, coupling: float) -> PauliSum:
     return schwinger_hamiltonian(CHAINS[name], coupling)
 
 
-def single_z(n_qubits: int, qubit: int) -> PauliSum:
-    """Z on one qubit of an ``n_qubits`` register."""
-    n_qubits = _check_count(n_qubits, "operator qubit count")
-    qubit = _check_count(qubit, "qubit", low=0)
-    if qubit >= n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {n_qubits} qubit(s)")
-    axes = "".join("Z" if q == qubit else "I" for q in range(n_qubits))
-    return PauliSum(n_qubits, ((1.0, axes),))
-
-
-def observable_zbar() -> PauliSum:
-    """Staggered charge proxy (Z0 - Z1 + Z2) / 3 on three qubits."""
-    return PauliSum(3, ((1.0 / 3.0, "ZII"), (-1.0 / 3.0, "IZI"), (1.0 / 3.0, "IIZ")))
-
-
 def named_observable(name: str, n_qubits: int) -> PauliSum:
     """Resolve an observable name used in manifests and CLI output.
 
@@ -301,15 +291,16 @@ def _named_observable(name: str, n_qubits: int) -> PauliSum:
     if name == "Zbar":
         if n_qubits != 3:
             raise ValueError("Zbar is defined on three qubits")
-        return observable_zbar()
+        return PauliSum(3, ((1.0 / 3.0, "ZII"), (-1.0 / 3.0, "IZI"), (1.0 / 3.0, "IIZ")))
     if name == "Z":
         if n_qubits != 1:
             raise ValueError('observable "Z" is only unambiguous on one qubit, use "Z<k>"')
-        return single_z(1, 0)
+        return PauliSum(1, ((1.0, "Z"),))
     index = name[1:]
     if name[:1] == "Z" and _plain_decimal(index):
         # an index with more digits than the register size is out of range, and int() may refuse it
-        if len(index) > len(str(n_qubits)):
+        if len(index) > len(str(n_qubits)) or int(index) >= n_qubits:
             raise ValueError(f"qubit {index} out of range for {n_qubits} qubit(s)")
-        return single_z(n_qubits, int(index))
+        qubit = int(index)
+        return PauliSum(n_qubits, ((1.0, "I" * qubit + "Z" + "I" * (n_qubits - qubit - 1)),))
     raise ValueError(f"unknown observable {name!r}")

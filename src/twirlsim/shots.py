@@ -34,11 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .pauli import PauliSum, _check_count, _compiled
+from .pauli import COUNT_LIMIT, PauliSum, _check_count, _compiled
 from .state import StateVector
-
-# numpy's binomial draws take the count as a 64-bit C long, so shot and active counts are below this
-SHOT_LIMIT = 2**63
 
 
 class PostSelectionError(RuntimeError):
@@ -180,7 +177,7 @@ def sample_shots(
     state is sampled in one call with every operator it is read for.
     """
     # fixed-outcome draws skip numpy, but are held to its bound all the same
-    active = _check_count(active, "active count", low=0, below=SHOT_LIMIT)
+    active = _check_count(active, "active count", low=0, below=COUNT_LIMIT)
     if active == 0:
         raise PostSelectionError("no active runs left")
     n_terms = sum(len(op.terms) for _, op in ops)

@@ -41,11 +41,19 @@ from functools import reduce
 
 import numpy as np
 
-from .pauli import PauliSum, _check_count, _check_time, _compiled, _scatter, dense_matrix
+from .pauli import (
+    COUNT_LIMIT,
+    PauliSum,
+    _check_count,
+    _check_time,
+    _compiled,
+    _scatter,
+    dense_matrix,
+)
 
 def evolve_trotter(amplitudes: np.ndarray, op: PauliSum, tau: float, steps: int) -> np.ndarray:
     """Amplitudes after ``steps`` symmetric sweeps approximating exp(-i tau op)."""
-    steps = _check_count(steps, "step count", below=2**63)
+    steps = _check_count(steps, "step count", below=COUNT_LIMIT)
     if np.shape(amplitudes) != (2**op.n_qubits,):
         raise ValueError("amplitudes and operator act on different registers")
     dt = _check_time(tau, op) / steps
@@ -77,7 +85,7 @@ def trotter_errors(op: PauliSum, tau: float, steps: Iterable[int]) -> list[float
     Pauli matrix are built once; only the split-step factors depend on the
     step count.
     """
-    counts = [_check_count(count, "step count", below=2**63) for count in steps]
+    counts = [_check_count(count, "step count", below=COUNT_LIMIT) for count in steps]
     tau = _check_time(tau, op)
     matrix = dense_matrix(op)
     values, vectors = np.linalg.eigh(matrix)

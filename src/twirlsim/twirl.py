@@ -37,6 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .pauli import (
+    COUNT_LIMIT,
     _INT_DIGITS,
     PauliSum,
     _check_count,
@@ -46,7 +47,7 @@ from .pauli import (
     expectation,
     named_observable,
 )
-from .shots import SHOT_LIMIT, PostSelectionError, _draw, sample_shots, stream_starts
+from .shots import PostSelectionError, _draw, sample_shots, stream_starts
 from .spectral import eigendecompose, evolve_exact, overlap_weights
 from .state import StateVector
 from .trotter import evolve_trotter
@@ -108,8 +109,8 @@ class Backend:
 
     def __post_init__(self) -> None:
         if self.steps is not None:
-            # the shot-count bound: a count past float range overflows the step length
-            object.__setattr__(self, "steps", _check_count(self.steps, "step count", below=2**63))
+            steps = _check_count(self.steps, "step count", below=COUNT_LIMIT)
+            object.__setattr__(self, "steps", steps)
 
     @classmethod
     def parse(cls, text: str) -> Backend:
@@ -144,7 +145,7 @@ def keep_probability(
     """
     tau = _check_time(tau, op)
     _check_prefactor(prefactor)
-    ancillas = _check_count(ancillas, "ancilla count", below=2**63)
+    ancillas = _check_count(ancillas, "ancilla count", below=COUNT_LIMIT)
     dec = eigendecompose(op)
     angles = np.angle(prefactor) - tau * dec.eigenvalues
     return float(np.sum(overlap_weights(state, dec) * np.cos(angles / 2.0) ** (2 * ancillas)))
@@ -160,7 +161,7 @@ def twirl_round(
 ) -> tuple[StateVector, float]:
     """One filtering round; returns the posterior and its keep probability."""
     _check_prefactor(prefactor)
-    ancillas = _check_count(ancillas, "ancilla count", below=2**63)
+    ancillas = _check_count(ancillas, "ancilla count", below=COUNT_LIMIT)
     current = state.amplitudes
     probability = 1.0
     for _ in range(ancillas):
@@ -190,8 +191,7 @@ class RoundSpec:
             raise ValueError(f"mode must be a TauMode, got {self.mode!r}")
         if self.energy_override is not None:
             _check_real(self.energy_override, "energy override")
-        # the step count's bound: each ancilla runs one evolution
-        ancillas = _check_count(self.ancillas, "ancilla count", below=2**63)
+        ancillas = _check_count(self.ancillas, "ancilla count", below=COUNT_LIMIT)
         object.__setattr__(self, "ancillas", ancillas)
 
 
@@ -212,7 +212,7 @@ class TwirlConfig:
         if not self.rounds:
             raise ValueError("protocol needs at least one round")
         if self.shots is not None:
-            shots = _check_count(self.shots, "shot count", below=SHOT_LIMIT)
+            shots = _check_count(self.shots, "shot count", below=COUNT_LIMIT)
             object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "seed", _check_count(self.seed, "seed", low=0))
         if not self.observables:

@@ -31,7 +31,7 @@ from twirlsim import (
     twirl_round,
 )
 from twirlsim.cli import execute_manifest
-from twirlsim.pauli import apply_axes, single_z
+from twirlsim.pauli import apply_axes, named_observable
 from twirlsim.spectral import _eigensystem
 from twirlsim.state import StateVector
 
@@ -198,7 +198,7 @@ def test_criterion_08_shot_noise_soundness():
                 states[-1], op, record.tau, record.prefactor
             )
             states.append(advanced)
-        resolved = [("H", op), ("Z", single_z(1, 0))]
+        resolved = [("H", op), ("Z", named_observable("Z", 1))]
 
         def bounds(state, observable, active):
             variance = 0.0

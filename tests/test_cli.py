@@ -613,9 +613,30 @@ def test_run_refuses_a_zero_energy_override_before_it_runs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "config error at /rounds/0/energy_override: energy_override 0 is zero within "
-        "tolerance 1e-09 times the summed |coefficient| 2.0; a filter round needs a nonzero "
-        "energy\n"
+        "config error at /rounds/0/energy_override: energy_override 0 is zero on the "
+        "operator's scale: within 1e-09 times the summed |coefficient| 2.0, or so small that "
+        "its period overflows; a filter round needs a nonzero energy\n"
+    )
+
+
+@pytest.mark.parametrize("override", [1e-310, 1e-320], ids=["period-overflows", "within-tol"])
+def test_a_subnormal_override_is_refused_by_the_whole_rule(override, tmp_path, capsys):
+    # on Σ|c| = 1e-310, 1e-310 is far above the tolerance but 2π/E overflows;
+    # 1e-320 is within the tolerance, and one message states both causes
+    payload = {
+        "name": "subnormal",
+        "hamiltonian": {"n_qubits": 1, "terms": [{"coeff": 1e-310, "axes": "Z"}]},
+        "initial": "0",
+        "rounds": [{"mode": "full", "energy_override": override}],
+    }
+    path = _write(tmp_path, "subnormal.json", payload)
+    assert main(["run", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error at /rounds/0/energy_override: energy_override {override!r} is zero on "
+        "the operator's scale: within 1e-09 times the summed |coefficient| 1e-310, or so small "
+        "that its period overflows; a filter round needs a nonzero energy\n"
     )
 
 

@@ -582,8 +582,8 @@ def test_a_zero_energy_override_is_a_config_error(mode, override):
         parse_manifest(_base(rounds=rounds))
     assert str(caught.value) == (
         f"config error at /rounds/1/energy_override: energy_override {override!r} "
-        "is zero within tolerance 1e-09 times the summed |coefficient| 2.0; "
-        "a filter round needs a nonzero energy"
+        "is zero on the operator's scale: within 1e-09 times the summed |coefficient| 2.0, "
+        "or so small that its period overflows; a filter round needs a nonzero energy"
     )
     # the tolerance is the run-time rule's, so an energy just past it passes
     rounds[1]["energy_override"] = -2.01e-9

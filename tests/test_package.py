@@ -24,10 +24,13 @@ assert "twirlsim.twirl" not in sys.modules, "imported the protocol layer"
 
 def test_every_export_resolves_once():
     names = twirlsim.__all__
-    assert len(set(names)) == len(names) == 40
+    assert len(set(names)) == len(names) == 38
     assert [name for name in names if not hasattr(twirlsim, name)] == []
     # a term is a (coeff, axes) pair, with no class of its own
     assert not hasattr(twirlsim, "PauliTerm")
+    # named_observable is the one builder of Z<k>, Z and Zbar
+    for name in ("single_z", "observable_zbar"):
+        assert not hasattr(twirlsim, name) and not hasattr(twirlsim.pauli, name)
 
 
 @pytest.mark.parametrize("module", ["twirlsim.state", "twirlsim.pauli", "twirlsim.shots"])
@@ -84,14 +87,37 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     assert os.listdir("results") == ["my-scenario.json"]
 
 
-def test_readme_input_rule_examples_are_refused_as_stated(capsys):
+_RULE_BASE = {
+    "name": "rule",
+    "hamiltonian": {"name": "schwinger-3q", "J": 1.0},
+    "initial": "101",
+    "rounds": [{"mode": "quarter"}],
+}
+
+
+def test_readme_input_rule_examples_are_refused_as_stated(capsys, tmp_path):
     from twirlsim.cli import main
 
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = text.split("### Input rules\n", 1)[1].split("\n#", 1)[0]
-    rows = [line.strip("|").split(" | ") for line in table.splitlines() if line.startswith("| `-")]
-    assert len(rows) >= 15
-    for flag, _, example, message, code in (map(str.strip, row) for row in rows):
+    # the manifest base the README states is the one this test merges into
+    assert f"`{json.dumps(_RULE_BASE)}`" in " ".join(table.split())
+    cells = [
+        [cell.strip() for cell in line.strip("|").split(" | ")]
+        for line in table.splitlines()
+        if line.startswith("| ")
+    ]
+    rows = [row for row in cells if row[0].startswith("`-")]
+    fragments = [row for row in cells if row[2].startswith("`{")]
+    assert len(rows) >= 15 and len(fragments) >= 11
+    for _, _, fragment, message, code in fragments:
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps({**_RULE_BASE, **json.loads(fragment.strip("`"))}))
+        got = main(["run", "--config", str(path)])
+        out, err = capsys.readouterr()
+        prefix = message.strip("`")
+        assert (got, out, err.count("\n"), err[: len(prefix)]) == (int(code), "", 1, prefix)
+    for flag, _, example, message, code in rows:
         argv = shlex.split(example.strip("`"))
         assert flag.strip("`") in argv
         if argv[0].startswith("-"):

@@ -18,9 +18,7 @@ from twirlsim import (
     expectation,
     hamiltonian_by_name,
     named_observable,
-    observable_zbar,
     schwinger_hamiltonian,
-    single_z,
     staggered_start,
 )
 from twirlsim import pauli, spectral
@@ -94,15 +92,13 @@ def test_hamiltonian_by_name():
 
 
 def test_zbar_observable_terms():
-    op = observable_zbar()
-    assert [axes for _, axes in op.terms] == ["ZII", "IZI", "IIZ"]
-    assert np.allclose([coeff for coeff, _ in op.terms], [1 / 3, -1 / 3, 1 / 3])
+    zbar = PauliSum(3, ((1 / 3, "ZII"), (-1 / 3, "IZI"), (1 / 3, "IIZ")))
+    assert named_observable("Zbar", 3) == zbar
 
 
 def test_named_observable_resolution():
-    assert named_observable("Zbar", 3) == observable_zbar()
-    assert named_observable("Z1", 3) == single_z(3, 1)
-    assert named_observable("Z", 1) == single_z(1, 0)
+    assert named_observable("Z1", 3) == PauliSum(3, ((1.0, "IZI"),))
+    assert named_observable("Z", 1) == PauliSum(1, ((1.0, "Z"),))
     with pytest.raises(ValueError, match="Zbar is defined on three"):
         named_observable("Zbar", 2)
     with pytest.raises(ValueError, match="unknown observable"):
@@ -111,10 +107,18 @@ def test_named_observable_resolution():
         named_observable("Z3", 3)
 
 
+@pytest.mark.parametrize("n_qubits", [1, 2, 3])
+def test_named_observable_puts_z_on_its_qubit(n_qubits):
+    for k in range(n_qubits):
+        factors = [SZ if q == k else I2 for q in range(n_qubits)]
+        assert np.array_equal(dense_matrix(named_observable(f"Z{k}", n_qubits)), kron(*factors))
+
+
 @pytest.mark.parametrize("n_qubits", [11, 12])
 def test_named_observable_reads_a_multi_digit_qubit_index(n_qubits):
-    assert named_observable("Z10", n_qubits) == single_z(n_qubits, 10)
-    assert named_observable("Z0", n_qubits) == single_z(n_qubits, 0)
+    rest = "I" * (n_qubits - 11)
+    assert named_observable("Z10", n_qubits) == PauliSum(n_qubits, ((1.0, "I" * 10 + "Z" + rest),))
+    assert named_observable("Z0", n_qubits) == PauliSum(n_qubits, ((1.0, "Z" + "I" * 10 + rest),))
     with pytest.raises(ValueError, match=rf"^qubit 12 out of range for {n_qubits} qubit"):
         named_observable("Z12", n_qubits)
 
@@ -159,7 +163,7 @@ def test_named_observables_are_shared_but_counted_first():
 def test_expectation_hand_values():
     # alternating charge of |101> is (-1 - 1 - 1) / 3, its energy -2J
     state = StateVector.basis("101")
-    assert expectation(state, observable_zbar()) == pytest.approx(-1.0)
+    assert expectation(state, named_observable("Zbar", 3)) == pytest.approx(-1.0)
     assert expectation(state, schwinger_hamiltonian(3, 1.0)) == pytest.approx(-2.0)
     assert expectation(StateVector.basis("000"), schwinger_hamiltonian(3, 1.0)) == pytest.approx(2.0)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from twirlsim import (
+    AdiabaticSchedule,
     Backend,
     PauliSum,
     PostSelectionError,
@@ -19,17 +20,20 @@ from twirlsim import (
     TauMode,
     TwirlConfig,
     dense_matrix,
+    evolve_trotter,
     expectation,
+    keep_probability,
+    named_observable,
     run_protocol,
     sample_shots,
     schwinger_hamiltonian,
     stream_starts,
+    trotter_errors,
     twirl_round,
 )
-from twirlsim import shots
+from twirlsim import pauli, shots
 from twirlsim.cli import _run_overrides
 from twirlsim.manifest import RULES
-from twirlsim.pauli import single_z
 from twirlsim.shots import _draw
 from twirlsim.state import StateVector
 from twirlsim.twirl import resolve_observables
@@ -66,7 +70,7 @@ def test_round_zero_uses_every_shot():
 def test_deterministic_outcome_is_estimated_exactly():
     # <Z0> = 1 on |00> pins the per-term binomial at its ceiling
     state = StateVector.basis("00")
-    ops = [("Z0", single_z(2, 0)), ("Z1", single_z(2, 1))]
+    ops = [("Z0", named_observable("Z0", 2)), ("Z1", named_observable("Z1", 2))]
     estimates = sample_shots(state, ops, 17, stream_starts(5, 2, 3)[1][1:])
     assert estimates["Z0"] == 1.0
     assert estimates["Z1"] == 1.0
@@ -103,9 +107,9 @@ _NON_NEGATIVE_SITES = {
     "config-seed": lambda value: _config(seed=value),
     "streams-seed": lambda value: stream_starts(value, 1, 1),
     "active": lambda value: sample_shots(
-        StateVector.basis("0"), [("Z", single_z(1, 0))], value, stream_starts(1, 3, 2)[2][1:]
+        StateVector.basis("0"), [("Z", named_observable("Z", 1))], value,
+        stream_starts(1, 3, 2)[2][1:],
     ),
-    "qubit": lambda value: single_z(2, value),
     "cli-seed": lambda value: _run_overrides(
         argparse.Namespace(backend=None, shots=None, seed=value, prepare=None)
     ),
@@ -142,14 +146,14 @@ def test_numpy_integer_counts_run_like_ints():
 
 def test_sample_shots_needs_active_runs():
     state = StateVector.basis("0")
-    ops = [("Z", single_z(1, 0))]
+    ops = [("Z", named_observable("Z", 1))]
     with pytest.raises(PostSelectionError, match="no active runs left"):
         sample_shots(state, ops, 0, stream_starts(1, 3, 2)[2][1:])
 
 
 def test_sample_shots_bounds_the_active_count():
     # |0> reads Z = +1 on every run, so no draw would catch the count
-    ops = [("Z", single_z(1, 0))]
+    ops = [("Z", named_observable("Z", 1))]
     starts = stream_starts(1, 3, 2)[2][1:]
     assert sample_shots(StateVector.basis("0"), ops, 2**63 - 1, starts) == {"Z": 1.0}
     with pytest.raises(ValueError, match=re.escape("below 2**63, got 9223372036854775808")):
@@ -157,17 +161,33 @@ def test_sample_shots_bounds_the_active_count():
 
 
 def test_every_shot_count_bound_is_the_one_limit():
-    # numpy's binomial takes a 64-bit C long; the manifest rule and the protocol
-    # config read that bound from shots.SHOT_LIMIT, as sample_shots does
-    assert shots.SHOT_LIMIT == 2**63
-    assert RULES["fields"]["shots"]["max"] == shots.SHOT_LIMIT - 1
-    assert _config(shots=shots.SHOT_LIMIT - 1).shots == shots.SHOT_LIMIT - 1
-    with pytest.raises(ValueError, match=re.escape(f"below 2**63, got {shots.SHOT_LIMIT}")):
-        _config(shots=shots.SHOT_LIMIT)
+    # numpy's binomial takes a 64-bit C long; every bounded count, and the
+    # manifest's shots rule, reads that bound from pauli.COUNT_LIMIT
+    limit = pauli.COUNT_LIMIT
+    assert limit == 2**63
+    assert RULES["fields"]["shots"]["max"] == limit - 1
+    assert _config(shots=limit - 1).shots == limit - 1
+    # only refusals: twirl_round and evolve_trotter would loop an accepted count that many times
+    state, op = StateVector.basis("0"), schwinger_hamiltonian(1, 1.0)
+    starts = stream_starts(1, 3, 2)[2][1:]
+    sites = [
+        lambda: Backend(limit),
+        lambda: RoundSpec(TauMode.QUARTER, ancillas=limit),
+        lambda: AdiabaticSchedule(steps=limit),
+        lambda: evolve_trotter(state.amplitudes, op, 1.0, limit),
+        lambda: trotter_errors(op, 1.0, [limit]),
+        lambda: twirl_round(state, op, 1.0, 1.0j, ancillas=limit),
+        lambda: keep_probability(state, op, 1.0, 1.0j, ancillas=limit),
+        lambda: _config(shots=limit),
+        lambda: sample_shots(state, [("Z", named_observable("Z", 1))], limit, starts),
+    ]
+    for site in sites:
+        with pytest.raises(ValueError, match=re.escape(f"below 2**63, got {limit}")):
+            site()
 
 
 def test_sample_shots_needs_one_start_per_term():
-    ops = [("Z", single_z(1, 0))]
+    ops = [("Z", named_observable("Z", 1))]
     with pytest.raises(ValueError, match="one stream start per term: 1 terms, 2 starts"):
         sample_shots(StateVector.basis("0"), ops, 10, stream_starts(1, 3, 3)[2][1:])
 
@@ -350,14 +370,14 @@ def test_each_string_is_evaluated_once_per_state(monkeypatch):
 def test_sampling_keeps_no_state_alive():
     state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2.0))
     alive = weakref.ref(state)
-    sample_shots(state, [("Z", single_z(1, 0))], 10, stream_starts(1, 1, 2)[0][1:])
+    sample_shots(state, [("Z", named_observable("Z", 1))], 10, stream_starts(1, 1, 2)[0][1:])
     del state
     gc.collect()
     assert alive() is None
 
 
 def test_sample_shots_names_both_registers():
-    ops = [("Z0", single_z(2, 0))]
+    ops = [("Z0", named_observable("Z0", 2))]
     message = "state on 3 qubit(s) does not match observable 'Z0' on 2"
     with pytest.raises(ValueError, match=re.escape(message)):
         sample_shots(StateVector.basis("000"), ops, 10, stream_starts(1, 1, 2)[0][1:])

@@ -29,7 +29,6 @@ from twirlsim import (
     run_protocol,
     sample_shots,
     schwinger_hamiltonian,
-    single_z,
     staggered_start,
     stream_starts,
     trotter_errors,
@@ -261,10 +260,10 @@ _OVERFLOW_ENTRY_POINTS = {
     "twirl_round-exact": lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j),
     "twirl_round-trotter": lambda: twirl_round(_ZERO, _BIG_Z, 1e200, 1j, backend=Backend(4)),
     "adiabatic-start": lambda: adiabatic_prepare(
-        _ZERO, _BIG_Z, single_z(1, 0), AdiabaticSchedule(1e200, 1)
+        _ZERO, _BIG_Z, named_observable("Z", 1), AdiabaticSchedule(1e200, 1)
     ),
     "adiabatic-target": lambda: adiabatic_prepare(
-        _ZERO, single_z(1, 0), _BIG_Z, AdiabaticSchedule(1e200, 1), Backend(4)
+        _ZERO, named_observable("Z", 1), _BIG_Z, AdiabaticSchedule(1e200, 1), Backend(4)
     ),
 }
 
@@ -432,15 +431,15 @@ def test_config_validation():
         lambda: evolve_trotter(StateVector.basis("0").amplitudes, schwinger_hamiltonian(1, 1.0),
                                1.0, True),
         lambda: trotter_errors(schwinger_hamiltonian(1, 1.0), 1.0, [True])[0],
-        lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], True,
+        lambda: sample_shots(StateVector.basis("0"), [("Z", named_observable("Z", 1))], True,
                              stream_starts(1, 3, 2)[2][1:]),
-        lambda: sample_shots(StateVector.basis("0"), [("Z", single_z(1, 0))], 10.5,
+        lambda: sample_shots(StateVector.basis("0"), [("Z", named_observable("Z", 1))], 10.5,
                              stream_starts(1, 3, 2)[2][1:]),
         lambda: PauliSum(True, ((1.0, "X"),)),
         lambda: PauliSum(2.0, ((1.0, "XX"),)),
         lambda: StateVector(1.0, [1.0, 0.0]),
         lambda: schwinger_hamiltonian(2.0, 1.0),
-        lambda: single_z(2.0, 1),
+        lambda: named_observable("Z1", 2.0),
         lambda: staggered_start(2.0),
     ],
     ids=[
