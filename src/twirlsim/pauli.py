@@ -84,7 +84,7 @@ COUNT_LIMIT = 2**63
 
 
 def _check_count(value: object, what: str, low: int = 1, below: int | None = None) -> int:
-    """Counts, seeds, indices and register sizes: ints or numpy integers, never a bool.
+    """Counts, seeds and register sizes: ints or numpy integers, never a bool.
 
     Returns ``int(value)``, so a numpy integer goes no further than the check.
     """
